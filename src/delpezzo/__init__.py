@@ -1,7 +1,6 @@
 """Exact-arithmetic K-stability invariants of log del Pezzo surfaces."""
 
-from .exactnum import (DomainError, PiecewisePoly, Poly, Rat, piecewise_integrate,
-                       poly_eval, poly_integrate, rat, rat_str)
+from .exactnum import DomainError, PiecewisePoly, Poly, Rat, rat, rat_str
 from .lattice import (DivClass, SurfaceModel, catalog, catalog_names,
                       enumerate_neg_curves, intersect, is_nef, load_models)
 from .positivity import (ConeDataError, NotPseudoeffectiveError, VolumeProfile,

@@ -26,9 +26,8 @@ from typing import Mapping, Sequence
 
 from .exactnum import Poly, Rat, rat, rat_str
 from .lattice import DivClass, SurfaceModel
-from .positivity import Chamber, VolumeProfile
-from .valuative import (beta_report, profile_for, resolve_divisor_spec,
-                        unstable_certificate)
+from .positivity import Chamber
+from .valuative import _walk, unstable_certificate
 
 
 class FlagDataError(ValueError):
@@ -91,12 +90,10 @@ def flag_from_divisor(m: SurfaceModel, spec: str, *, name: str,
                       points: Sequence[FlagPoint],
                       asserted_plt: bool = True) -> FlagSpec:
     """Build a flag from a catalogued divisor spec via the profile machinery."""
-    rd = resolve_divisor_spec(m, spec)
-    rep = beta_report(m, spec)
-    prof: VolumeProfile = profile_for(m, spec)
+    rd, prof, s = _walk(m, spec)
     return FlagSpec(
         name=name, base=m, divisor_spec=spec, work=rd.work, L=rd.L, E=rd.E,
-        e_label=rd.label, A_E=rd.A, S_E=rep["S"], tau=prof.tau,
+        e_label=rd.label, A_E=rd.A, S_E=s, tau=prof.tau,
         chambers=prof.chambers, points=tuple(points), asserted_plt=asserted_plt)
 
 

@@ -1,4 +1,4 @@
-"""Built-in surface catalog: construction, shipped data file, name lookup.
+"""Built-in surface catalog: construction and name lookup.
 
 Canonical names are degree-based: "dP9" (= "P2") down to "dP1" for the
 blow-ups of the plane at general points, "P1xP1", weighted planes
@@ -7,25 +7,25 @@ and boundary pairs "P(1,1,n)+cQ" (c a rational in [0,1), Q the
 hyperplane section at infinity).  Blown-up points are always in general
 position; special-position surfaces are rejected rather than mis-modeled.
 
-The fixed catalog ships as a declarative JSON data file; parameterized
-entries (generic "P(a,b,c)", pairs for arbitrary c) are built on demand
-by the same constructors.
+The constructors below are the only source of the fixed catalog, and
+parameterized entries (generic "P(a,b,c)", pairs for arbitrary c) are
+built on demand by the same constructors.  Built-in models are code, so
+they are not re-validated when they load; the test suite and the
+``catalog:<name>`` rows of reproduce-paper validate them.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import gcd
 from typing import Mapping
 
 from .exactnum import rat, rat_str
 from .lattice import (BoundaryPart, DivClass, GraphData, LabeledCurve, ModelLink,
                       SingularPoint, SurfaceModel, UnknownSurfaceError, curve_label,
-                      enumerate_neg_curves, model_from_dict, model_to_dict)
+                      enumerate_neg_curves)
 from .localvol import QuotientSing
 
 _ALIASES = {
@@ -234,19 +234,9 @@ def builtin_models() -> list[SurfaceModel]:
     return models
 
 
-def builtin_model_dicts() -> list[dict]:
-    return [model_to_dict(m) for m in builtin_models()]
-
-
 @lru_cache(maxsize=1)
 def _builtin() -> dict[str, SurfaceModel]:
-    text = resources.files("delpezzo").joinpath("data/models.json").read_text("utf-8")
-    data = json.loads(text)
-    out: dict[str, SurfaceModel] = {}
-    for entry in data["models"]:
-        m = model_from_dict(entry, validate=True)
-        out[m.name] = m
-    return out
+    return {m.name: m for m in builtin_models()}
 
 
 def builtin_names() -> list[str]:
@@ -288,7 +278,7 @@ def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> Sur
             return builtin["dP9"]
         if a == 1 and b == 1:
             raise UnknownSurfaceError(
-                f"P(1,1,{c}) beyond the shipped range; extend the catalog data")
+                f"P(1,1,{c}) beyond the built-in range; load it with --catalog")
         try:
             return _wps_model(a, b, c).validate_strict()
         except ValueError as exc:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when --strict is set and the mathematical
 verdict is fail/unstable/not-pseudoeffective, 2 on usage errors (unknown
-command, surface or malformed input).  Reports are byte-deterministic
-for fixed inputs; rationals are always rendered exactly as "p/q".
+command, surface or malformed input, or an invalid --catalog model).
+Reports are byte-deterministic for fixed inputs; rationals are always
+rendered exactly as "p/q".
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import azflag, gitcubic, localvol, positivity, valuative
@@ -152,10 +154,16 @@ def _load_extra(paths) -> dict[str, SurfaceModel]:
 
 
 def _surface(args, extra) -> SurfaceModel:
+    """The named model; a --catalog model is validated and refused if invalid."""
     try:
-        return catalog(args.surface, extra=extra)
+        m = catalog(args.surface, extra=extra)
     except UnknownSurfaceError as exc:
         raise CommandError(str(exc)) from exc
+    if extra and extra.get(m.name) is m:
+        problems = m.validate()
+        if problems:
+            raise CommandError("invalid --catalog model: " + "; ".join(problems))
+    return m
 
 
 def _div_from_expr(m: SurfaceModel, src: str) -> DivClass:
@@ -507,24 +515,22 @@ def reproduce_paper(seed: int = DEFAULT_SEED, section: int | None = None,
     argv = ["reproduce-paper", "--seed", str(seed)]
     if section is not None:
         argv += ["--section", str(section)]
-    corpus = run_corpus(seed, extra=extra, section=section)
-    results = {
-        "rows": corpus["rows"],
-        "summary": {"total": corpus["total"], "passed": corpus["passed"],
-                    "failed": corpus["failed"]},
-    }
-    inputs = {"seed": seed}
-    if section is not None:
-        inputs["section"] = section
-    return Report(command=argv, inputs=inputs, results=results,
-                  provenance=["built-in catalog"] + sorted(extra or ()))
+    results, _, inputs, provenance = cmd_reproduce(
+        argparse.Namespace(seed=seed, section=section), extra)
+    return Report(command=argv, inputs=inputs, results=results, provenance=provenance)
+
+
+@lru_cache(maxsize=1)
+def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
+    """Parsed command line, cached so that main() renders without parsing
+    again; the namespace is shared between callers and never mutated."""
+    return build_parser().parse_args(argv)
 
 
 def run(argv) -> tuple[Report | None, int]:
     """Dispatch a command line; returns (report, exit code)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(tuple(argv))
     except SystemExit as exc:
         return None, 2 if exc.code not in (0, None) else 0
     try:
@@ -549,8 +555,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     report, code = run(argv)
     if report is not None:
-        parser_args = build_parser().parse_args(argv)
-        sys.stdout.write(report.render(parser_args.format, parser_args.decimal))
+        args = _parse(tuple(argv))
+        sys.stdout.write(report.render(args.format, args.decimal))
     return code
 
 

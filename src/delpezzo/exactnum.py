@@ -57,6 +57,17 @@ def sqrt_rat(x: Rat) -> Rat | None:
     return None
 
 
+def poly_mul(a: dict, b: dict) -> dict:
+    """Product of two multivariate polynomials kept as exponent-tuple ->
+    coefficient maps (zero terms dropped)."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v != 0}
+
+
 class Poly:
     """Univariate polynomial with exact rational coefficients.
 
@@ -281,18 +292,3 @@ class PiecewisePoly:
             f"{p.format()} on [{rat_str(self.breakpoints[i])}, {rat_str(self.breakpoints[i + 1])}]"
             for i, p in enumerate(self.pieces))
         return f"PiecewisePoly({bits})"
-
-
-def poly_eval(p: Poly, t: RatLike) -> Rat:
-    """Exact evaluation p(t)."""
-    return p(t)
-
-
-def poly_integrate(p: Poly, a: RatLike, b: RatLike) -> Rat:
-    """Exact definite integral of p over [a, b]; a > b is a domain error."""
-    return p.integrate(a, b)
-
-
-def piecewise_integrate(pp: PiecewisePoly, a: RatLike, b: RatLike) -> Rat:
-    """Exact integral of a piecewise polynomial, summed over intersected pieces."""
-    return pp.integrate(a, b)

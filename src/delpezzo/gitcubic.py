@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lp
-from .exactnum import Rat, rat, rat_str
+from .exactnum import Rat, poly_mul, rat, rat_str
 from .linalg import det
 
 VARS = ("x", "y", "z", "w")
@@ -151,14 +151,6 @@ def apply_coordinate_change(f: CubicForm, matrix: Sequence[Sequence[Rat]]) -> Cu
 
     unit = {(0, 0, 0, 0): Fraction(1)}
 
-    def mul(a: dict, b: dict) -> dict:
-        out: dict[tuple[int, int, int, int], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return {k: v for k, v in out.items() if v != 0}
-
     linear_forms = []
     for i in range(4):
         form = {}
@@ -173,7 +165,7 @@ def apply_coordinate_change(f: CubicForm, matrix: Sequence[Sequence[Rat]]) -> Cu
         term = unit
         for i, e in enumerate(expo):
             for _ in range(e):
-                term = mul(term, linear_forms[i])
+                term = poly_mul(term, linear_forms[i])
         for k, v in term.items():
             total[k] = total.get(k, Fraction(0)) + coeff * v
     total = {k: v for k, v in total.items() if v != 0}

@@ -25,6 +25,12 @@ from .linalg import Matrix, mat, symmetric_signature
 from .localvol import QuotientSing, parse_sing
 
 
+# Number of (-1)-curves on a smooth del Pezzo surface of each degree K^2
+# (degree 8 is F1 with one, or P1xP1 with none).
+_DEL_PEZZO_LINES = {9: (0,), 8: (0, 1), 7: (3,), 6: (6,), 5: (10,), 4: (16,),
+                   3: (27,), 2: (56,), 1: (240,)}
+
+
 class UnknownSurfaceError(KeyError):
     """Requested catalog name is not known."""
 
@@ -223,6 +229,8 @@ class SurfaceModel:
             problems.append(f"{self.name}: canonical class has wrong length")
         if not self.neg_curves:
             problems.append(f"{self.name}: no effective-cone generators listed")
+        mk = self.minus_k() if self.del_pezzo and len(self.canonical) == n else None
+        lines: set[DivClass] = set()
         for c in self.neg_curves:
             if len(c.cls) != n:
                 problems.append(f"{self.name}: curve {c.label} has wrong length")
@@ -232,13 +240,21 @@ class SurfaceModel:
                 problems.append(
                     f"{self.name}: generator {c.label} has positive square {sq} "
                     "on a rank >= 2 model")
-        if self.del_pezzo:
-            mk = self.minus_k()
-            for c in self.neg_curves:
-                sq = self.intersect(c.cls, c.cls)
-                if sq == -1 and self.intersect(mk, c.cls) != 1:
+            if mk is not None and sq == -1:
+                if self.intersect(mk, c.cls) != 1:
                     problems.append(
                         f"{self.name}: (-1)-curve {c.label} has -K.C != 1")
+                else:
+                    lines.add(c.cls)
+        if mk is not None:
+            degree = self.intersect(mk, mk)
+            want = _DEL_PEZZO_LINES.get(degree)
+            if want is None:
+                problems.append(f"{self.name}: del Pezzo degree {degree} outside 1..9")
+            elif len(lines) not in want:
+                problems.append(
+                    f"{self.name}: {len(lines)} (-1)-curves listed, a del Pezzo "
+                    f"surface of degree {degree} has {' or '.join(map(str, want))}")
         for b in self.boundary:
             if not 0 <= b.coeff < 1:
                 problems.append(

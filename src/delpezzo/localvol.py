@@ -285,27 +285,20 @@ def p114_pair_report(d: int) -> dict:
     1/4(1,1) point caps the log-Fano range.  All values are produced by
     this package's own integration and flagged self-certified.
     """
-    from .lattice import DivClass, LabeledCurve, SurfaceModel
+    from .lattice import DivClass, catalog
     from .positivity import volume_profile
 
     if d < 1:
         raise ValueError("d must be >= 1")
 
+    work = catalog("F4~P(1,1,4)")
+
     def beta_at(c: Rat) -> Rat:
         s = Fraction(6) - 4 * c * d  # degree of -K - cD in O(1) units
         if s <= 0:
             raise ValueError("pair is not log Fano for this c")
-        work = SurfaceModel(
-            name="F4-work",
-            basis_labels=("e", "f"),
-            gram=((Fraction(-4), Fraction(1)), (Fraction(1), Fraction(0))),
-            canonical=DivClass((Fraction(-2), Fraction(-6))),
-            neg_curves=(LabeledCurve("e", DivClass((Fraction(1), Fraction(0)))),
-                        LabeledCurve("f", DivClass((Fraction(0), Fraction(1))))),
-        )
         L = DivClass((s / 4, s))  # pullback of O(s)
-        e = DivClass((Fraction(1), Fraction(0)))
-        prof = volume_profile(work, L, e, "e")
+        prof = volume_profile(work, L, work.curve("e"), "e")
         l2 = work.intersect(L, L)
         S = prof.profile.integrate(0, prof.tau) / l2
         A = Fraction(1, 2) - c  # log discrepancy 2/4, minus c * ord_e(pullback of D)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Rat
+from .exactnum import Rat, poly_mul
 
 POLY_VARS = ("x", "y", "z", "w")
 
@@ -214,14 +214,6 @@ def expand(expr: PolyExpr, variables: Sequence[str] = POLY_VARS,
     index = {v: i for i, v in enumerate(variables)}
     zero = tuple(0 for _ in variables)
 
-    def mul(a: dict, b: dict) -> dict:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return {k: v for k, v in out.items() if v != 0}
-
     def go(node: PolyExpr) -> dict:
         if isinstance(node, Num):
             return {zero: node.value} if node.value != 0 else {}
@@ -231,7 +223,7 @@ def expand(expr: PolyExpr, variables: Sequence[str] = POLY_VARS,
                 if len(node.name) > 1 and all(ch in index for ch in node.name):
                     acc = {zero: Fraction(1)}
                     for ch in node.name:
-                        acc = mul(acc, go(Var(ch)))
+                        acc = poly_mul(acc, go(Var(ch)))
                     return acc
                 raise ParseError(
                     f"unknown variable {node.name!r} (allowed: {', '.join(variables)})", 0)
@@ -250,13 +242,13 @@ def expand(expr: PolyExpr, variables: Sequence[str] = POLY_VARS,
                 out[k] = out.get(k, Fraction(0)) - v
             return {k: v for k, v in out.items() if v != 0}
         if isinstance(node, Mul):
-            return mul(go(node.left), go(node.right))
+            return poly_mul(go(node.left), go(node.right))
         if isinstance(node, Pow):
             if node.exponent < 0:
                 raise ParseError("negative exponents are not polynomial", 0)
             acc = {zero: Fraction(1)}
             for _ in range(node.exponent):
-                acc = mul(acc, go(node.base))
+                acc = poly_mul(acc, go(node.base))
             return acc
         raise TypeError(f"unknown node {node!r}")
 

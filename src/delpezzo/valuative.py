@@ -353,6 +353,14 @@ def resolve_divisor_spec(m: SurfaceModel, spec: "str | DivClass") -> ResolvedDiv
     return ResolvedDivisor(m, m, m.polarization(), cls, name, a, "on-surface")
 
 
+def _walk(m: SurfaceModel, spec: "str | DivClass",
+          ) -> tuple[ResolvedDivisor, VolumeProfile, Rat]:
+    """Resolve the spec once and walk its volume profile once: (rd, profile, S)."""
+    rd = resolve_divisor_spec(m, spec)
+    prof = volume_profile(rd.work, rd.L, rd.E, rd.label)
+    return rd, prof, prof.profile.integrate(0, prof.tau) / rd.work.intersect(rd.L, rd.L)
+
+
 def A_value(m: SurfaceModel, spec: "str | DivClass") -> Rat:
     """Log discrepancy of the divisor over the pair."""
     return resolve_divisor_spec(m, spec).A
@@ -365,26 +373,23 @@ def profile_for(m: SurfaceModel, spec: "str | DivClass") -> VolumeProfile:
 
 def S_value(m: SurfaceModel, spec: "str | DivClass") -> Rat:
     """Normalized volume integral (1/L^2) * int_0^tau vol(L - tE) dt."""
-    rd = resolve_divisor_spec(m, spec)
-    prof = volume_profile(rd.work, rd.L, rd.E, rd.label)
-    l2 = rd.work.intersect(rd.L, rd.L)
-    return prof.profile.integrate(0, prof.tau) / l2
+    return _walk(m, spec)[2]
 
 
 def beta(m: SurfaceModel, spec: "str | DivClass") -> Rat:
     """A(E) - S(E); a negative value certifies instability."""
-    rd = resolve_divisor_spec(m, spec)
-    return rd.A - S_value(m, spec)
+    rd, _, s = _walk(m, spec)
+    return rd.A - s
 
 
 def delta_E(m: SurfaceModel, spec: "str | DivClass") -> Rat:
     """A(E)/S(E)."""
-    return A_value(m, spec) / S_value(m, spec)
+    rd, _, s = _walk(m, spec)
+    return rd.A / s
 
 
 def beta_report(m: SurfaceModel, spec: "str | DivClass") -> dict:
-    rd = resolve_divisor_spec(m, spec)
-    s = S_value(m, spec)
+    rd, _, s = _walk(m, spec)
     return {
         "divisor": rd.label,
         "kind": rd.kind,

@@ -184,6 +184,19 @@ def test_reproduce_sections_only_contain_requested_rows():
     assert code == 0
 
 
+def test_incomplete_catalog_model_is_refused(tmp_path):
+    model = model_to_dict(catalog("dP7"))
+    model["name"] = "dP7-no-E2"
+    model["neg_curves"] = [c for c in model["neg_curves"] if c["label"] != "E2"]
+    path = tmp_path / "incomplete.json"
+    path.write_text(json.dumps({"models": [model]}))
+    flags = ["--catalog", str(path)]
+    for argv in (["beta", "--surface", "dP7-no-E2", "--divisor-spec", "L12"],
+                 ["zariski", "--surface", "dP7-no-E2", "--div", "-K - 2L12"]):
+        report, code = run(flags + argv)
+        assert report is None and code == 2
+
+
 def test_reproduce_with_corrupted_catalog_fails_signature_row(tmp_path):
     model = model_to_dict(catalog("dP7"))
     model["gram"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]

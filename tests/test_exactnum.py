@@ -5,8 +5,8 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from delpezzo.exactnum import (DomainError, PiecewisePoly, Poly, piecewise_integrate,
-                               poly_eval, poly_integrate, rat, rat_str, rational_roots)
+from delpezzo.exactnum import (DomainError, PiecewisePoly, Poly, rat, rat_str,
+                               rational_roots)
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 polys = st.lists(rationals, min_size=0, max_size=5).map(Poly)
@@ -20,21 +20,21 @@ def test_rat_parsing_and_rendering():
 
 
 def test_integrate_headline_values():
-    assert poly_integrate(Poly([9, 0, -1]), 0, 3) == 18
-    assert poly_integrate(Poly([]), F(-5, 2), 7) == 0
-    assert poly_integrate(Poly([3, -6, 3]), 0, 1) == 1  # 3(1-t)^2
+    assert Poly([9, 0, -1]).integrate(0, 3) == 18
+    assert Poly([]).integrate(F(-5, 2), 7) == 0
+    assert Poly([3, -6, 3]).integrate(0, 1) == 1  # 3(1-t)^2
 
 
 def test_integrate_reversed_bounds_is_domain_error():
     with pytest.raises(DomainError):
-        poly_integrate(Poly([1]), 1, 0)
+        Poly([1]).integrate(1, 0)
 
 
 def test_eval_examples():
     p = Poly([9, 0, -1])
-    assert poly_eval(p, 3) == 0
-    assert poly_eval(p, 0) == 9
-    assert poly_eval(Poly([F(9, 2), 0, -2]), 0) == F(9, 2)  # 2(9/4 - u^2)
+    assert p(3) == 0
+    assert p(0) == 9
+    assert Poly([F(9, 2), 0, -2])(0) == F(9, 2)  # 2(9/4 - u^2)
 
 
 def test_zero_poly_degree_sentinel():
@@ -49,17 +49,17 @@ def test_trailing_zeros_stripped():
 
 def test_piecewise_headline_values():
     p2 = PiecewisePoly([0, 3], [Poly([9, 0, -1])])
-    assert piecewise_integrate(p2, 0, 3) == 18
+    assert p2.integrate(0, 3) == 18
     const = PiecewisePoly([0, 2], [Poly([1])])
-    assert piecewise_integrate(const, 0, 2) == 2
+    assert const.integrate(0, 2) == 2
     dp7 = PiecewisePoly([0, 1, 3], [Poly([7, -2, -1]), Poly([9, -6, 1])])
-    assert piecewise_integrate(dp7, 0, 3) == F(25, 3)
+    assert dp7.integrate(0, 3) == F(25, 3)
 
 
 def test_piecewise_domain_errors():
     pp = PiecewisePoly([0, 1], [Poly([1])])
     with pytest.raises(DomainError):
-        piecewise_integrate(pp, 0, 2)
+        pp.integrate(0, 2)
     with pytest.raises(DomainError):
         pp(F(3, 2))
 
@@ -79,19 +79,19 @@ def test_piecewise_report_form():
 @given(polys, polys, rationals, rationals)
 def test_integration_is_additive_in_the_integrand(p, q, a, b):
     a, b = min(a, b), max(a, b)
-    assert poly_integrate(p + q, a, b) == poly_integrate(p, a, b) + poly_integrate(q, a, b)
+    assert (p + q).integrate(a, b) == p.integrate(a, b) + q.integrate(a, b)
 
 
 @given(polys, rationals, rationals, rationals)
 def test_integration_splits_at_midpoints(p, a, b, c):
     a, b, c = sorted((a, b, c))
-    assert poly_integrate(p, a, c) == poly_integrate(p, a, b) + poly_integrate(p, b, c)
+    assert p.integrate(a, c) == p.integrate(a, b) + p.integrate(b, c)
 
 
 @given(polys, rationals, rationals, rationals)
 def test_integration_is_homogeneous(p, lam, a, b):
     a, b = min(a, b), max(a, b)
-    assert poly_integrate(p * lam, a, b) == lam * poly_integrate(p, a, b)
+    assert (p * lam).integrate(a, b) == lam * p.integrate(a, b)
 
 
 def _random_piecewise(rng):

@@ -1,16 +1,17 @@
+import hashlib
 import json
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
-from delpezzo.catalog import builtin_model_dicts, canonical_name
+from delpezzo.catalog import builtin_names, canonical_name
 from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel,
                               UnknownSurfaceError, catalog, catalog_names,
                               enumerate_neg_curves, intersect, is_nef,
                               load_models, model_from_dict, model_to_dict)
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "delpezzo" / "data" / "models.json"
+# sha256 of the built-in models in their declarative form, sorted by name.
+BUILTIN_DIGEST = "c466a163f2201cc7ae141429a923ffdd87fdd2ebb952d71f1cc2acdfe4f999df"
 
 
 def test_neg_curve_counts():
@@ -121,9 +122,19 @@ def test_pair_models_track_coefficient():
         catalog("P(1,1,2)+5/4Q")
 
 
-def test_shipped_data_file_matches_builders():
-    shipped = json.loads(DATA.read_text())
-    assert shipped == {"models": builtin_model_dicts()}
+def test_builtin_catalog_digest_is_pinned():
+    text = json.dumps([model_to_dict(catalog(n)) for n in builtin_names()],
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_DIGEST
+
+
+def test_incomplete_del_pezzo_model_is_invalid():
+    data = model_to_dict(catalog("dP7"))
+    data["neg_curves"] = [c for c in data["neg_curves"] if c["label"] != "E2"]
+    m = model_from_dict(data, validate=False)
+    assert any("2 (-1)-curves" in p for p in m.validate())
+    with pytest.raises(ModelInvariantError):
+        model_from_dict(data)
 
 
 def test_model_round_trip_through_dict():

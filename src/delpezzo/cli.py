@@ -177,15 +177,6 @@ def _div_from_expr(m: SurfaceModel, src: str) -> DivClass:
     return total
 
 
-def _spec_or_expr(m: SurfaceModel, spec: str):
-    """Named catalogue specs pass through; anything else parses as a DivExpr."""
-    try:
-        valuative.resolve_divisor_spec(m, spec)
-        return spec
-    except valuative.DivisorSpecError:
-        return _div_from_expr(m, spec)
-
-
 def _germ_from_poly(src: str) -> valuative.PlaneCurveGerm:
     terms = poly_terms(src, ("x", "y"))
     return valuative.PlaneCurveGerm.from_terms(terms)
@@ -264,7 +255,10 @@ def cmd_zariski(args, extra):
 
 def cmd_volfn(args, extra):
     m = _surface(args, extra)
-    rd = valuative.resolve_divisor_spec(m, _spec_or_expr(m, args.divisor_spec))
+    try:
+        rd = valuative.resolve_divisor_spec(m, args.divisor_spec)
+    except valuative.DivisorSpecError:
+        rd = valuative.resolve_divisor_spec(m, _div_from_expr(m, args.divisor_spec))
     prof = positivity.volume_profile(rd.work, rd.L, rd.E, rd.label)
     results = {
         "work_model": rd.work.name,
@@ -283,7 +277,10 @@ def cmd_beta(args, extra):
     reports = []
     destab = None
     for spec in args.divisor_spec:
-        rep = valuative.beta_report(m, _spec_or_expr(m, spec))
+        try:
+            rep = valuative.beta_report(m, spec)
+        except valuative.DivisorSpecError:
+            rep = valuative.beta_report(m, _div_from_expr(m, spec))
         reports.append({"divisor_spec": spec, **rep})
         if destab is None and rep["beta"] < 0:
             destab = (spec, rep["beta"])
@@ -538,11 +535,7 @@ def run(argv) -> tuple[Report | None, int]:
         out = _COMMANDS[args.cmd](args, extra)
         results, ok, inputs, provenance, *rest = out
         notes = rest[0] if rest else []
-    except (CommandError, ParseError, UnknownSurfaceError,
-            valuative.DivisorSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
-    except (ValueError, KeyError) as exc:
+    except (CommandError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
     report = Report(command=list(argv), inputs=inputs, results=results,

@@ -87,15 +87,6 @@ class Poly:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def const(cls, c: RatLike) -> "Poly":
-        return cls([rat(c)])
-
-    @classmethod
-    def t(cls) -> "Poly":
-        """The identity polynomial t."""
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         """Degree, with -1 as the zero-polynomial sentinel."""

@@ -221,10 +221,11 @@ class SurfaceModel:
             for j in range(n):
                 if self.gram[i][j] != self.gram[j][i]:
                     problems.append(f"{self.name}: gram not symmetric at ({i},{j})")
-        sig = symmetric_signature(self.gram)
-        if sig != (1, n - 1, 0):
-            problems.append(
-                f"{self.name}: gram signature {sig} is not (1, {n - 1}, 0)")
+        if not problems:  # the signature is defined for a symmetric gram only
+            sig = symmetric_signature(self.gram)
+            if sig != (1, n - 1, 0):
+                problems.append(
+                    f"{self.name}: gram signature {sig} is not (1, {n - 1}, 0)")
         if len(self.canonical) != n:
             problems.append(f"{self.name}: canonical class has wrong length")
         if not self.neg_curves:

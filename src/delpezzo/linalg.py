@@ -1,9 +1,10 @@
 """Dense exact linear algebra over the rationals.
 
 Small matrices only (Picard ranks <= 9, Zariski supports, resolution
-graphs), so plain Gaussian elimination with Fraction entries is both
-exact and fast.  Used for Gram-system solves, negative-definiteness
-certificates and lattice signature checks.
+graphs), so plain elimination with Fraction entries is both exact and
+fast.  Gaussian elimination gives Gram-system solves and determinants;
+one symmetric (congruence) elimination gives the signature, and with it
+every negative-definiteness certificate and lattice signature check.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Poly, Rat, rat
+from .exactnum import Rat, rat
 
 Matrix = tuple[tuple[Rat, ...], ...]
 
@@ -22,24 +23,6 @@ class SingularMatrixError(ValueError):
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(rat(x) for x in row) for row in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_vec(m: Matrix, v: Sequence[Rat]) -> tuple[Rat, ...]:
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0))
-                       for col in bt) for row in a)
 
 
 def solve(m: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> list[Rat]:
@@ -83,60 +66,44 @@ def det(m: Sequence[Sequence[Rat]]) -> Rat:
     return sign * d
 
 
-def inverse(m: Sequence[Sequence[Rat]]) -> Matrix:
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(solve(m, e))
-    return transpose(mat(cols))
-
-
-def is_negative_definite(m: Sequence[Sequence[Rat]]) -> bool:
-    """Sylvester test: (-1)^k det(leading k-minor) > 0 for all k.
-
-    The empty matrix counts as negative definite (empty support).
-    """
-    n = len(m)
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in m[:k]]
-        if (-1) ** k * det(minor) <= 0:
-            return False
-    return True
-
-
-def char_poly(m: Sequence[Sequence[Rat]]) -> Poly:
-    """Characteristic polynomial det(xI - m) by the Faddeev-LeVerrier recursion."""
-    n = len(m)
-    a = mat(m)
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
-    mk = identity(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(a, mk)
-        trace = sum((mk[i][i] for i in range(n)), Fraction(0))
-        c = -trace / k
-        coeffs.append(c)
-        if k < n:
-            mk = tuple(tuple(mk[i][j] + (c if i == j else 0) for j in range(n))
-                       for i in range(n))
-    return Poly(list(reversed(coeffs)))
-
-
 def symmetric_signature(m: Sequence[Sequence[Rat]]) -> tuple[int, int, int]:
     """(n_plus, n_minus, n_zero) eigenvalue signs of a symmetric matrix.
 
-    All eigenvalues of a rational symmetric matrix are real, so Descartes'
-    rule applied to the characteristic polynomial is exact: the number of
-    positive eigenvalues equals the number of sign variations in the
-    nonzero coefficients.
+    Symmetric (congruence) elimination: each step pivots on a nonzero
+    diagonal entry p, counts its sign and replaces the matrix by the Schur
+    complement of p.  When every remaining diagonal entry is 0 but some
+    a[i][j] is not, adding row and column j to row and column i makes the
+    pivot 2 * a[i][j].  Congruence keeps the inertia (Sylvester's law), so
+    the counts are exact.  The input must be symmetric.
     """
-    p = char_poly(m)
-    cs = list(p.coeffs)
-    n_zero = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        n_zero += 1
-    signs = [1 if c > 0 else -1 for c in cs if c != 0]
-    n_plus = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    n = len(m)
-    return n_plus, n - n_plus - n_zero, n_zero
+    a = [[rat(x) for x in row] for row in m]
+    n_plus = n_minus = 0
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i] != 0), None)
+        if k is None:
+            pair = next(((i, j) for i, row in enumerate(a)
+                         for j, x in enumerate(row) if x != 0), None)
+            if pair is None:
+                break
+            k, j = pair
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        p = a[k][k]
+        if p > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        rest = [i for i in range(len(a)) if i != k]
+        schur = []
+        for r in rest:
+            f = a[r][k] / p
+            schur.append([a[r][c] - f * a[k][c] for c in rest])
+        a = schur
+    return n_plus, n_minus, len(m) - n_plus - n_minus
+
+
+def is_negative_definite(m: Sequence[Sequence[Rat]]) -> bool:
+    """All eigenvalues negative; the empty matrix counts as negative definite
+    (empty support)."""
+    return symmetric_signature(m) == (0, len(m), 0)

@@ -101,14 +101,18 @@ class ZariskiDecomp:
 
 
 def _solve_support(m: SurfaceModel, support: Sequence[LabeledCurve],
-                   d: DivClass) -> list[Rat]:
-    gram = [[m.intersect(a.cls, b.cls) for b in support] for a in support]
+                   classes: Sequence[DivClass]) -> tuple[Matrix, list[list[Rat]]]:
+    """The support's Gram matrix, certified negative definite, and for each
+    class d the coefficients x with (d - sum x_i C_i) . C_j = 0 on the support."""
+    if not support:
+        return (), [[] for _ in classes]
+    gram = tuple(tuple(m.intersect(a.cls, b.cls) for b in support) for a in support)
     if not is_negative_definite(gram):
         raise ConeDataError(
             f"support {{{', '.join(c.label for c in support)}}} on {m.name} is not "
             "negative definite; cone data possibly incomplete")
-    rhs = [m.intersect(d, c.cls) for c in support]
-    return solve(gram, rhs)
+    return gram, [solve(gram, [m.intersect(d, c.cls) for c in support])
+                  for d in classes]
 
 
 def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
@@ -119,21 +123,15 @@ def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
         raise NotPseudoeffectiveError(m, d, cert, m.intersect(cert, d))
     support: list[LabeledCurve] = []
     for _ in range(len(m.neg_curves) + 1):
-        if support:
-            coeffs = _solve_support(m, support, d)
-            n = DivClass((Fraction(0),) * m.rank)
-            for c, x in zip(support, coeffs):
-                n = n + c.cls.scale(x)
-            p = d - n
-        else:
-            coeffs, p = [], d
+        gram, (coeffs,) = _solve_support(m, support, [d])
+        p = d
+        for c, x in zip(support, coeffs):
+            p = p - c.cls.scale(x)
         violating = [c for c in m.neg_curves
                      if c not in support and m.intersect(p, c.cls) < 0]
         if not violating:
-            gram_cert = tuple(tuple(m.intersect(a.cls, b.cls) for b in support)
-                              for a in support)
             dec = ZariskiDecomp(p, tuple((c.label, x) for c, x in zip(support, coeffs)),
-                                gram_cert)
+                                gram)
             problems = dec.verify(m, d)
             if problems:
                 raise ConeDataError("; ".join(problems))
@@ -146,9 +144,10 @@ def volume(m: SurfaceModel, d: DivClass) -> Rat:
     """vol(d) = P^2, extended by 0 outside the pseudoeffective cone."""
     if is_nef(m, d):
         return m.intersect(d, d)
-    if not is_pseudoeffective(m, d):
+    try:
+        p = zariski(m, d).positive
+    except NotPseudoeffectiveError:
         return Fraction(0)
-    p = zariski(m, d).positive
     return m.intersect(p, p)
 
 
@@ -238,26 +237,18 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
     chambers: list[Chamber] = []
 
     for _ in range(2 * len(m.neg_curves) + 6):
-        if support:
-            gram = [[m.intersect(a.cls, b.cls) for b in support] for a in support]
-            if not is_negative_definite(gram):
-                raise ConeDataError(
-                    f"support {{{', '.join(c.label for c in support)}}} not negative "
-                    f"definite at t = {rat_str(t_cur)}; cone data possibly incomplete")
-            c0 = solve(gram, [m.intersect(L, c.cls) for c in support])
-            c1 = solve(gram, [-m.intersect(E, c.cls) for c in support])
-        else:
-            c0, c1 = [], []
+        _, (c0, c1) = _solve_support(m, support, [L, -E])
         p_const, p_slope = L, -E
         for c, a, b in zip(support, c0, c1):
             p_const = p_const - c.cls.scale(a)
             p_slope = p_slope - c.cls.scale(b)
         n_polys = [Poly([a, b]) for a, b in zip(c0, c1)]
 
+        # (P_const . C, P_slope . C) for every curve outside the support.
+        pairings = [(c, m.intersect(p_const, c.cls), m.intersect(p_slope, c.cls))
+                    for c in m.neg_curves if c not in support]
         # Immediate violations at t_cur mean more curves enter right here.
-        entering_now = [c for c in m.neg_curves if c not in support
-                        and m.intersect(p_const, c.cls)
-                        + t_cur * m.intersect(p_slope, c.cls) < 0]
+        entering_now = [c for c, a, b in pairings if a + t_cur * b < 0]
         if entering_now:
             support.extend(entering_now)
             continue
@@ -273,11 +264,7 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
         ])
 
         wall_events: list[tuple[Rat, str, LabeledCurve]] = []
-        for c in m.neg_curves:
-            if c in support:
-                continue
-            a = m.intersect(p_const, c.cls)
-            b = m.intersect(p_slope, c.cls)
+        for c, a, b in pairings:
             if b < 0:
                 root = -a / b
                 if root > t_cur:

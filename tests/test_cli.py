@@ -188,11 +188,14 @@ def test_incomplete_catalog_model_is_refused(tmp_path):
     model = model_to_dict(catalog("dP7"))
     model["name"] = "dP7-no-E2"
     model["neg_curves"] = [c for c in model["neg_curves"] if c["label"] != "E2"]
+    asym = {**model_to_dict(catalog("dP7")), "name": "dP7-asym",
+            "gram": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "-1"]]}
     path = tmp_path / "incomplete.json"
-    path.write_text(json.dumps({"models": [model]}))
+    path.write_text(json.dumps({"models": [model, asym]}))
     flags = ["--catalog", str(path)]
     for argv in (["beta", "--surface", "dP7-no-E2", "--divisor-spec", "L12"],
-                 ["zariski", "--surface", "dP7-no-E2", "--div", "-K - 2L12"]):
+                 ["zariski", "--surface", "dP7-no-E2", "--div", "-K - 2L12"],
+                 ["intersect", "--surface", "dP7-asym", "--d1=-K", "--d2=-K"]):
         report, code = run(flags + argv)
         assert report is None and code == 2
 
@@ -237,6 +240,22 @@ def test_beta_accepts_raw_divisor_expression():
     assert row["kind"] == "raw" and row["beta"] == "-4/21"
     payload, _ = _json_run(["volfn", "--surface", "P2", "--divisor-spec", "H"])
     assert payload["results"]["tau"] == "3"
+
+
+def test_named_divisor_spec_is_resolved_once(monkeypatch):
+    from delpezzo import valuative
+    calls = []
+    resolve = valuative.resolve_divisor_spec
+
+    def counted(m, spec):
+        calls.append(spec)
+        return resolve(m, spec)
+
+    monkeypatch.setattr(valuative, "resolve_divisor_spec", counted)
+    for cmd in ("beta", "volfn"):
+        calls.clear()
+        _, code = run([cmd, "--surface", "dP7", "--divisor-spec", "Ltilde"])
+        assert code == 0 and calls == ["Ltilde"]
 
 
 def test_reproduce_paper_api_wrapper():

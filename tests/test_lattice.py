@@ -159,3 +159,10 @@ def test_invalid_gram_rejected():
         model_from_dict(data)
     m = model_from_dict(data, validate=False)
     assert any("signature" in p for p in m.validate())
+    # Not symmetric, and with a zero pair pivot a[0][1] + a[1][0] that a
+    # congruence elimination would divide by: reported, never raised.
+    data["gram"] = [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "-1"]]
+    with pytest.raises(ModelInvariantError):
+        model_from_dict(data)
+    problems = model_from_dict(data, validate=False).validate()
+    assert any("not symmetric" in p for p in problems)

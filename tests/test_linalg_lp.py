@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import example, given, strategies as st
 
-from delpezzo.linalg import (SingularMatrixError, char_poly, det, inverse,
-                             is_negative_definite, mat, solve, symmetric_signature)
+from delpezzo.linalg import (SingularMatrixError, det, is_negative_definite, mat,
+                             solve, symmetric_signature)
 from delpezzo.lp import eq_feasibility, in_cone
 
 
@@ -17,12 +19,6 @@ def test_solve_and_det():
         solve([[F(1), F(2)], [F(2), F(4)]], [F(0), F(0)])
 
 
-def test_inverse():
-    m = mat([[2, 1], [1, 3]])
-    inv = inverse(m)
-    assert inv == ((F(3, 5), F(-1, 5)), (F(-1, 5), F(2, 5)))
-
-
 def test_negative_definite():
     assert is_negative_definite([[F(-2), F(1)], [F(1), F(-2)]])
     assert not is_negative_definite([[F(0)]])
@@ -30,14 +26,78 @@ def test_negative_definite():
     assert is_negative_definite([])  # empty support
 
 
-def test_char_poly_and_signature():
-    m = mat([[2, 0], [0, 3]])
-    p = char_poly(m)
-    assert p(2) == 0 and p(3) == 0 and p(5) == 6
+def test_signature():
     assert symmetric_signature(mat([[1, 0, 0], [0, -1, 0], [0, 0, -1]])) == (1, 2, 0)
     assert symmetric_signature(mat([[F(1, 2)]])) == (1, 0, 0)
     assert symmetric_signature(mat([[0, 1], [1, 0]])) == (1, 1, 0)
     assert symmetric_signature(mat([[1, 1], [1, 1]])) == (1, 0, 1)
+
+
+
+def _sympy_matrix(m):
+    return sympy.Matrix(len(m), len(m),
+                        [sympy.Rational(x.numerator, x.denominator) for row in m for x in row])
+
+
+def _sympy_signature(sm):
+    """Inertia from the characteristic polynomial: all roots are real, so the
+    sign changes of its coefficients count the positive eigenvalues and the
+    lowest nonzero coefficient's index counts the zero ones."""
+    n = sm.rows
+    coeffs = list(reversed(sm.charpoly().all_coeffs()))  # lowest degree first
+    n_zero = next(k for k, c in enumerate(coeffs) if c != 0)
+    signs = [c > 0 for c in coeffs if c != 0]
+    n_plus = sum(a != b for a, b in zip(signs, signs[1:]))
+    return n_plus, n - n_plus - n_zero, n_zero
+
+
+_entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices with n <= 6: plain, zero-diagonal, and
+    low-rank sums of signed squares V D V^T (singular whenever rank < n)."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["plain", "zero-diagonal", "low-rank"]))
+    if kind == "low-rank":
+        k = draw(st.integers(0, n))
+        v = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(n)]
+        d = [draw(st.sampled_from([-1, 1])) for _ in range(k)]
+        return [[F(sum(v[i][t] * d[t] * v[j][t] for t in range(k))) for j in range(n)]
+                for i in range(n)]
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or kind == "plain":
+                m[i][j] = m[j][i] = draw(_entries)
+    return m
+
+
+@given(symmetric_matrices())
+@example([[F(0), F(1)], [F(1), F(0)]])
+@example([[F(0), F(0)], [F(0), F(0)]])
+@example([[F(0), F(1), F(1)], [F(1), F(0), F(1)], [F(1), F(1), F(0)]])
+@example([[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(-2)]])
+@example([[F(1), F(2)], [F(2), F(4)]])
+def test_signature_and_definiteness_against_sympy(m):
+    sm = _sympy_matrix(m)
+    assert symmetric_signature(m) == _sympy_signature(sm)
+    assert is_negative_definite(m) is sm.is_negative_definite
+
+
+@given(symmetric_matrices(), st.lists(_entries, min_size=6, max_size=6))
+def test_det_and_solve_against_sympy(m, b):
+    sm = _sympy_matrix(m)
+    expected_det = sm.det()
+    assert det(m) == F(int(expected_det.p), int(expected_det.q))
+    b = b[:len(m)]
+    if expected_det == 0:
+        with pytest.raises(SingularMatrixError):
+            solve(m, b)
+        return
+    x = sm.LUsolve(sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b]))
+    assert solve(m, b) == [F(int(v.p), int(v.q)) for v in x]
 
 
 def _check_farkas(a, b, res):

@@ -47,6 +47,38 @@ def test_volume_examples():
     assert volume(p112, DivClass.of([-1])) == 0
 
 
+def test_volume_runs_the_lp_once(monkeypatch):
+    from delpezzo import positivity
+    calls = []
+    original = positivity.pseff_certificate
+
+    def counted(m, d):
+        calls.append(d)
+        return original(m, d)
+
+    monkeypatch.setattr(positivity, "pseff_certificate", counted)
+    dp7 = catalog("dP7")
+    # pseudoeffective but not nef, then not pseudoeffective (and not nef)
+    for d, vol in ((DivClass.of([1, 1, 1]), 1), (DivClass.of([-1, 0, 0]), 0)):
+        calls.clear()
+        assert volume(dp7, d) == vol
+        assert calls == [d]
+
+
+def test_gram_cert_is_the_support_gram():
+    dp7, dp5 = catalog("dP7"), catalog("dP5")
+    cases = [(dp7, dp7.minus_k()), (dp7, DivClass.of([1, 1, 1])),
+             (dp5, DivClass.of([3, 1, 1, 1, -1]))]
+    sizes = []
+    for m, d in cases:
+        dec = zariski(m, d)
+        support = [m.curve(label) for label, _ in dec.negative]
+        assert dec.gram_cert == tuple(tuple(m.intersect(a, b) for b in support)
+                                      for a in support)
+        sizes.append(len(support))
+    assert sizes == [0, 2, 3]
+
+
 def test_volume_nef_fast_path_matches_decomposition():
     dp7 = catalog("dP7")
     for d in (dp7.minus_k(), DivClass.of([2, -1, 0]), DivClass.of([3, -1, -1])):

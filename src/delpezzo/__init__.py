@@ -2,12 +2,12 @@
 
 from .exactnum import DomainError, PiecewisePoly, Poly, Rat, rat, rat_str
 from .lattice import (DivClass, SurfaceModel, catalog, catalog_names,
-                      enumerate_neg_curves, intersect, is_nef, load_models)
+                      enumerate_neg_curves, is_nef, load_models)
 from .positivity import (ConeDataError, NotPseudoeffectiveError, VolumeProfile,
                          ZariskiDecomp, pseff_threshold, volume, volume_profile,
                          zariski)
-from .valuative import (A_value, PlaneCurveGerm, ResolutionGraph, S_value, SingClass,
-                        beta, classify, delta_E, discrepancies, lct_newton,
+from .valuative import (Invariants, PlaneCurveGerm, ResolutionGraph, SingClass,
+                        classify, discrepancies, invariants, lct_newton,
                         unstable_certificate)
 from .azflag import (FlagPoint, FlagSpec, builtin_flags, delta_p_lower_bound,
                      restricted_S, semistable_via_flags)

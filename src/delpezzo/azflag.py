@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactnum import Poly, Rat, rat, rat_str
-from .lattice import DivClass, SurfaceModel
+from .lattice import SurfaceModel
 from .positivity import Chamber
-from .valuative import _walk, unstable_certificate
+from .valuative import Invariants, invariants
 
 
 class FlagDataError(ValueError):
@@ -56,24 +56,14 @@ class FlagPoint:
 
 @dataclass(frozen=True)
 class FlagSpec:
-    """Catalogue-backed flag: base pair, curve E, chamber data, points."""
+    """Catalogue-backed flag: the invariants of the curve E (its resolved
+    divisor and chamber data) and the point classes on E."""
 
     name: str
-    base: SurfaceModel
     divisor_spec: str
-    work: SurfaceModel
-    L: DivClass
-    E: DivClass
-    e_label: str
-    A_E: Rat
-    S_E: Rat
-    tau: Rat
-    chambers: tuple[Chamber, ...]
+    inv: Invariants
     points: tuple[FlagPoint, ...]
     asserted_plt: bool = True
-
-    def vol_L(self) -> Rat:
-        return self.work.intersect(self.L, self.L)
 
     def point(self, label: str) -> FlagPoint:
         for p in self.points:
@@ -82,19 +72,17 @@ class FlagSpec:
         raise FlagDataError(f"flag {self.name} has no point class {label!r}")
 
     def p_dot_e(self, chamber: Chamber) -> Poly:
-        return Poly([self.work.intersect(chamber.p_const, self.E),
-                     self.work.intersect(chamber.p_slope, self.E)])
+        rd = self.inv.divisor
+        return Poly([rd.work.intersect(chamber.p_const, rd.E),
+                     rd.work.intersect(chamber.p_slope, rd.E)])
 
 
 def flag_from_divisor(m: SurfaceModel, spec: str, *, name: str,
                       points: Sequence[FlagPoint],
                       asserted_plt: bool = True) -> FlagSpec:
     """Build a flag from a catalogued divisor spec via the profile machinery."""
-    rd, prof, s = _walk(m, spec)
-    return FlagSpec(
-        name=name, base=m, divisor_spec=spec, work=rd.work, L=rd.L, E=rd.E,
-        e_label=rd.label, A_E=rd.A, S_E=s, tau=prof.tau,
-        chambers=prof.chambers, points=tuple(points), asserted_plt=asserted_plt)
+    return FlagSpec(name=name, divisor_spec=spec, inv=invariants(m, spec),
+                    points=tuple(points), asserted_plt=asserted_plt)
 
 
 def restricted_S(flag: FlagSpec, p: str) -> Rat:
@@ -105,7 +93,7 @@ def restricted_S(flag: FlagSpec, p: str) -> Rat:
             f"point {p!r} lies under the negative part but flag {flag.name} "
             "carries no N-restriction data")
     total = Fraction(0)
-    for i, ch in enumerate(flag.chambers):
+    for i, ch in enumerate(flag.inv.profile.chambers):
         pe = flag.p_dot_e(ch)
         deg = pe
         if pt.deg_corrections is not None:
@@ -114,13 +102,13 @@ def restricted_S(flag: FlagSpec, p: str) -> Rat:
         if pt.under_n:
             integrand = integrand + pe * pt.n_orders[i]
         total += integrand.integrate(ch.lo, ch.hi)
-    return 2 * total / flag.vol_L()
+    return 2 * total / flag.inv.profile.L2
 
 
 def delta_p_lower_bound(flag: FlagSpec, p: str) -> Rat:
     """min(A_E/S_E, (1 - ord_p Delta_E)/S(W; p)), exact."""
     pt = flag.point(p)
-    first = flag.A_E / flag.S_E
+    first = flag.inv.delta
     s_wp = restricted_S(flag, p)
     numer = 1 - pt.diff_coeff
     if s_wp == 0:
@@ -156,12 +144,17 @@ def semistable_via_flags(m: SurfaceModel,
 
     A catalogued destabilizer (beta < 0) short-circuits to False; missing
     point-class coverage raises rather than returning a false positive.
+    A candidate that is also the divisor of a flag on ``m`` reads that
+    flag's invariants instead of walking its profile again.
     """
-    cert = unstable_certificate(m, m.beta_candidates) if m.beta_candidates else None
-    if cert is not None:
-        return SemistableReport(
-            False, (), destabilizer=(str(cert[0]), cert[1]),
-            notes=("destabilizing divisor found; flag bounds not consulted",))
+    known = {flag.divisor_spec: flag.inv for flag, _ in flags
+             if flag.inv.divisor.base is m}
+    for spec in m.beta_candidates:
+        b = (known.get(spec) or invariants(m, spec)).beta
+        if b < 0:
+            return SemistableReport(
+                False, (), destabilizer=(str(spec), b),
+                notes=("destabilizing divisor found; flag bounds not consulted",))
     covered: dict[str, Rat] = {}
     notes: list[str] = []
     for flag, classes in flags:
@@ -209,13 +202,14 @@ def flag_from_dict(data: Mapping, m: SurfaceModel) -> tuple[FlagSpec, tuple[str,
     flag = flag_from_divisor(
         m, data["divisor_spec"], name=data.get("name", data["divisor_spec"]),
         points=tuple(points), asserted_plt=bool(data.get("asserted_plt", False)))
+    n_chambers = len(flag.inv.profile.chambers)
     for pt in flag.points:
         for field_name in ("n_orders", "deg_corrections"):
             seq = getattr(pt, field_name)
-            if seq is not None and len(seq) != len(flag.chambers):
+            if seq is not None and len(seq) != n_chambers:
                 raise FlagDataError(
                     f"flag {flag.name}: point {pt.label!r} carries "
-                    f"{len(seq)} {field_name} entries for {len(flag.chambers)} chambers")
+                    f"{len(seq)} {field_name} entries for {n_chambers} chambers")
     covers = tuple(data.get("covers", ("generic",)))
     return flag, covers
 

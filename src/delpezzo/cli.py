@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when --strict is set and the mathematical
 verdict is fail/unstable/not-pseudoeffective, 2 on usage errors (unknown
-command, surface or malformed input, or an invalid --catalog model).
+command, surface or malformed input, or an invalid --catalog model), 3
+when the engine cannot certify an answer for the model (its cone data
+stalls the Zariski machinery or the exact LP).
 Reports are byte-deterministic for fixed inputs; rationals are always
 rendered exactly as "p/q".
 """
@@ -256,10 +258,10 @@ def cmd_zariski(args, extra):
 def cmd_volfn(args, extra):
     m = _surface(args, extra)
     try:
-        rd = valuative.resolve_divisor_spec(m, args.divisor_spec)
+        inv = valuative.invariants(m, args.divisor_spec)
     except valuative.DivisorSpecError:
-        rd = valuative.resolve_divisor_spec(m, _div_from_expr(m, args.divisor_spec))
-    prof = positivity.volume_profile(rd.work, rd.L, rd.E, rd.label)
+        inv = valuative.invariants(m, _div_from_expr(m, args.divisor_spec))
+    rd, prof = inv.divisor, inv.profile
     results = {
         "work_model": rd.work.name,
         "L": rd.work.render(rd.L),
@@ -317,10 +319,10 @@ def cmd_delta_flag(args, extra):
     bound = azflag.delta_p_lower_bound(flag, chosen)
     results = {
         "flag": flag.name,
-        "E": flag.e_label,
-        "A_E": flag.A_E,
-        "S_E": flag.S_E,
-        "A_over_S": flag.A_E / flag.S_E,
+        "E": flag.inv.divisor.label,
+        "A_E": flag.inv.A,
+        "S_E": flag.inv.S,
+        "A_over_S": flag.inv.delta,
         "point": chosen,
         "restricted_S": s_wp,
         "delta_p_lower_bound": bound,
@@ -367,8 +369,7 @@ def cmd_lct(args, extra):
         inputs = {"lines": args.lines}
     else:
         germ = _germ_from_poly(args.poly)
-        value = valuative.lct_newton(
-            germ, assume_nondegenerate=not args.allow_degenerate)
+        value = valuative.lct_newton(germ)
         inputs = {"poly": args.poly}
         if args.allow_degenerate:
             notes.append("caller accepts a possibly Newton-degenerate germ; "
@@ -538,6 +539,9 @@ def run(argv) -> tuple[Report | None, int]:
     except (CommandError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
+    except (positivity.ConeDataError, ArithmeticError) as exc:
+        print(f"error: cannot certify: {exc}", file=sys.stderr)
+        return None, 3
     report = Report(command=list(argv), inputs=inputs, results=results,
                     provenance=provenance, notes=list(notes))
     code = 0 if (ok or not args.strict) else 1

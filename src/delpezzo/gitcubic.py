@@ -108,16 +108,16 @@ def barycenter_in_hull(f: CubicForm) -> bool:
     return lp.eq_feasibility(a, b).feasible
 
 
-def brute_force_destabilizer(f: CubicForm, bound: int = WEIGHT_BOUND) -> OnePS | None:
-    """First weight vector (lexicographic, entries within the bound) that is
-    strictly positive on the whole support."""
+def brute_force_destabilizer(f: CubicForm) -> OnePS | None:
+    """First weight vector (lexicographic, entries within WEIGHT_BOUND) that
+    is strictly positive on the whole support."""
     supp = f.support
-    rng = range(-bound, bound + 1)
+    rng = range(-WEIGHT_BOUND, WEIGHT_BOUND + 1)
     for w1 in rng:
         for w2 in rng:
             for w3 in rng:
                 w4 = -(w1 + w2 + w3)
-                if abs(w4) > bound or (w1 == w2 == w3 == 0 and w4 == 0):
+                if abs(w4) > WEIGHT_BOUND or (w1 == w2 == w3 == 0 and w4 == 0):
                     continue
                 ws = (w1, w2, w3, w4)
                 if all(sum(w * e for w, e in zip(ws, expo)) > 0 for expo in supp):

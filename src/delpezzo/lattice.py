@@ -218,7 +218,7 @@ class SurfaceModel:
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             return [f"{self.name}: gram shape does not match rank {n}"]
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 if self.gram[i][j] != self.gram[j][i]:
                     problems.append(f"{self.name}: gram not symmetric at ({i},{j})")
         if not problems:  # the signature is defined for a symmetric gram only
@@ -267,11 +267,6 @@ class SurfaceModel:
         if problems:
             raise ModelInvariantError("; ".join(problems))
         return self
-
-
-def intersect(m: SurfaceModel, d1: DivClass, d2: DivClass) -> Rat:
-    """Exact intersection number d1 . d2 on the model's lattice."""
-    return m.intersect(d1, d2)
 
 
 def is_nef(m: SurfaceModel, d: DivClass) -> bool:

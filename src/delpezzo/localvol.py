@@ -18,13 +18,6 @@ from .exactnum import Rat, rat, rat_str
 
 _SING_RE = re.compile(r"^1/(\d+)\((\d+),(\d+)\)$")
 
-#: Largest normalized volume of a singular surface point, attained exactly by
-#: the ordinary double point A1 (2(n-1)^n at n = 2).  The analogous
-#: higher-dimensional statement is conjectural beyond dimension 3 and is
-#: recorded here as documentation only; nothing in this module computes it.
-ODP_NVOL_DIM2 = Fraction(2)
-
-
 @dataclass(frozen=True, eq=False)
 class QuotientSing:
     """Cyclic quotient surface singularity 1/n(a, b).
@@ -298,9 +291,7 @@ def p114_pair_report(d: int) -> dict:
         if s <= 0:
             raise ValueError("pair is not log Fano for this c")
         L = DivClass((s / 4, s))  # pullback of O(s)
-        prof = volume_profile(work, L, work.curve("e"), "e")
-        l2 = work.intersect(L, L)
-        S = prof.profile.integrate(0, prof.tau) / l2
+        S = volume_profile(work, L, work.curve("e"), "e").S
         A = Fraction(1, 2) - c  # log discrepancy 2/4, minus c * ord_e(pullback of D)
         return A - S
 

@@ -34,6 +34,7 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     name: str
+    pos: int
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ class _Parser:
                 value = value / den.value
             return Num(value)
         if tok.kind == "name":
-            return Var(tok.text)
+            return Var(tok.text, tok.pos)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
             self.expect_op(")")
@@ -223,10 +224,11 @@ def expand(expr: PolyExpr, variables: Sequence[str] = POLY_VARS,
                 if len(node.name) > 1 and all(ch in index for ch in node.name):
                     acc = {zero: Fraction(1)}
                     for ch in node.name:
-                        acc = poly_mul(acc, go(Var(ch)))
+                        acc = poly_mul(acc, go(Var(ch, node.pos)))
                     return acc
                 raise ParseError(
-                    f"unknown variable {node.name!r} (allowed: {', '.join(variables)})", 0)
+                    f"unknown variable {node.name!r} (allowed: {', '.join(variables)})",
+                    node.pos)
             key = tuple(int(i == index[node.name]) for i in range(len(variables)))
             return {key: Fraction(1)}
         if isinstance(node, Neg):
@@ -244,8 +246,6 @@ def expand(expr: PolyExpr, variables: Sequence[str] = POLY_VARS,
         if isinstance(node, Mul):
             return poly_mul(go(node.left), go(node.right))
         if isinstance(node, Pow):
-            if node.exponent < 0:
-                raise ParseError("negative exponents are not polynomial", 0)
             acc = {zero: Fraction(1)}
             for _ in range(node.exponent):
                 acc = poly_mul(acc, go(node.base))

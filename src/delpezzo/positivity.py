@@ -64,10 +64,6 @@ def pseff_certificate(m: SurfaceModel, d: DivClass) -> tuple[bool, DivClass | No
     return False, w
 
 
-def is_pseudoeffective(m: SurfaceModel, d: DivClass) -> bool:
-    return pseff_certificate(m, d)[0]
-
-
 @dataclass(frozen=True)
 class ZariskiDecomp:
     """Certificate-carrying decomposition d = positive + negative."""
@@ -172,7 +168,10 @@ class Chamber:
 
 @dataclass(frozen=True)
 class VolumeProfile:
-    """Piecewise-quadratic vol(L - tE) with chamber data and threshold tau."""
+    """Piecewise-quadratic vol(L - tE) with chamber data and threshold tau.
+
+    ``L2`` is L . L and ``S`` the normalized integral (1/L^2) * int_0^tau vol.
+    """
 
     profile: PiecewisePoly
     tau: Rat
@@ -180,6 +179,8 @@ class VolumeProfile:
     L: DivClass
     E: DivClass
     e_label: str
+    L2: Rat
+    S: Rat
 
     def value(self, t) -> Rat:
         t = rat(t)
@@ -225,7 +226,8 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
     """
     if not is_nef(m, L):
         raise ValueError(f"{m.render(L)} is not nef on {m.name}")
-    if m.intersect(L, L) <= 0:
+    l2 = m.intersect(L, L)
+    if l2 <= 0:
         raise ValueError(f"{m.render(L)} is not big on {m.name}")
     if E.is_zero():
         raise ValueError("E must be a nonzero effective class")
@@ -304,8 +306,9 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
             vol=vol))
         if final:
             profile = PiecewisePoly(breakpoints, pieces)
-            return VolumeProfile(profile=profile, tau=t_end,
-                                 chambers=tuple(chambers), L=L, E=E, e_label=e_label)
+            return VolumeProfile(profile=profile, tau=t_end, chambers=tuple(chambers),
+                                 L=L, E=E, e_label=e_label, L2=l2,
+                                 S=profile.integrate(0, t_end) / l2)
         for root, kind, c in wall_events:
             if root == t_end:
                 if kind == "enter":

@@ -179,9 +179,8 @@ def _positivity_rows() -> list[Row]:
         bad = []
         for name, spec in _profile_suite_specs():
             m = catalog(name)
-            rd = valuative.resolve_divisor_spec(m, spec)
-            prof = positivity.volume_profile(rd.work, rd.L, rd.E, rd.label)
-            l2 = rd.work.intersect(rd.L, rd.L)
+            inv = valuative.invariants(m, spec)
+            rd, prof = inv.divisor, inv.profile
             total_pe = Fraction(0)
             for i, ch in enumerate(prof.chambers):
                 mid = (ch.lo + ch.hi) / 2
@@ -196,7 +195,7 @@ def _positivity_rows() -> list[Row]:
                 if prof.profile.pieces[i].derivative() != Poly([0]) - 2 * pe:
                     bad.append(f"{name}/{spec}: derivative identity fails on chamber {i}")
                 total_pe += pe.integrate(ch.lo, ch.hi)
-            if 2 * total_pe != l2:
+            if 2 * total_pe != prof.L2:
                 bad.append(f"{name}/{spec}: mass identity 2*int(P.E) != L^2")
         n = len(_profile_suite_specs())
         return (not bad, f"{n} catalogued (L, E) pairs verified" if not bad
@@ -211,11 +210,10 @@ def _positivity_rows() -> list[Row]:
         for name in ["P2", "P1xP1", "dP8", "dP7", "dP6", "dP5", "dP4", "dP3", "dP2"]:
             m = catalog(name)
             prof = valuative.profile_for(m, "exceptional:pt")
-            l2 = m.intersect(m.polarization(), m.polarization())
             pts = list(prof.profile.breakpoints)
             pts += [(a + b) / 2 for a, b in zip(pts, pts[1:])]
             for t in pts:
-                if prof.profile(t) < l2 - t * t:
+                if prof.profile(t) < prof.L2 - t * t:
                     bad.append(f"{name} at t={rat_str(t)}")
         return (not bad, "vol(L - tE) >= L^2 - t^2 at all breakpoints and midpoints"
                 if not bad else "; ".join(bad))
@@ -239,14 +237,16 @@ def _beta_rows() -> list[Row]:
                     beta_p2))
     rows.append(Row(3, "beta:p2-line",
                     "plane against a line: beta = 0",
-                    lambda: _eq(valuative.beta(catalog("P2"), "line"), Fraction(0))))
+                    lambda: _eq(valuative.invariants(catalog("P2"), "line").beta,
+                                Fraction(0))))
     rows.append(Row(3, "beta:f1-exceptional",
                     "degree-8 blow-up is destabilized by its exceptional: beta = -1/6",
-                    lambda: _eq(valuative.beta(catalog("dP8"), "E1"), Fraction(-1, 6))))
+                    lambda: _eq(valuative.invariants(catalog("dP8"), "E1").beta,
+                                Fraction(-1, 6))))
     rows.append(Row(3, "beta:dp7-line",
                     "degree 7 is destabilized by the line through both points: "
                     "beta = -4/21",
-                    lambda: _eq(valuative.beta(catalog("dP7"), "Ltilde"),
+                    lambda: _eq(valuative.invariants(catalog("dP7"), "Ltilde").beta,
                                 Fraction(-4, 21))))
 
     def dp7_cert():
@@ -260,8 +260,8 @@ def _beta_rows() -> list[Row]:
 
     def dp7_extras():
         m = catalog("dP7")
-        b1 = valuative.beta(m, "E1")
-        b2 = valuative.beta(m, "E2")
+        b1 = valuative.invariants(m, "E1").beta
+        b2 = valuative.invariants(m, "E2").beta
         return (b1 == b2 == Fraction(-2, 21),
                 f"beta(E1) = beta(E2) = {rat_str(b1)} (additional destabilizers)")
 
@@ -270,7 +270,8 @@ def _beta_rows() -> list[Row]:
                     "(beta = -2/21 each)", dp7_extras))
 
     def p1xp1():
-        return _eq(valuative.beta(catalog("P1xP1"), "exceptional:pt"), Fraction(0))
+        return _eq(valuative.invariants(catalog("P1xP1"), "exceptional:pt").beta,
+                   Fraction(0))
 
     rows.append(Row(3, "beta:p1xp1-point", "quadric against a blown-up point: beta = 0",
                     p1xp1))
@@ -278,7 +279,7 @@ def _beta_rows() -> list[Row]:
     def wps_unstable():
         vals = {}
         for n in range(2, 7):
-            vals[n] = valuative.beta(catalog(f"P(1,1,{n})"), "exceptional")
+            vals[n] = valuative.invariants(catalog(f"P(1,1,{n})"), "exceptional").beta
         ok = all(v < 0 for v in vals.values()) and vals[2] == Fraction(-1, 3)
         return ok, ", ".join(f"n={n}: {rat_str(v)}" for n, v in vals.items())
 
@@ -291,8 +292,8 @@ def _beta_rows() -> list[Row]:
         ok = True
         for c in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             m = catalog(f"P(1,1,2)+{rat_str(c)}Q")
-            be = valuative.beta(m, "exceptional")
-            bq = valuative.beta(m, "Q")
+            be = valuative.invariants(m, "exceptional").beta
+            bq = valuative.invariants(m, "Q").beta
             ok = ok and be == (2 * c - 1) / 3 and bq == (1 - 2 * c) / 3
             ok = ok and ((be == 0) == (c == Fraction(1, 2)))
             details.append(f"c={rat_str(c)}: beta(E)={rat_str(be)} beta(Q)={rat_str(bq)}")
@@ -311,8 +312,9 @@ def _beta_rows() -> list[Row]:
             5: ("stable", "literature"),
             4: ("stable", "literature (threshold bound)"),
         }
-        checks = (valuative.beta(catalog("dP8"), "E1") == Fraction(-1, 6)
-                  and valuative.beta(catalog("dP7"), "Ltilde") == Fraction(-4, 21))
+        checks = (valuative.invariants(catalog("dP8"), "E1").beta == Fraction(-1, 6)
+                  and valuative.invariants(catalog("dP7"), "Ltilde").beta
+                  == Fraction(-4, 21))
         return checks, "; ".join(f"deg {d}: {v} [{r}]" for d, (v, r) in reasons.items())
 
     rows.append(Row(3, "beta:stability-table",
@@ -400,9 +402,9 @@ def _flag_rows() -> list[Row]:
         s_wp = azflag.restricted_S(flag, "generic")
         bound = azflag.delta_p_lower_bound(flag, "generic")
         rep = azflag.semistable_via_flags(m, flags)
-        ok = (flag.S_E == Fraction(1, 3) and flag.A_E / flag.S_E == 3
+        ok = (flag.inv.S == Fraction(1, 3) and flag.inv.delta == 3
               and s_wp == 1 and bound == 1 and rep.verdict)
-        return ok, (f"S(E) = {rat_str(flag.S_E)}, A/S = {rat_str(flag.A_E / flag.S_E)}, "
+        return ok, (f"S(E) = {rat_str(flag.inv.S)}, A/S = {rat_str(flag.inv.delta)}, "
                     f"S(W;p) = {rat_str(s_wp)}, bound = min(3, 1) = {rat_str(bound)}")
 
     rows.append(Row(4, "flag:cubic-anticanonical",
@@ -415,11 +417,11 @@ def _flag_rows() -> list[Row]:
         ruling, _ = flags[0]
         exc, _ = flags[1]
         vals = {
-            "S(ruling)": ruling.S_E,
+            "S(ruling)": ruling.inv.S,
             "S(W;generic)": azflag.restricted_S(ruling, "generic"),
             "bound(generic)": azflag.delta_p_lower_bound(ruling, "generic"),
             "bound(on-Q)": azflag.delta_p_lower_bound(ruling, "on-Q"),
-            "S(e)": exc.S_E,
+            "S(e)": exc.inv.S,
             "S(W;p on e)": azflag.restricted_S(exc, "generic"),
             "bound(vertex)": azflag.delta_p_lower_bound(exc, "generic"),
         }

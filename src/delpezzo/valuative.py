@@ -14,7 +14,10 @@ rule.  The divisorial invariants reduce to volume profiles:
     beta(E) = A(E) - S(E),        delta(E) = A(E)/S(E),
 
 with A(E) the log discrepancy resolved from catalogue links.  A negative
-beta certifies instability of the pair.
+beta certifies instability of the pair.  ``invariants(m, spec)`` resolves
+a divisor spec once and walks its profile once; the ``Invariants`` record
+it returns carries A, the profile, S, beta and delta, and every report
+and flag bound reads them from there.
 """
 
 from __future__ import annotations
@@ -103,12 +106,10 @@ class ResolutionGraph:
         )
 
     @classmethod
-    def from_graph_data(cls, g: GraphData,
-                        boundary: Sequence[StrictTransform] = ()) -> "ResolutionGraph":
+    def from_graph_data(cls, g: GraphData) -> "ResolutionGraph":
         return cls(
             vertices=tuple(GraphVertex(lab, genus, e) for lab, genus, e in g.vertices),
             edges=g.edges,
-            strict_transforms=tuple(boundary),
         )
 
 
@@ -267,14 +268,12 @@ def diagonal_parameter(f: PlaneCurveGerm) -> Rat:
     return max(cands)
 
 
-def lct_newton(f: PlaneCurveGerm, *, assume_nondegenerate: bool = True) -> Rat:
+def lct_newton(f: PlaneCurveGerm) -> Rat:
     """Log canonical threshold min(1, 1/t0) by the Newton diagonal rule.
 
-    The rule is exact for Newton-nondegenerate germs; that hypothesis is
-    the caller's responsibility and is not certified here.  Passing
-    ``assume_nondegenerate=False`` records that the caller knowingly
-    applies the rule to a possibly degenerate germ, where it can
-    overestimate.
+    The rule is exact for Newton-nondegenerate germs and can overestimate
+    on degenerate ones; nondegeneracy is the caller's responsibility and
+    is not certified here.
     """
     t0 = diagonal_parameter(f)
     # t0 > 0 whenever the support is nonempty and misses the origin
@@ -353,50 +352,51 @@ def resolve_divisor_spec(m: SurfaceModel, spec: "str | DivClass") -> ResolvedDiv
     return ResolvedDivisor(m, m, m.polarization(), cls, name, a, "on-surface")
 
 
-def _walk(m: SurfaceModel, spec: "str | DivClass",
-          ) -> tuple[ResolvedDivisor, VolumeProfile, Rat]:
-    """Resolve the spec once and walk its volume profile once: (rd, profile, S)."""
+@dataclass(frozen=True)
+class Invariants:
+    """A, the profile vol(L - tE), S, beta and delta of one divisor over a pair."""
+
+    divisor: ResolvedDivisor
+    profile: VolumeProfile
+
+    @property
+    def A(self) -> Rat:
+        return self.divisor.A
+
+    @property
+    def S(self) -> Rat:
+        return self.profile.S
+
+    @property
+    def beta(self) -> Rat:
+        """A(E) - S(E); a negative value certifies instability."""
+        return self.A - self.S
+
+    @property
+    def delta(self) -> Rat | None:
+        """A(E)/S(E), or None when S(E) = 0."""
+        return self.A / self.S if self.S != 0 else None
+
+
+def invariants(m: SurfaceModel, spec: "str | DivClass") -> Invariants:
+    """Resolve the spec once and walk its volume profile once."""
     rd = resolve_divisor_spec(m, spec)
-    prof = volume_profile(rd.work, rd.L, rd.E, rd.label)
-    return rd, prof, prof.profile.integrate(0, prof.tau) / rd.work.intersect(rd.L, rd.L)
-
-
-def A_value(m: SurfaceModel, spec: "str | DivClass") -> Rat:
-    """Log discrepancy of the divisor over the pair."""
-    return resolve_divisor_spec(m, spec).A
+    return Invariants(rd, volume_profile(rd.work, rd.L, rd.E, rd.label))
 
 
 def profile_for(m: SurfaceModel, spec: "str | DivClass") -> VolumeProfile:
-    rd = resolve_divisor_spec(m, spec)
-    return volume_profile(rd.work, rd.L, rd.E, rd.label)
-
-
-def S_value(m: SurfaceModel, spec: "str | DivClass") -> Rat:
-    """Normalized volume integral (1/L^2) * int_0^tau vol(L - tE) dt."""
-    return _walk(m, spec)[2]
-
-
-def beta(m: SurfaceModel, spec: "str | DivClass") -> Rat:
-    """A(E) - S(E); a negative value certifies instability."""
-    rd, _, s = _walk(m, spec)
-    return rd.A - s
-
-
-def delta_E(m: SurfaceModel, spec: "str | DivClass") -> Rat:
-    """A(E)/S(E)."""
-    rd, _, s = _walk(m, spec)
-    return rd.A / s
+    return invariants(m, spec).profile
 
 
 def beta_report(m: SurfaceModel, spec: "str | DivClass") -> dict:
-    rd, _, s = _walk(m, spec)
+    inv = invariants(m, spec)
     return {
-        "divisor": rd.label,
-        "kind": rd.kind,
-        "A": rd.A,
-        "S": s,
-        "beta": rd.A - s,
-        "delta": rd.A / s if s != 0 else None,
+        "divisor": inv.divisor.label,
+        "kind": inv.divisor.kind,
+        "A": inv.A,
+        "S": inv.S,
+        "beta": inv.beta,
+        "delta": inv.delta,
     }
 
 
@@ -405,7 +405,7 @@ def unstable_certificate(m: SurfaceModel,
                          ) -> tuple["str | DivClass", Rat] | None:
     """First candidate with beta < 0 (input order), with its beta value."""
     for spec in candidates:
-        b = beta(m, spec)
+        b = invariants(m, spec).beta
         if b < 0:
             return spec, b
     return None

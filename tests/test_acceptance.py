@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from delpezzo import azflag, gitcubic, localvol, positivity, valuative
 from delpezzo.cli import run
 from delpezzo.exactnum import Poly
-from delpezzo.lattice import DivClass, catalog, enumerate_neg_curves
+from delpezzo.lattice import catalog, enumerate_neg_curves
 from delpezzo.localvol import markov_tree, parse_sing, wps_volume
 from delpezzo.valuative import beta_report, profile_for, resolve_divisor_spec
 
@@ -41,9 +41,9 @@ def test_criterion_03_cubic_surface_flag():
     (flag, _), = azflag.builtin_flags(m)
     s_wp = azflag.restricted_S(flag, "generic")
     bound = azflag.delta_p_lower_bound(flag, "generic")
-    ok = (flag.S_E == F(1, 3) and flag.A_E / flag.S_E == 3
+    ok = (flag.inv.S == F(1, 3) and flag.inv.A / flag.inv.S == 3
           and s_wp == 1 and bound == 1)
-    _report(3, ok, f"cubic flag: S(E)={flag.S_E} A/S={flag.A_E / flag.S_E} "
+    _report(3, ok, f"cubic flag: S(E)={flag.inv.S} A/S={flag.inv.A / flag.inv.S} "
                    f"S(W;p)={s_wp} bound=min(3,1)={bound}")
 
 
@@ -51,10 +51,10 @@ def test_criterion_04_quadric_cone_pair_flags():
     m = catalog("P(1,1,2)+1/2Q")
     flags = azflag.builtin_flags(m)
     ruling, exc = flags[0][0], flags[1][0]
-    vals = (ruling.S_E, azflag.restricted_S(ruling, "generic"),
+    vals = (ruling.inv.S, azflag.restricted_S(ruling, "generic"),
             azflag.delta_p_lower_bound(ruling, "generic"),
             azflag.delta_p_lower_bound(ruling, "on-Q"),
-            exc.S_E, azflag.restricted_S(exc, "generic"),
+            exc.inv.S, azflag.restricted_S(exc, "generic"),
             azflag.delta_p_lower_bound(exc, "generic"))
     ok = vals == (F(1), F(1, 2), F(1), F(1), F(1), F(1), F(1))
     _report(4, ok, "ruling flag S(E)=1, S(W;p)=1/2, bounds >= 1; "
@@ -66,8 +66,8 @@ def test_criterion_05_quadric_cone_pair_betas():
     seen = []
     for c in (F(0), F(1, 4), F(1, 2), F(3, 4)):
         m = catalog(f"P(1,1,2)+{c}Q")
-        be = valuative.beta(m, "exceptional")
-        bq = valuative.beta(m, "Q")
+        be = valuative.invariants(m, "exceptional").beta
+        bq = valuative.invariants(m, "Q").beta
         ok = ok and be == (2 * c - 1) / 3 and bq == (1 - 2 * c) / 3
         ok = ok and ((be == 0 and bq == 0) == (c == F(1, 2)))
         seen.append(f"c={c}: ({be}, {bq})")
@@ -75,8 +75,8 @@ def test_criterion_05_quadric_cone_pair_betas():
 
 
 def test_criterion_06_destabilizers():
-    b_f1 = valuative.beta(catalog("F1"), "E1")
-    b_dp7 = valuative.beta(catalog("dP7"), "Ltilde")
+    b_f1 = valuative.invariants(catalog("F1"), "E1").beta
+    b_dp7 = valuative.invariants(catalog("dP7"), "Ltilde").beta
     prof = profile_for(catalog("dP7"), "Ltilde")
     ok = (b_f1 == F(-1, 6) and b_dp7 == F(-4, 21)
           and prof.profile.breakpoints == (0, 1, 3))

@@ -2,9 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from delpezzo.azflag import (CoverageError, FlagDataError, FlagPoint, FlagSpec,
-                             builtin_flags, delta_p_lower_bound, flag_from_divisor,
-                             restricted_S, semistable_via_flags)
+from delpezzo.azflag import (CoverageError, FlagDataError, FlagPoint, builtin_flags,
+                             delta_p_lower_bound, flag_from_divisor, restricted_S,
+                             semistable_via_flags)
 from delpezzo.exactnum import Poly
 from delpezzo.lattice import catalog
 from delpezzo.valuative import profile_for
@@ -13,9 +13,9 @@ from delpezzo.valuative import profile_for
 def test_cubic_flag_headline_values():
     m = catalog("dP3")
     (flag, covers), = builtin_flags(m)
-    assert flag.A_E == 1
-    assert flag.S_E == F(1, 3)
-    assert flag.A_E / flag.S_E == 3
+    assert flag.inv.A == 1
+    assert flag.inv.S == F(1, 3)
+    assert flag.inv.A / flag.inv.S == 3
     assert restricted_S(flag, "generic") == 1
     assert delta_p_lower_bound(flag, "generic") == 1
     assert covers == ("generic",)
@@ -26,11 +26,11 @@ def test_pair_flags_headline_values():
     flags = builtin_flags(m)
     ruling = flags[0][0]
     exc = flags[1][0]
-    assert ruling.S_E == 1
+    assert ruling.inv.S == 1
     assert restricted_S(ruling, "generic") == F(1, 2)
     assert delta_p_lower_bound(ruling, "generic") == 1
     assert delta_p_lower_bound(ruling, "on-Q") == 1
-    assert exc.S_E == 1 and exc.A_E == 1
+    assert exc.inv.S == 1 and exc.inv.A == 1
     assert restricted_S(exc, "generic") == 1
     assert delta_p_lower_bound(exc, "generic") == 1
 
@@ -65,8 +65,8 @@ def test_flag_chambers_match_positivity_profile():
     pair = catalog("P(1,1,2)+1/2Q")
     for flag, _ in builtin_flags(pair):
         prof = profile_for(pair, flag.divisor_spec)
-        assert flag.tau == prof.tau
-        for ch, piece in zip(flag.chambers, prof.profile.pieces):
+        assert flag.inv.profile.tau == prof.tau
+        for ch, piece in zip(flag.inv.profile.chambers, prof.profile.pieces):
             assert piece.derivative() == Poly([0]) - 2 * flag.p_dot_e(ch)
 
 
@@ -75,9 +75,9 @@ def test_mass_conservation_on_flags():
         m = catalog(name)
         for flag, _ in builtin_flags(m):
             total = F(0)
-            for ch in flag.chambers:
+            for ch in flag.inv.profile.chambers:
                 total += flag.p_dot_e(ch).integrate(ch.lo, ch.hi)
-            assert 2 * total == flag.vol_L(), (name, flag.name)
+            assert 2 * total == flag.inv.profile.L2, (name, flag.name)
 
 
 def _dp7_line_flag(n_orders=None):
@@ -150,15 +150,33 @@ def test_closed_form_oracles_for_pair_flag_values():
     assert s_e == 1 and s_wp == 1
     m = catalog("P(1,1,2)+1/2Q")
     exc = builtin_flags(m)[1][0]
-    assert exc.S_E == s_e
+    assert exc.inv.S == s_e
     assert restricted_S(exc, "generic") == s_wp
 
 
 def test_zero_movable_mass_gives_zero_restricted_S():
     m = catalog("dP3")
     base = builtin_flags(m)[0][0]
-    corrections = tuple(base.p_dot_e(ch) for ch in base.chambers)
+    corrections = tuple(base.p_dot_e(ch) for ch in base.inv.profile.chambers)
     flag = flag_from_divisor(
         m, "anticanonical-curve", name="pinned",
         points=(FlagPoint("pinned", deg_corrections=corrections),))
     assert restricted_S(flag, "pinned") == 0
+
+
+def test_semistability_walks_each_divisor_once(monkeypatch):
+    # a beta candidate that is also a flag's divisor reads the flag's record
+    from delpezzo import valuative
+    walk = valuative.volume_profile
+    walks = []
+
+    def counting(*args):
+        walks.append(args[3])
+        return walk(*args)
+
+    monkeypatch.setattr(valuative, "volume_profile", counting)
+    for name, want in (("P(1,1,2)+1/2Q", 3), ("dP8", 1), ("P(1,1,2)", 2)):
+        m = catalog(name)
+        walks.clear()
+        semistable_via_flags(m, builtin_flags(m))
+        assert len(walks) == want, (name, walks)

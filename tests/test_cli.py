@@ -1,7 +1,4 @@
 import json
-from fractions import Fraction as F
-
-import pytest
 
 from delpezzo.cli import run
 from delpezzo.lattice import catalog, model_to_dict
@@ -264,3 +261,19 @@ def test_reproduce_paper_api_wrapper():
     payload = json.loads(report.to_json())
     assert payload["results"]["summary"]["failed"] == 0
     assert all(r["section"] == 5 for r in payload["results"]["rows"])
+
+
+def test_uncertifiable_catalog_model_exits_3(tmp_path, capsys):
+    # Passes validation, but the support {f1, g} has Gram [[0, -1], [-1, -2]],
+    # which is not negative definite: the Zariski machinery cannot certify.
+    model = {"name": "hyp", "basis": ["a", "b"],
+             "gram": [["0", "1"], ["1", "0"]], "canonical": ["-2", "-2"],
+             "neg_curves": [{"label": "f1", "coeffs": ["1", "0"]},
+                            {"label": "g", "coeffs": ["1", "-1"]}]}
+    path = tmp_path / "hyp.json"
+    path.write_text(json.dumps(model))
+    report, code = run(["--catalog", str(path), "zariski", "--surface", "hyp",
+                        "--div", "2a - b"])
+    assert report is None and code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot certify: ") and "Traceback" not in err

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from delpezzo.lattice import catalog
 from delpezzo.parse import ParseError, parse_div_expr, parse_poly, poly_terms
 from delpezzo.report import Report
 
@@ -34,6 +33,10 @@ def test_parse_poly_errors_are_positioned():
         parse_poly("x ? y")
     with pytest.raises(ParseError):
         poly_terms("a + b", ("x", "y"))
+    for src, column in (("x + q", 5), ("x^2 + y^3 + z", 13)):
+        with pytest.raises(ParseError) as err:
+            poly_terms(src, ("x", "y"))     # unknown variable, at its own column
+        assert f"(column {column})" in str(err.value)
 
 
 def test_parse_div_expr():

@@ -4,7 +4,7 @@ import pytest
 
 from delpezzo.exactnum import Poly
 from delpezzo.lattice import DivClass, catalog
-from delpezzo.positivity import (NotPseudoeffectiveError, is_pseudoeffective,
+from delpezzo.positivity import (NotPseudoeffectiveError, pseff_certificate,
                                  pseff_threshold, volume, volume_profile, zariski)
 from delpezzo.valuative import profile_for, resolve_divisor_spec
 
@@ -29,7 +29,7 @@ def test_zariski_dp7_line_example():
 def test_zariski_rejects_non_pseudoeffective_with_certificate():
     f1 = catalog("F1")
     d = DivClass.of([3, F(-7, 2)])  # -K_Y + (1-t)E at t = 5/2
-    assert not is_pseudoeffective(f1, d)
+    assert not pseff_certificate(f1, d)[0]
     with pytest.raises(NotPseudoeffectiveError) as err:
         zariski(f1, d)
     cert = err.value.certificate

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo.lattice import DivClass, catalog
-from delpezzo.valuative import (A_value, DivisorSpecError, PlaneCurveGerm,
-                                ResolutionGraph, S_value, beta, beta_report,
-                                classify, delta_E, diagonal_parameter,
-                                discrepancies, lct_n_lines, lct_newton,
+from delpezzo.valuative import (DivisorSpecError, PlaneCurveGerm, ResolutionGraph,
+                                beta_report, classify, diagonal_parameter,
+                                discrepancies, invariants, lct_n_lines, lct_newton,
                                 named_graph, unstable_certificate)
 
 
@@ -117,43 +116,43 @@ def test_lct_at_most_one(support):
 
 
 def test_A_values():
-    assert A_value(catalog("P2"), "exceptional:pt") == 2
+    assert invariants(catalog("P2"), "exceptional:pt").A == 2
     for c in (F(0), F(1, 4), F(1, 2)):
         pair = catalog(f"P(1,1,2)+{c}Q" if c else "P(1,1,2)+0Q")
-        assert A_value(pair, "Q") == 1 - c
-        assert A_value(pair, "exceptional") == 1
+        assert invariants(pair, "Q").A == 1 - c
+        assert invariants(pair, "exceptional").A == 1
     for n in range(2, 7):
-        assert A_value(catalog(f"P(1,1,{n})"), "exceptional") == F(2, n)
+        assert invariants(catalog(f"P(1,1,{n})"), "exceptional").A == F(2, n)
 
 
 def test_S_values():
-    assert S_value(catalog("P2"), "exceptional:pt") == 2
-    assert S_value(catalog("dP3"), "anticanonical-curve") == F(1, 3)
+    assert invariants(catalog("P2"), "exceptional:pt").S == 2
+    assert invariants(catalog("dP3"), "anticanonical-curve").S == F(1, 3)
     for c in (F(0), F(1, 2), F(3, 4)):
         pair = catalog(f"P(1,1,2)+{c}Q" if c else "P(1,1,2)+0Q")
-        assert S_value(pair, "exceptional") == F(2, 3) * (2 - c)
+        assert invariants(pair, "exceptional").S == F(2, 3) * (2 - c)
 
 
 def test_beta_examples():
-    assert beta(catalog("P2"), "exceptional:pt") == 0
-    assert beta(catalog("F1"), "E1") == F(-1, 6)
+    assert invariants(catalog("P2"), "exceptional:pt").beta == 0
+    assert invariants(catalog("F1"), "E1").beta == F(-1, 6)
     rep = beta_report(catalog("F1"), "E1")
     assert rep["S"] == F(7, 6) and rep["delta"] == F(6, 7)
     for c in (F(0), F(1, 4), F(1, 2), F(3, 4)):
         pair = catalog(f"P(1,1,2)+{c}Q" if c else "P(1,1,2)+0Q")
-        assert beta(pair, "Q") == (1 - 2 * c) / 3
-        assert beta(pair, "exceptional") == (2 * c - 1) / 3
-    assert delta_E(catalog("P2"), "exceptional:pt") == 1
+        assert invariants(pair, "Q").beta == (1 - 2 * c) / 3
+        assert invariants(pair, "exceptional").beta == (2 * c - 1) / 3
+    assert invariants(catalog("P2"), "exceptional:pt").delta == 1
 
 
 def test_beta_model_independence():
     # same pair presented on the cone and on its resolution
     pair = catalog("P(1,1,2)+1/2Q")
     f2pair = catalog("F2~P(1,1,2)+1/2Q")
-    assert S_value(pair, "Q") == S_value(f2pair, "Q") == F(1, 2)
+    assert invariants(pair, "Q").S == invariants(f2pair, "Q").S == F(1, 2)
     # the ruling pulls back to f + e/2 on the resolution side
     ruling_up = DivClass.of([F(1, 2), 1])
-    assert S_value(pair, "ruling") == S_value(f2pair, ruling_up) == 1
+    assert invariants(pair, "ruling").S == invariants(f2pair, ruling_up).S == 1
 
 
 def test_unstable_certificates():
@@ -167,9 +166,9 @@ def test_unstable_certificates():
 
 def test_unknown_divisor_spec():
     with pytest.raises(DivisorSpecError):
-        beta(catalog("P2"), "nonsense")
+        invariants(catalog("P2"), "nonsense")
     with pytest.raises(DivisorSpecError):
-        beta(catalog("P2"), "exceptional")   # no resolution link on a smooth plane
+        invariants(catalog("P2"), "exceptional")   # no resolution link on a smooth plane
 
 
 def test_terminal_classification_reachable():
@@ -182,9 +181,21 @@ def test_closed_form_integral_oracles_for_destabilizers():
     # independent antiderivative route for the headline S-values
     from delpezzo.exactnum import Poly
     s_f1 = Poly([8, -2, -1]).integrate(0, 2) / 8          # 9 - (1+t)^2 over [0,2]
-    assert s_f1 == F(7, 6) == S_value(catalog("F1"), "E1")
+    assert s_f1 == F(7, 6) == invariants(catalog("F1"), "E1").S
     two_chamber = Poly([7, -2, -1]).integrate(0, 1) + Poly([9, -6, 1]).integrate(1, 3)
-    assert two_chamber / 7 == F(25, 21) == S_value(catalog("dP7"), "Ltilde")
+    assert two_chamber / 7 == F(25, 21) == invariants(catalog("dP7"), "Ltilde").S
+
+
+def test_S_is_profile_integral_over_L_squared():
+    for name, spec in (("P2", "exceptional:pt"), ("dP7", "Ltilde"), ("dP3", "E1"),
+                       ("P(1,1,2)+1/2Q", "Q"), ("P(1,1,3)", "exceptional")):
+        inv = invariants(catalog(name), spec)
+        rd, prof = inv.divisor, inv.profile
+        integral = sum((piece.integrate(lo, hi) for piece, lo, hi in zip(
+            prof.profile.pieces, prof.profile.breakpoints, prof.profile.breakpoints[1:])),
+            F(0))
+        assert inv.S == integral / rd.work.intersect(rd.L, rd.L), (name, spec)
+        assert inv.beta == inv.A - inv.S and inv.delta == inv.A / inv.S
 
 
 def test_diagonal_parameter_fuzz_against_weight_grid():

@@ -250,6 +250,24 @@ def canonical_name(name: str) -> str:
     return _ALIASES.get(s, s)
 
 
+def _pair(base: SurfaceModel, c: Fraction) -> SurfaceModel:
+    """The validated pair (base, cQ)."""
+    if not 0 <= c < 1:
+        raise UnknownSurfaceError(
+            f"boundary coefficient {rat_str(c)} must lie in [0,1)")
+    if base.name.startswith("F"):
+        return _fn_pair(base, c).validate_strict()
+    if "Q" not in base.named_divisors:
+        raise UnknownSurfaceError(f"{base.name} has no boundary section Q")
+    return _with_boundary_q(base, c).validate_strict()
+
+
+@lru_cache(maxsize=32)
+def _builtin_pair(base_name: str, c: Fraction) -> SurfaceModel:
+    """Pairs over built-in bases are built and validated once per process."""
+    return _pair(_builtin()[base_name], c)
+
+
 def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> SurfaceModel:
     s = canonical_name(name)
     if extra and s in extra:
@@ -263,14 +281,9 @@ def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> Sur
     if pair:
         base = get_model(pair.group("base"), extra=extra)
         c = rat(pair.group("coeff"))
-        if not 0 <= c < 1:
-            raise UnknownSurfaceError(
-                f"boundary coefficient {rat_str(c)} must lie in [0,1)")
-        if base.name.startswith("F"):
-            return _fn_pair(base, c).validate_strict()
-        if "Q" not in base.named_divisors:
-            raise UnknownSurfaceError(f"{base.name} has no boundary section Q")
-        return _with_boundary_q(base, c).validate_strict()
+        if builtin.get(base.name) is base:
+            return _builtin_pair(base.name, c)
+        return _pair(base, c)
     wps = _WPS_RE.match(s)
     if wps:
         a, b, c = (int(g) for g in wps.groups())

@@ -10,13 +10,12 @@ minimal pairing over its support is positive, so:
         <=>  the barycenter (3/4, 3/4, 3/4, 3/4) lies outside the
              convex hull of the support.
 
-Hull membership is decided by exact rational LP feasibility.  When the
-barycenter is outside, a destabilizing weight vector exists with entries
-bounded by 9: the weight polytope is spanned by differences of cubic
-exponent vectors, whose vertices have coordinates in [-3, 3], so a
-separating integer functional can be chosen with entries bounded by the
-lattice width 9 of that polytope; the bounded search below finds one and
-the result is re-verified against the support before being returned.
+One exact rational LP decides hull membership.  When it is
+infeasible, its Farkas vector y (y.A <= 0 < y.b) is the witness:
+with u = -y[0:4], u.p >= y[4] > (3/4) sum(u) for every support point p,
+and since sum(p) = 3 the centred w = u - (sum(u)/4)(1,1,1,1) has
+w.p > 0 on the whole support.  Scaled to a primitive integer vector, it
+is re-verified against the support before being returned.
 
 Full GIT (quantifying over all coordinate systems) is out of scope:
 verdicts for smooth normal forms in the shipped table carry a literature
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from . import lp
@@ -66,7 +66,6 @@ class CubicForm:
         for expo, c in self.terms:
             mono = "".join(
                 (v if e == 1 else f"{v}^{e}") for v, e in zip(VARS, expo) if e)
-            mono = mono or "1"
             if abs(c) == 1:
                 term = mono
             else:
@@ -101,16 +100,13 @@ def hm_weight(f: CubicForm, lam: OnePS) -> Rat:
 
 def barycenter_in_hull(f: CubicForm) -> bool:
     """Exact membership of (3/4,...,3/4) in the convex hull of the support."""
-    pts = f.support
-    a = [[Fraction(p[i]) for p in pts] for i in range(4)]
-    a.append([Fraction(1)] * len(pts))
-    b = [Fraction(3, 4)] * 4 + [Fraction(1)]
-    return lp.eq_feasibility(a, b).feasible
+    return torus_destabilizer(f) is None
 
 
 def brute_force_destabilizer(f: CubicForm) -> OnePS | None:
     """First weight vector (lexicographic, entries within WEIGHT_BOUND) that
-    is strictly positive on the whole support."""
+    is strictly positive on the whole support; an oracle for the decision
+    of ``torus_destabilizer``, whose witnesses may exceed the bound."""
     supp = f.support
     rng = range(-WEIGHT_BOUND, WEIGHT_BOUND + 1)
     for w1 in rng:
@@ -128,16 +124,23 @@ def brute_force_destabilizer(f: CubicForm) -> OnePS | None:
 def torus_destabilizer(f: CubicForm) -> OnePS | None:
     """Destabilizing one-parameter subgroup for the fixed torus, if any.
 
-    The decision is the exact LP above; the witness comes from the
-    bounded integer search and is re-verified before being returned.
+    None inside the hull, else the Farkas witness (module docstring);
+    ArithmeticError if ``hm_weight`` does not verify it.
     """
-    if barycenter_in_hull(f):
+    pts = f.support
+    a = [[p[i] for p in pts] for i in range(4)] + [[1] * len(pts)]
+    res = lp.eq_feasibility(a, [Fraction(3, 4)] * 4 + [1])
+    if res.feasible:
         return None
-    witness = brute_force_destabilizer(f)
-    if witness is None or hm_weight(f, witness) <= 0:
-        raise RuntimeError(
-            "barycenter outside the hull but no verified witness within the "
-            "weight bound; this contradicts the weight-polytope bound")
+    u = [-y for y in res.farkas[:4]]
+    w = [x - sum(u) / 4 for x in u]
+    scale = lcm(*(x.denominator for x in w))
+    ints = [int(x * scale) for x in w]
+    g = gcd(*ints) or 1
+    witness = OnePS(tuple(x // g for x in ints))
+    if hm_weight(f, witness) <= 0:
+        raise ArithmeticError(f"Farkas witness {witness.weights} is not "
+                              f"positive on the support of {f.format()}")
     return witness
 
 
@@ -168,9 +171,6 @@ def apply_coordinate_change(f: CubicForm, matrix: Sequence[Sequence[Rat]]) -> Cu
                 term = poly_mul(term, linear_forms[i])
         for k, v in term.items():
             total[k] = total.get(k, Fraction(0)) + coeff * v
-    total = {k: v for k, v in total.items() if v != 0}
-    if not total:
-        raise ValueError("substitution annihilated the form")
     return CubicForm.from_terms(total)
 
 

@@ -235,6 +235,11 @@ class MarkovTriple:
         return "({},{},{})".format(*self.triple)
 
 
+# The tree doubles with each level: depth 14 holds 8193 triples, depth 16
+# 32769.  Callers build at most depth 10.
+MARKOV_MAX_DEPTH = 14
+
+
 def markov_tree(depth: int) -> list[MarkovTriple]:
     """Breadth-first closure of (1,1,1) under coordinate mutations.
 
@@ -243,6 +248,9 @@ def markov_tree(depth: int) -> list[MarkovTriple]:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if depth > MARKOV_MAX_DEPTH:
+        raise ValueError(f"depth must be <= {MARKOV_MAX_DEPTH} "
+                         "(the tree doubles with each level)")
     root = MarkovTriple.of(1, 1, 1)
     seen = {root.triple: root}
     frontier = [root]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import lp
@@ -170,7 +171,8 @@ class Chamber:
 class VolumeProfile:
     """Piecewise-quadratic vol(L - tE) with chamber data and threshold tau.
 
-    ``L2`` is L . L and ``S`` the normalized integral (1/L^2) * int_0^tau vol.
+    ``L2`` is L . L and ``S`` the normalized integral (1/L^2) * int_0^tau vol,
+    computed on first read.
     """
 
     profile: PiecewisePoly
@@ -180,7 +182,10 @@ class VolumeProfile:
     E: DivClass
     e_label: str
     L2: Rat
-    S: Rat
+
+    @cached_property
+    def S(self) -> Rat:
+        return self.profile.integrate(0, self.tau) / self.L2
 
     def value(self, t) -> Rat:
         t = rat(t)
@@ -307,8 +312,7 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
         if final:
             profile = PiecewisePoly(breakpoints, pieces)
             return VolumeProfile(profile=profile, tau=t_end, chambers=tuple(chambers),
-                                 L=L, E=E, e_label=e_label, L2=l2,
-                                 S=profile.integrate(0, t_end) / l2)
+                                 L=L, E=E, e_label=e_label, L2=l2)
         for root, kind, c in wall_events:
             if root == t_end:
                 if kind == "enter":

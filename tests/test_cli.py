@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 from delpezzo.cli import run
 from delpezzo.lattice import catalog, model_to_dict
@@ -28,6 +29,29 @@ def test_beta_strict_exit_code_on_destabilizer():
 def test_markov_subcommand():
     payload, code = _json_run(["markov", "--depth", "2"])
     assert payload["results"]["triples"] == ["(1,1,1)", "(1,1,2)", "(1,2,5)"]
+
+
+def test_markov_depth_beyond_bound_is_a_usage_error(monkeypatch, capsys):
+    from delpezzo.localvol import MarkovTriple
+
+    def never(self, i):
+        raise AssertionError("the tree must not be built")
+
+    monkeypatch.setattr(MarkovTriple, "mutate", never)
+    report, code = run(["markov", "--depth", str(10 ** 12)])
+    assert report is None and code == 2
+    assert capsys.readouterr().err.startswith("error: depth must be <= 14")
+
+
+def test_unverified_git_witness_exits_3(monkeypatch, capsys):
+    from delpezzo import gitcubic, lp
+    # a Farkas vector whose witness (-3, 1, 1, 1) is negative on x^3
+    bogus = lp.LPFeasibility(False, None, tuple(map(F, (1, 0, 0, 0, 0))))
+    monkeypatch.setattr(gitcubic.lp, "eq_feasibility", lambda a, b: bogus)
+    report, code = run(["git-destab", "--poly", "x^3+y^3+z^3"])
+    assert report is None and code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot certify: Farkas witness (-3, 1, 1, 1)")
 
 
 def test_lct_subcommand():

@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delpezzo.gitcubic import (CONE_PLANE_CUBIC, FERMAT, TRIPLE_A2, CubicForm,
                                OnePS, apply_coordinate_change, barycenter_in_hull,
@@ -58,6 +59,7 @@ def test_destabilizer_fixed_forms():
     assert torus_destabilizer(TRIPLE_A2) is None
     w = torus_destabilizer(CONE_PLANE_CUBIC)
     assert w is not None and hm_weight(CONE_PLANE_CUBIC, w) > 0
+    assert w.weights == (1, 1, 1, -3)
 
 
 def test_forms_omitting_a_variable_are_unstable():
@@ -84,9 +86,45 @@ def test_destabilizer_agrees_with_brute_force_on_100_random_forms():
             assert hm_weight(f, lp_w) > 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(MONOS), min_size=1, max_size=8))
+def test_lp_witness_is_primitive_verified_and_agrees_with_brute_force(supp):
+    f = CubicForm.from_terms({e: F(1) for e in supp})
+    w = torus_destabilizer(f)
+    assert (w is None) == (brute_force_destabilizer(f) is None), f.format()
+    if w is not None:
+        assert sum(w.weights) == 0 and math.gcd(*w.weights) == 1
+        assert hm_weight(f, w) > 0
+
+
+def test_destabilizer_is_one_lp_and_never_the_brute_force(monkeypatch):
+    from delpezzo import gitcubic, lp
+
+    def forbidden(f):
+        raise AssertionError("brute force called on the runtime path")
+
+    calls = []
+    original = lp.eq_feasibility
+
+    def counted(a, b):
+        calls.append(b)
+        return original(a, b)
+
+    monkeypatch.setattr(gitcubic, "brute_force_destabilizer", forbidden)
+    monkeypatch.setattr(gitcubic.lp, "eq_feasibility", counted)
+    rng = random.Random(11)
+    forms = [FERMAT, TRIPLE_A2, CONE_PLANE_CUBIC] + [
+        CubicForm.from_terms({e: F(1) for e in rng.sample(MONOS, rng.randint(1, 6))})
+        for _ in range(20)]
+    for f in forms:
+        calls.clear()
+        torus_destabilizer(f)
+        assert len(calls) == 1
+
+
 def test_membership_matches_destabilizer_absence():
     for f in (FERMAT, TRIPLE_A2, CONE_PLANE_CUBIC):
-        assert barycenter_in_hull(f) == (torus_destabilizer(f) is None)
+        assert barycenter_in_hull(f) == (brute_force_destabilizer(f) is None)
 
 
 def _sympy_substitute(f: CubicForm, matrix):

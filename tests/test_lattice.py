@@ -121,6 +121,30 @@ def test_pair_models_track_coefficient():
         catalog("P(1,1,2)+5/4Q")
 
 
+def test_builtin_pairs_are_built_once(monkeypatch):
+    from delpezzo import catalog as cat
+    from delpezzo.lattice import SurfaceModel
+    calls = []
+    original = SurfaceModel.validate
+
+    def counted(self):
+        calls.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(SurfaceModel, "validate", counted)
+    cat._builtin_pair.cache_clear()
+    first = catalog("P(1,1,2)+1/2Q")
+    assert catalog("P(1,1,2)+Q/2") is first
+    assert calls == ["P(1,1,2)+1/2Q"]
+    # a pair over a --catalog base is built and validated on every lookup
+    base = model_from_dict(model_to_dict(catalog("P(1,1,2)")), validate=False)
+    extra = {"P(1,1,2)": base}
+    calls.clear()
+    pair = catalog("P(1,1,2)+1/2Q", extra=extra)
+    assert catalog("P(1,1,2)+1/2Q", extra=extra) is not pair
+    assert calls == ["P(1,1,2)+1/2Q"] * 2
+
+
 def test_builtin_catalog_digest_is_pinned():
     text = json.dumps([model_to_dict(catalog(n)) for n in builtin_names()],
                       sort_keys=True, separators=(",", ":"))

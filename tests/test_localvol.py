@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from delpezzo.localvol import (MarkovTriple, QuotientSing, is_T_singularity,
-                               local_global_check, markov_tree, monomial_nvol,
-                               nvol_quotient, p114_pair_report, parse_sing,
-                               singularity_budget, wps_volume)
+from delpezzo.localvol import (MARKOV_MAX_DEPTH, MarkovTriple, QuotientSing,
+                               is_T_singularity, local_global_check, markov_tree,
+                               monomial_nvol, nvol_quotient, p114_pair_report,
+                               parse_sing, singularity_budget, wps_volume)
 
 
 def test_quotient_sing_validation():
@@ -111,6 +111,16 @@ def test_markov_tree_headline_values():
     assert [t.triple for t in markov_tree(2)] == [(1, 1, 1), (1, 1, 2), (1, 2, 5)]
     depth3 = {t.triple for t in markov_tree(3)}
     assert {(1, 5, 13), (2, 5, 29)} <= depth3
+
+
+def test_markov_tree_refuses_depth_beyond_bound(monkeypatch):
+    def never(self, i):
+        raise AssertionError("the tree must not be built")
+
+    monkeypatch.setattr(MarkovTriple, "mutate", never)
+    for depth in (MARKOV_MAX_DEPTH + 1, 10 ** 12):
+        with pytest.raises(ValueError, match="depth must be <= 14"):
+            markov_tree(depth)
 
 
 def test_markov_tree_closure_property():

@@ -65,6 +65,25 @@ def test_volume_runs_the_lp_once(monkeypatch):
         assert calls == [d]
 
 
+def test_pseff_threshold_does_not_integrate(monkeypatch):
+    from delpezzo.exactnum import PiecewisePoly
+    calls = []
+    original = PiecewisePoly.integrate
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(PiecewisePoly, "integrate", counted)
+    m = catalog("dP7")
+    rd = resolve_divisor_spec(m, "Ltilde")
+    assert pseff_threshold(rd.work, rd.L, rd.E) == 3
+    assert calls == []
+    prof = volume_profile(rd.work, rd.L, rd.E)
+    assert prof.S == prof.S == F(25, 21)
+    assert calls == [(0, 3)]
+
+
 def test_gram_cert_is_the_support_gram():
     dp7, dp5 = catalog("dP7"), catalog("dP5")
     cases = [(dp7, dp7.minus_k()), (dp7, DivClass.of([1, 1, 1])),

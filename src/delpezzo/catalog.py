@@ -268,6 +268,12 @@ def _builtin_pair(base_name: str, c: Fraction) -> SurfaceModel:
     return _pair(_builtin()[base_name], c)
 
 
+@lru_cache(maxsize=32)
+def _weighted_plane(a: int, b: int, c: int) -> SurfaceModel:
+    """Generic weighted planes are built and validated once per process."""
+    return _wps_model(a, b, c).validate_strict()
+
+
 def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> SurfaceModel:
     s = canonical_name(name)
     if extra and s in extra:
@@ -293,7 +299,7 @@ def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> Sur
             raise UnknownSurfaceError(
                 f"P(1,1,{c}) beyond the built-in range; load it with --catalog")
         try:
-            return _wps_model(a, b, c).validate_strict()
+            return _weighted_plane(a, b, c)
         except ValueError as exc:
             raise UnknownSurfaceError(str(exc)) from exc
     raise UnknownSurfaceError(f"unknown surface {name!r}")

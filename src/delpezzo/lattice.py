@@ -17,6 +17,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -162,6 +164,42 @@ class SurfaceModel:
             total += a * sum((row[j] * b for j, b in enumerate(d2.coeffs)), Fraction(0))
         return total
 
+    @cached_property
+    def _curve_vectors(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(q, V) with (G.C)_i = V[i][k] / q for the k-th catalogued curve C."""
+        if any(len(c.cls) != self.rank for c in self.neg_curves):
+            raise ValueError("rank mismatch in intersection pairing")
+        gc = [[sum((g * b for g, b in zip(row, c.cls.coeffs)), Fraction(0))
+               for c in self.neg_curves] for row in self.gram]
+        q = 1
+        for row in gc:
+            for x in row:
+                q = lcm(q, x.denominator)
+        return q, tuple(tuple(x.numerator * (q // x.denominator) for x in row) for row in gc)
+
+    def curve_pairings(self, d: DivClass) -> tuple[Rat, ...]:
+        """d . C for every catalogued curve C, in ``neg_curves`` order.
+
+        The same values as ``intersect(d, c.cls)`` curve by curve.  The
+        vectors G.C are computed once per model and kept as integers over
+        one denominator; d is cleared to integer numerators over one
+        denominator, so the pairings are integer sums and one Fraction
+        each.
+        """
+        if len(d) != self.rank:
+            raise ValueError("rank mismatch in intersection pairing")
+        q, vectors = self._curve_vectors
+        den = 1
+        for a in d.coeffs:
+            den = lcm(den, a.denominator)
+        acc = [0] * len(self.neg_curves)
+        for a, row in zip(d.coeffs, vectors):
+            if a:
+                a = a.numerator * (den // a.denominator)
+                acc = [s + a * x for s, x in zip(acc, row)]
+        q *= den
+        return tuple(Fraction(s, q) for s in acc)
+
     def minus_k(self) -> DivClass:
         return -self.canonical
 
@@ -273,7 +311,7 @@ def is_nef(m: SurfaceModel, d: DivClass) -> bool:
     """Nefness against the catalogued effective-cone generators."""
     if not m.neg_curves:
         raise ModelInvariantError(f"{m.name}: no cone generators to test against")
-    return all(m.intersect(d, c.cls) >= 0 for c in m.neg_curves)
+    return all(v >= 0 for v in m.curve_pairings(d))
 
 
 def enumerate_neg_curves(k: int, c0_bound: int = 6) -> list[DivClass]:

@@ -1,16 +1,38 @@
 """Exact rational linear-program feasibility with certificates.
 
-Decides "does x >= 0 with A x = b exist?" by a phase-1 simplex over
-Fraction entries with Bland's rule (no cycling, no rounding).  On
-failure it returns a Farkas certificate y with y.A <= 0 and y.b > 0,
-which downstream modules convert into human-checkable certificates
-(a separating weight vector, a nef class pairing negatively).
+Decides "does x >= 0 with A x = b exist?" by a phase-1 simplex with
+Bland's rule (no cycling, no rounding).  On failure it returns a Farkas
+certificate y with y.A <= 0 and y.b > 0, which downstream modules
+convert into human-checkable certificates (a separating weight vector,
+a nef class pairing negatively).
+
+The tableau is fraction-free (Bareiss, Math. Comp. 22 (1968); Edmonds,
+J. Res. NBS 71B (1967)):
+
+- Each column, the right-hand side included, is multiplied by the LCM
+  of its own denominators, so the tableau is integral.  A positive
+  column scale changes no sign and no ratio-test argmin, so Bland's
+  rule takes exactly the pivots of the rational simplex.  The
+  artificial identity columns keep scale 1, so the starting basis has
+  determinant 1; one common denominator for the whole tableau would
+  scale them too and break the exact division below.
+- The integer tableau is d times the column-scaled rational tableau,
+  where d is the previous pivot (1 at the start), the determinant of
+  the current basis.  A pivot p updates every other row, the objective
+  row included, to (p*r - f*r_piv) // d, an exact division, and then
+  d becomes p.  The ratio test compares by cross-multiplication.
+- The pivot loop does integer arithmetic only.  x and the Farkas y are
+  read back as Fractions through d and the column scales.
+
+The result carries the number of pivots taken, a deterministic measure
+of the work done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exactnum import Rat, rat
@@ -21,6 +43,7 @@ class LPFeasibility:
     feasible: bool
     x: tuple[Rat, ...] | None
     farkas: tuple[Rat, ...] | None
+    pivots: int = 0
 
 
 def eq_feasibility(a: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> LPFeasibility:
@@ -30,59 +53,74 @@ def eq_feasibility(a: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> LPFeasibilit
     if any(len(row) != n for row in a) or len(b) != m:
         raise ValueError("shape mismatch in LP")
 
-    signs = [1 if rat(bb) >= 0 else -1 for bb in b]
-    rows = [[rat(x) * s for x in row] + [Fraction(0)] * m + [rat(bb) * s]
-            for row, bb, s in zip(a, b, signs)]
+    a = [[rat(x) for x in row] for row in a]
+    b = [rat(v) for v in b]
+    scales = [1] * n
+    for row in a:
+        scales = [lcm(s, x.denominator) for s, x in zip(scales, row)]
+    s_rhs = 1
+    for v in b:
+        s_rhs = lcm(s_rhs, v.denominator)
+    signs = [1 if v >= 0 else -1 for v in b]
+    rows = [[x.numerator * (s // x.denominator) * sign for x, s in zip(row, scales)]
+            + [0] * m + [v.numerator * (s_rhs // v.denominator) * sign]
+            for row, v, sign in zip(a, b, signs)]
     for i in range(m):
-        rows[i][n + i] = Fraction(1)
+        rows[i][n + i] = 1
     basis = [n + i for i in range(m)]
 
-    # Reduced-cost row for  min sum(artificials):  r_j = c_j - sum_i rows[i][j].
-    width = n + m + 1
-    obj = [Fraction(0)] * width
-    for j in range(n + m):
-        obj[j] = (Fraction(1) if j >= n else Fraction(0))
-        for i in range(m):
-            obj[j] -= rows[i][j]
-    obj[width - 1] = -sum((row[width - 1] for row in rows), Fraction(0))
+    # Reduced-cost row for  min sum(artificials):  r_j = c_j - sum_i rows[i][j];
+    # the artificial columns have c_j = 1 and reduced cost 0.
+    rhs = n + m
+    obj = [-sum(row[j] for row in rows) for j in range(n)] + [0] * m
+    obj.append(-sum(row[rhs] for row in rows))
 
+    d = 1
+    pivots = 0
     while True:
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        enter = next((j for j in range(rhs) if obj[j] < 0), None)
         if enter is None:
             break
         # Ratio test with Bland tie-breaking on the leaving basis index.
-        best = None
+        piv = None
         for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][width - 1] / rows[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+            e = rows[i][enter]
+            if e > 0:
+                if piv is None:
+                    piv = i
+                    continue
+                lhs, best = rows[i][rhs] * rows[piv][enter], rows[piv][rhs] * e
+                if lhs < best or (lhs == best and basis[i] < basis[piv]):
+                    piv = i
+        if piv is None:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
-        _, piv = best
-        inv = 1 / rows[piv][enter]
-        rows[piv] = [x * inv for x in rows[piv]]
+        prow = rows[piv]
+        p = prow[enter]
         for i in range(m):
-            if i != piv and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, rows[piv])]
+            if i == piv:
+                continue
+            f = rows[i][enter]
+            if f:
+                rows[i] = [(p * x - f * y) // d for x, y in zip(rows[i], prow)]
+            elif p != d:
+                rows[i] = [p * x // d for x in rows[i]]
+        f = obj[enter]
+        obj = [(p * x - f * y) // d for x, y in zip(obj, prow)]
+        d = p
         basis[piv] = enter
+        pivots += 1
 
-    z = -obj[width - 1]
-    if z == 0:
+    if obj[rhs] == 0:
         x = [Fraction(0)] * n
         for i, bj in enumerate(basis):
             if bj < n:
-                x[bj] = rows[i][width - 1]
-        return LPFeasibility(True, tuple(x), None)
+                x[bj] = Fraction(rows[i][rhs] * scales[bj], d * s_rhs)
+        return LPFeasibility(True, tuple(x), None, pivots)
 
-    # Infeasible: simplex multipliers from artificial reduced costs,
-    # mapped back through the row-sign adjustment.
-    y = [(Fraction(1) - obj[n + i]) * signs[i] for i in range(m)]
-    return LPFeasibility(False, None, tuple(y))
+    # Infeasible: simplex multipliers from artificial reduced costs
+    # (artificial columns are unscaled), mapped back through the row signs.
+    y = [Fraction(d - obj[n + i], d) * signs[i] for i in range(m)]
+    return LPFeasibility(False, None, tuple(y), pivots)
 
 
 def in_cone(generators: Sequence[Sequence[Rat]], target: Sequence[Rat]) -> LPFeasibility:

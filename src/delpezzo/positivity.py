@@ -51,7 +51,10 @@ class ConeDataError(RuntimeError):
 def pseff_certificate(m: SurfaceModel, d: DivClass) -> tuple[bool, DivClass | None]:
     """LP membership of d in the cone of catalogued generators.
 
-    Returns (True, None) or (False, W) with W nef and W . d < 0.
+    Returns (True, None) or (False, W) with W nef and W . d < 0.  W is
+    re-checked before it is returned: it pairs >= 0 with every generator
+    and with the polarization, W^2 >= 0 and W . d < 0; ConeDataError if
+    any of these fails.
     """
     gens = [c.cls.coeffs for c in m.neg_curves]
     res = lp.in_cone(gens, d.coeffs)
@@ -62,6 +65,18 @@ def pseff_certificate(m: SurfaceModel, d: DivClass) -> tuple[bool, DivClass | No
     # W . C = -y . coeffs(C).
     y = res.farkas
     w = DivClass(tuple(solve(m.gram, [-v for v in y])))
+    problems = [f"W.{c.label} < 0"
+                for c, v in zip(m.neg_curves, m.curve_pairings(w)) if v < 0]
+    if m.intersect(w, m.polarization()) < 0:
+        problems.append("W.(polarization) < 0")
+    if m.intersect(w, w) < 0:
+        problems.append("W^2 < 0")
+    if m.intersect(w, d) >= 0:
+        problems.append("W.D >= 0")
+    if problems:
+        raise ConeDataError(
+            f"nef certificate W = {m.render(w)} for D = {m.render(d)} on {m.name} "
+            f"fails its check: {', '.join(problems)}")
     return False, w
 
 
@@ -84,8 +99,8 @@ class ZariskiDecomp:
         problems = []
         if self.positive + self.negative_class(m) != original:
             problems.append("P + N does not reassemble the input class")
-        for c in m.neg_curves:
-            if m.intersect(self.positive, c.cls) < 0:
+        for c, v in zip(m.neg_curves, m.curve_pairings(self.positive)):
+            if v < 0:
                 problems.append(f"P is negative against {c.label}")
         for label, coeff in self.negative:
             if coeff < 0:
@@ -124,8 +139,8 @@ def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
         p = d
         for c, x in zip(support, coeffs):
             p = p - c.cls.scale(x)
-        violating = [c for c in m.neg_curves
-                     if c not in support and m.intersect(p, c.cls) < 0]
+        violating = [c for c, v in zip(m.neg_curves, m.curve_pairings(p))
+                     if v < 0 and c not in support]
         if not violating:
             dec = ZariskiDecomp(p, tuple((c.label, x) for c, x in zip(support, coeffs)),
                                 gram)
@@ -252,8 +267,9 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
         n_polys = [Poly([a, b]) for a, b in zip(c0, c1)]
 
         # (P_const . C, P_slope . C) for every curve outside the support.
-        pairings = [(c, m.intersect(p_const, c.cls), m.intersect(p_slope, c.cls))
-                    for c in m.neg_curves if c not in support]
+        pairings = [(c, a, b) for c, a, b in zip(m.neg_curves, m.curve_pairings(p_const),
+                                                  m.curve_pairings(p_slope))
+                    if c not in support]
         # Immediate violations at t_cur mean more curves enter right here.
         entering_now = [c for c, a, b in pairings if a + t_cur * b < 0]
         if entering_now:

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from delpezzo.cli import run
 from delpezzo.lattice import catalog, model_to_dict
 
@@ -52,6 +54,24 @@ def test_unverified_git_witness_exits_3(monkeypatch, capsys):
     assert report is None and code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: cannot certify: Farkas witness (-3, 1, 1, 1)")
+
+
+@pytest.mark.parametrize("y, failure", [
+    ((1, 0, 0), "W.L12 < 0, W.(polarization) < 0"),  # W = -H
+    ((-1, 0, 0), "W.D >= 0"),                         # W = H, nef
+])
+def test_unverified_nef_certificate_exits_3(monkeypatch, capsys, y, failure):
+    from delpezzo import lp, positivity
+    bogus = lp.LPFeasibility(False, None, tuple(map(F, y)))
+    monkeypatch.setattr(positivity.lp, "eq_feasibility", lambda a, b: bogus)
+    m = catalog("dP7")
+    with pytest.raises(positivity.ConeDataError):
+        positivity.pseff_certificate(m, m.minus_k())
+    report, code = run(["zariski", "--surface", "dP7", "--div=-K"])
+    assert report is None and code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot certify: nef certificate W = ")
+    assert err.rstrip().endswith(failure)
 
 
 def test_lct_subcommand():

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delpezzo.catalog import builtin_names, canonical_name
 from delpezzo.lattice import (DivClass, ModelInvariantError, UnknownSurfaceError,
@@ -49,6 +50,8 @@ def test_intersect_rank_mismatch():
     p2 = catalog("P2")
     with pytest.raises(ValueError):
         p2.intersect(DivClass.of([1, 0]), DivClass.of([1]))
+    with pytest.raises(ValueError):
+        p2.curve_pairings(DivClass.of([1, 0]))
 
 
 def test_is_nef_examples():
@@ -143,6 +146,34 @@ def test_builtin_pairs_are_built_once(monkeypatch):
     pair = catalog("P(1,1,2)+1/2Q", extra=extra)
     assert catalog("P(1,1,2)+1/2Q", extra=extra) is not pair
     assert calls == ["P(1,1,2)+1/2Q"] * 2
+
+
+def test_weighted_planes_are_built_once(monkeypatch):
+    from delpezzo import catalog as cat
+    from delpezzo.lattice import SurfaceModel
+    calls = []
+    original = SurfaceModel.validate
+
+    def counted(self):
+        calls.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(SurfaceModel, "validate", counted)
+    cat._weighted_plane.cache_clear()
+    first = catalog("P(1,2,3)")
+    assert catalog("P(1, 2, 3)") is first
+    assert calls == ["P(1,2,3)"]
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["P(1,1,2)+1/2Q", "P(1,2,3)"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_curve_pairings_match_intersect(name, data):
+    m = catalog(name)
+    coeffs = data.draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                                min_size=m.rank, max_size=m.rank))
+    d = DivClass(tuple(coeffs))
+    assert m.curve_pairings(d) == tuple(m.intersect(d, c.cls) for c in m.neg_curves)
 
 
 def test_builtin_catalog_digest_is_pinned():

@@ -1,4 +1,6 @@
+import fractions
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +9,10 @@ from hypothesis import example, given, strategies as st
 
 from delpezzo.linalg import (SingularMatrixError, det, is_negative_definite, mat,
                              solve, symmetric_signature)
+from delpezzo.lattice import catalog
 from delpezzo.lp import eq_feasibility, in_cone
+
+import simplex_oracle
 
 
 def test_solve_and_det():
@@ -158,3 +163,61 @@ def test_cone_membership():
 def test_empty_cone():
     assert in_cone([], [F(0), F(0)]).feasible
     assert not in_cone([], [F(1), F(0)]).feasible
+
+
+_lp_entries = st.one_of(st.just(F(0)), st.integers(-2, 2).map(F),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def lp_systems(draw):
+    """Small rational systems a x = b: zero entries, rows and columns are
+    common, small integers make ratio-test ties likely, and half of the
+    right-hand sides are a x for a drawn x >= 0, so feasible."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 6)) if m else 0
+    a = [[draw(_lp_entries) for _ in range(n)] for _ in range(m)]
+    if n and draw(st.booleans()):
+        x = [draw(st.fractions(min_value=0, max_value=3, max_denominator=4)) for _ in range(n)]
+        b = [sum((r * v for r, v in zip(row, x)), F(0)) for row in a]
+    else:
+        b = [draw(_lp_entries) for _ in range(m)]
+    return a, b
+
+
+@given(lp_systems())
+@example(([[F(1), F(1)]], [F(-1)]))                               # negative b, infeasible
+@example(([[F(-1, 2), F(0)], [F(0), F(0)]], [F(-3), F(0)]))        # negative b, zero row
+@example(([[F(0), F(0)], [F(0), F(0)]], [F(0), F(1)]))             # zero row, b != 0
+@example(([[F(1), F(0), F(1)], [F(1), F(0), F(1)]], [F(1), F(1)]))  # zero column, tie
+@example(([[F(1), F(1), F(0)], [F(1), F(0), F(1)], [F(0), F(1), F(1)]],
+          [F(0), F(0), F(0)]))                                     # fully degenerate
+@example(([[F(2, 3), F(-1, 5)], [F(1, 7), F(3, 2)]], [F(1, 3), F(5, 4)]))
+@example(([], []))
+def test_fraction_free_simplex_matches_fraction_oracle(system):
+    a, b = system
+    assert eq_feasibility(a, b) == simplex_oracle.eq_feasibility(a, b)
+
+
+def test_pivot_loop_does_no_fraction_arithmetic():
+    """The dP1 refusal of -K - E1 takes 188 pivots on a 9 x 250 tableau; the
+    only Fraction arithmetic is mapping y back through the row signs."""
+    m = catalog("dP1")
+    gens = [c.cls.coeffs for c in m.neg_curves]
+    a = [[g[i] for g in gens] for i in range(m.rank)]
+    b = list((m.minus_k() - m.curve("E1")).coeffs)
+    ops = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ \
+                and code.co_name in ("_add", "_sub", "_mul", "_div"):
+            ops.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        res = eq_feasibility(a, b)
+    finally:
+        sys.setprofile(None)
+    assert not res.feasible and res.pivots == 188
+    assert len(ops) <= len(a)

@@ -2,6 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import simplex_oracle
+from delpezzo import lp, positivity
+from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import Poly
 from delpezzo.lattice import DivClass, catalog
 from delpezzo.positivity import (NotPseudoeffectiveError, pseff_certificate,
@@ -36,6 +39,33 @@ def test_zariski_rejects_non_pseudoeffective_with_certificate():
     for c in f1.neg_curves:
         assert f1.intersect(cert, c.cls) >= 0
     assert f1.intersect(cert, d) < 0
+
+
+def test_pseff_lp_calls_match_fraction_oracle(monkeypatch):
+    """Each in_cone call of pseff_certificate(m, -K - tC) on a built-in model
+    equals the Fraction simplex, pivots included.  dP1 gets one refusal:
+    its LP takes 188 pivots, about 2 s in the oracle."""
+    calls = []
+    original = lp.in_cone
+
+    def recorded(gens, target):
+        res = original(gens, target)
+        calls.append((gens, target, res))
+        return res
+
+    monkeypatch.setattr(positivity.lp, "in_cone", recorded)
+    for name in builtin_names():
+        m = catalog(name)
+        if name == "dP1":
+            grid = [(F(3), m.neg_curves[0])]
+        else:
+            grid = [(t, c) for t in (F(1, 2), F(3, 2), F(3)) for c in m.neg_curves[:2]]
+        for t, c in grid:
+            pseff_certificate(m, m.minus_k() - c.cls.scale(t))
+    assert {res.feasible for _, _, res in calls} == {True, False}
+    for gens, target, res in calls:
+        a = [[g[i] for g in gens] for i in range(len(target))]
+        assert res == simplex_oracle.eq_feasibility(a, target)
 
 
 def test_volume_examples():

@@ -7,18 +7,24 @@ and boundary pairs "P(1,1,n)+cQ" (c a rational in [0,1), Q the
 hyperplane section at infinity).  Blown-up points are always in general
 position; special-position surfaces are rejected rather than mis-modeled.
 
-The constructors below are the only source of the fixed catalog, and
-parameterized entries (generic "P(a,b,c)", pairs for arbitrary c) are
-built on demand by the same constructors.  Built-in models are code, so
-they are not re-validated when they load; the test suite and the
-``catalog:<name>`` rows of reproduce-paper validate them.
+The constructors below are the only source of the catalog.  Every model
+is built on its first lookup and then kept, one per canonical name: the
+20 fixed models from the name -> constructor table, pairs over them
+and generic "P(a,b,c)" by the same constructors.  Listing the names
+builds nothing.  Fixed models are code, so they are not re-validated
+when they are built; the test suite and the ``catalog:<name>`` rows of
+reproduce-paper validate them.  Pairs and generic weighted planes are
+validated when they are built.  While a ``--catalog`` overlay is given,
+a pair (whose base the overlay may supply) is built and validated on
+every lookup instead.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import Mapping
 
@@ -125,8 +131,6 @@ def _p1xp1_model() -> SurfaceModel:
 
 def _wps11n_model(n: int) -> SurfaceModel:
     """Rank-1 model of the cone P(1,1,n) over the degree-n rational normal curve."""
-    if n < 2:
-        raise ValueError("use dP9/dP8 for n = 1")
     resolution = ModelLink(
         target=f"F{n}~P(1,1,{n})",
         pullback=((Fraction(1, n),), (Fraction(1),)),
@@ -183,64 +187,16 @@ def _wps_model(a: int, b: int, c: int) -> SurfaceModel:
     )
 
 
-def _with_boundary_q(base: SurfaceModel, c: Fraction) -> SurfaceModel:
-    """Pair model: attach the boundary cQ to a P(1,1,n) model and its resolution."""
-    q_cls = base.named_divisors["Q"]
-    resolution = None
-    if base.resolution is not None:
-        resolution = ModelLink(
-            target=f"{base.resolution.target}+{rat_str(c)}Q",
-            pullback=base.resolution.pullback,
-            exceptional_label=base.resolution.exceptional_label,
-            exceptional=base.resolution.exceptional,
-            graph=base.resolution.graph,
-            boundary_mults=(Fraction(0),),  # Q misses the vertex
-        )
-    return SurfaceModel(
-        name=f"{base.name}+{rat_str(c)}Q",
-        basis_labels=base.basis_labels,
-        gram=base.gram,
-        canonical=base.canonical,
-        neg_curves=base.neg_curves,
-        boundary=(BoundaryPart("Q", q_cls, c),),
-        sings=base.sings,
-        named_divisors=dict(base.named_divisors),
-        point_classes=("generic", "on-Q", "vertex"),
-        resolution=resolution,
-        beta_candidates=("exceptional", "Q", "ruling"),
-    )
-
-
-def _fn_pair(base: SurfaceModel, c: Fraction) -> SurfaceModel:
-    """Resolution-side presentation of (P(1,1,n), cQ); Q pulls back to e + n f."""
-    n = -int(base.gram[0][0])
-    return SurfaceModel(
-        name=f"{base.name}+{rat_str(c)}Q",
-        basis_labels=base.basis_labels,
-        gram=base.gram,
-        canonical=base.canonical,
-        neg_curves=base.neg_curves,
-        boundary=(BoundaryPart("Q", DivClass.of([1, n]), c),),
-        named_divisors=dict(base.named_divisors),
-    )
-
-
-def builtin_models() -> list[SurfaceModel]:
-    models: list[SurfaceModel] = [_dp_model(d) for d in range(9, 0, -1)]
-    models.append(_p1xp1_model())
-    for n in range(2, 7):
-        models.append(_wps11n_model(n))
-        models.append(_fn_model(n))
-    return models
-
-
-@lru_cache(maxsize=1)
-def _builtin() -> dict[str, SurfaceModel]:
-    return {m.name: m for m in builtin_models()}
+_FIXED = {
+    **{f"dP{d}": partial(_dp_model, d) for d in range(9, 0, -1)},
+    "P1xP1": _p1xp1_model,
+    **{f"P(1,1,{n})": partial(_wps11n_model, n) for n in range(2, 7)},
+    **{f"F{n}~P(1,1,{n})": partial(_fn_model, n) for n in range(2, 7)},
+}
 
 
 def builtin_names() -> list[str]:
-    return sorted(_builtin())
+    return sorted(_FIXED)
 
 
 def canonical_name(name: str) -> str:
@@ -251,55 +207,69 @@ def canonical_name(name: str) -> str:
 
 
 def _pair(base: SurfaceModel, c: Fraction) -> SurfaceModel:
-    """The validated pair (base, cQ)."""
+    """The validated pair (base, cQ) over P(1,1,n), or over its resolution F_n,
+    where Q pulls back to e + n f."""
     if not 0 <= c < 1:
         raise UnknownSurfaceError(
             f"boundary coefficient {rat_str(c)} must lie in [0,1)")
+    suffix = f"+{rat_str(c)}Q"
+    fields = {}
     if base.name.startswith("F"):
-        return _fn_pair(base, c).validate_strict()
-    if "Q" not in base.named_divisors:
+        q_cls = DivClass.of([1, -int(base.gram[0][0])])
+    elif "Q" in base.named_divisors:
+        q_cls = base.named_divisors["Q"]
+        fields = dict(
+            point_classes=("generic", "on-Q", "vertex"),
+            beta_candidates=("exceptional", "Q", "ruling"),
+            # Q misses the vertex
+            resolution=base.resolution and replace(
+                base.resolution, target=base.resolution.target + suffix,
+                boundary_mults=(Fraction(0),)))
+    else:
         raise UnknownSurfaceError(f"{base.name} has no boundary section Q")
-    return _with_boundary_q(base, c).validate_strict()
+    return replace(base, name=base.name + suffix, boundary=(BoundaryPart("Q", q_cls, c),),
+                   named_divisors=dict(base.named_divisors), **fields).validate_strict()
 
 
-@lru_cache(maxsize=32)
-def _builtin_pair(base_name: str, c: Fraction) -> SurfaceModel:
-    """Pairs over built-in bases are built and validated once per process."""
-    return _pair(_builtin()[base_name], c)
-
-
-@lru_cache(maxsize=32)
-def _weighted_plane(a: int, b: int, c: int) -> SurfaceModel:
-    """Generic weighted planes are built and validated once per process."""
-    return _wps_model(a, b, c).validate_strict()
-
-
-def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> SurfaceModel:
-    s = canonical_name(name)
-    if extra and s in extra:
-        return extra[s]
-    if extra and name.strip() in extra:
-        return extra[name.strip()]
-    builtin = _builtin()
-    if s in builtin:
-        return builtin[s]
-    pair = _PAIR_RE.match(s)
+@lru_cache(maxsize=None)
+def _builtin(name: str) -> SurfaceModel | None:
+    """The catalog model with canonical name ``name``, built (and a pair or a
+    weighted plane validated) on its first lookup; None for an unknown name."""
+    if name in _FIXED:
+        return _FIXED[name]()
+    pair = _PAIR_RE.match(name)
     if pair:
-        base = get_model(pair.group("base"), extra=extra)
-        c = rat(pair.group("coeff"))
-        if builtin.get(base.name) is base:
-            return _builtin_pair(base.name, c)
-        return _pair(base, c)
-    wps = _WPS_RE.match(s)
+        base, coeff = pair.group("base"), pair.group("coeff")
+        c = rat(coeff)
+        if rat_str(c) != coeff:  # one model per coefficient value
+            return _builtin(f"{base}+{rat_str(c)}Q")
+        return _pair(get_model(base), c)
+    wps = _WPS_RE.match(name)
     if wps:
         a, b, c = (int(g) for g in wps.groups())
         if sorted((a, b, c)) == [1, 1, 1]:
-            return builtin["dP9"]
+            return _builtin("dP9")
         if a == 1 and b == 1:
             raise UnknownSurfaceError(
                 f"P(1,1,{c}) beyond the built-in range; load it with --catalog")
         try:
-            return _weighted_plane(a, b, c)
+            return _wps_model(a, b, c).validate_strict()
         except ValueError as exc:
             raise UnknownSurfaceError(str(exc)) from exc
-    raise UnknownSurfaceError(f"unknown surface {name!r}")
+    return None
+
+
+def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> SurfaceModel:
+    s = canonical_name(name)
+    if extra:
+        for key in (s, name.strip()):
+            if key in extra:
+                return extra[key]
+        pair = _PAIR_RE.match(s)
+        if pair:  # its base may come from the overlay: built on every lookup
+            return _pair(get_model(pair.group("base"), extra=extra),
+                         rat(pair.group("coeff")))
+    model = _builtin(s)
+    if model is None:
+        raise UnknownSurfaceError(f"unknown surface {name!r}")
+    return model

@@ -13,7 +13,6 @@ number of callers may share models concurrently.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -268,23 +267,34 @@ class SurfaceModel:
             problems.append(f"{self.name}: canonical class has wrong length")
         if not self.neg_curves:
             problems.append(f"{self.name}: no effective-cone generators listed")
-        mk = self.minus_k() if self.del_pezzo and len(self.canonical) == n else None
+        short = [c.label for c in self.neg_curves if len(c.cls) != n]
+        problems += [f"{self.name}: curve {label} has wrong length" for label in short]
+        # The pairings need every class at full length.  They are read one row
+        # at a time, so no N x N table is held (dP1 has 240 generators).
+        curves = () if short else self.neg_curves
+        mk = (self.minus_k() if self.del_pezzo and len(self.canonical) == n and not short
+              else None)
+        mk_dot = self.curve_pairings(mk) if mk is not None else ()
         lines: set[DivClass] = set()
-        for c in self.neg_curves:
-            if len(c.cls) != n:
-                problems.append(f"{self.name}: curve {c.label} has wrong length")
-                continue
-            sq = self.intersect(c.cls, c.cls)
+        for i, c in enumerate(curves):
+            row = self.curve_pairings(c.cls)
+            sq = row[i]
             if sq > 0 and n > 1:
                 problems.append(
                     f"{self.name}: generator {c.label} has positive square {sq} "
                     "on a rank >= 2 model")
             if mk is not None and sq == -1:
-                if self.intersect(mk, c.cls) != 1:
+                if mk_dot[i] != 1:
                     problems.append(
                         f"{self.name}: (-1)-curve {c.label} has -K.C != 1")
                 else:
                     lines.add(c.cls)
+            # two distinct irreducible curves meet non-negatively
+            for other, v in zip(curves[i + 1:], row[i + 1:]):
+                if v < 0 and other.cls != c.cls:
+                    problems.append(
+                        f"{self.name}: generators {c.label} and {other.label} "
+                        f"pair negatively ({rat_str(v)})")
         if mk is not None:
             degree = self.intersect(mk, mk)
             want = _DEL_PEZZO_LINES.get(degree)
@@ -317,38 +327,38 @@ def is_nef(m: SurfaceModel, d: DivClass) -> bool:
 def enumerate_neg_curves(k: int, c0_bound: int = 6) -> list[DivClass]:
     """All (-1)-curve classes on the blow-up of the plane at k general points.
 
-    Bounded brute force over c0*H + sum(d_i * E_i) with C^2 = -1 and
-    -K.C = 1; c0 <= 6 suffices for k <= 8 and larger bounds reproduce
-    the identical set.  Sorted canonically (by degree, then multiplicities).
+    Bounded search over c0*H + sum(d_i * E_i) with C^2 = -1 and -K.C = 1,
+    that is sum(d_i) = 1 - 3*c0 and sum(d_i^2) = c0^2 + 1, for 0 <= c0 <=
+    c0_bound and every d_i in [-(c0+1), 1].  One ordered recursion over the
+    k positions, pruned by Cauchy-Schwarz on the positions still free;
+    c0 <= 6 suffices for k <= 8 and larger bounds reproduce the identical
+    set.  Sorted canonically (by degree, then multiplicities).
     """
     if not 0 <= k <= 8:
         raise ValueError("k must lie in 0..8")
     sols: list[tuple[int, ...]] = []
-    for c0 in range(0, c0_bound + 1):
-        want_sum = 1 - 3 * c0       # sum of E-coefficients
-        want_sq = c0 * c0 + 1       # sum of squares of E-coefficients
-        # Enumerate multisets d_1 >= d_2 >= ... >= d_k, then expand.
-        def rec(pos: int, prev: int, rem_sum: int, rem_sq: int, acc: list[int]):
-            if pos == k:
-                if rem_sum == 0 and rem_sq == 0:
-                    sols.extend((c0,) + p for p in set(itertools.permutations(acc)))
-                return
-            slots = k - pos
-            for d in range(min(prev, 1), -(c0 + 2), -1):
-                sq = d * d
-                if sq > rem_sq:
-                    if d > 0:
-                        continue
-                    break
-                ns, nq = rem_sum - d, rem_sq - sq
-                # Cauchy-Schwarz prune: remaining sum must be achievable.
-                if slots > 1 and ns * ns > (slots - 1) * nq:
+
+    def rec(head: tuple[int, ...], rem_sum: int, rem_sq: int) -> None:
+        slots = k + 1 - len(head)
+        if slots == 0:
+            if rem_sum == 0 and rem_sq == 0:
+                sols.append(head)
+            return
+        for d in range(1, -(head[0] + 2), -1):
+            sq = d * d
+            if sq > rem_sq:
+                if d > 0:
                     continue
-                if slots == 1 and (ns != 0 or nq != 0):
-                    continue
-                rec(pos + 1, d, ns, nq, acc + [d])
-        rec(0, 1, want_sum, want_sq, [])
-    sols = sorted(set(sols), key=lambda s: (s[0], tuple(-d for d in s[1:])))
+                break
+            ns, nq = rem_sum - d, rem_sq - sq
+            # Cauchy-Schwarz prune: the free positions must reach sum ns with squares nq.
+            if ns * ns > (slots - 1) * nq:
+                continue
+            rec(head + (d,), ns, nq)
+
+    for c0 in range(c0_bound + 1):
+        rec((c0,), 1 - 3 * c0, c0 * c0 + 1)
+    sols.sort(key=lambda s: (s[0], tuple(-d for d in s[1:])))
     return [DivClass.of(s) for s in sols]
 
 
@@ -465,13 +475,16 @@ def load_models(path: str | Path, validate: bool = True) -> list[SurfaceModel]:
 
 def catalog(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> SurfaceModel:
     """Look up a built-in (or overlay) surface model by name."""
-    from .catalog import get_model
     return get_model(name, extra=extra)
 
 
 def catalog_names(extra: Mapping[str, SurfaceModel] | None = None) -> list[str]:
-    from .catalog import builtin_names
     names = builtin_names()
     if extra:
         names = sorted(set(names) | set(extra))
     return names
+
+
+# Imported last, as the catalog module needs the names above; loaded here, before
+# the package binds its ``catalog`` function, it can never rebind that name.
+from .catalog import builtin_names, get_model  # noqa: E402

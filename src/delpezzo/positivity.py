@@ -99,13 +99,15 @@ class ZariskiDecomp:
         problems = []
         if self.positive + self.negative_class(m) != original:
             problems.append("P + N does not reassemble the input class")
+        p_dot: dict[str, Rat] = {}
         for c, v in zip(m.neg_curves, m.curve_pairings(self.positive)):
+            p_dot.setdefault(c.label, v)  # the first curve of a label, as m.curve reads
             if v < 0:
                 problems.append(f"P is negative against {c.label}")
         for label, coeff in self.negative:
             if coeff < 0:
                 problems.append(f"negative part has coefficient {coeff} < 0 on {label}")
-            if m.intersect(self.positive, m.curve(label)) != 0:
+            if p_dot[label] != 0:
                 problems.append(f"P not orthogonal to {label}")
         if self.negative and not is_negative_definite(self.gram_cert):
             problems.append("support Gram matrix is not negative definite")
@@ -326,7 +328,11 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
             n_coeffs=tuple((c.label, n) for c, n in zip(support, n_polys)),
             vol=vol))
         if final:
-            profile = PiecewisePoly(breakpoints, pieces)
+            try:  # the walk's pieces must join continuously
+                profile = PiecewisePoly(breakpoints, pieces)
+            except ValueError as exc:
+                raise ConeDataError(f"volume profile on {m.name} is not continuous ({exc}); "
+                                    "cone data possibly incomplete") from exc
             return VolumeProfile(profile=profile, tau=t_end, chambers=tuple(chambers),
                                  L=L, E=E, e_label=e_label, L2=l2)
         for root, kind, c in wall_events:

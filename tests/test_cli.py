@@ -307,9 +307,9 @@ def test_reproduce_paper_api_wrapper():
     assert all(r["section"] == 5 for r in payload["results"]["rows"])
 
 
-def test_uncertifiable_catalog_model_exits_3(tmp_path, capsys):
-    # Passes validation, but the support {f1, g} has Gram [[0, -1], [-1, -2]],
-    # which is not negative definite: the Zariski machinery cannot certify.
+def test_uncertifiable_catalog_model_exits_3(tmp_path, capsys, monkeypatch):
+    # f1.g = -1, which two distinct irreducible curves never have: the model
+    # is refused up front instead of stalling the Zariski machinery.
     model = {"name": "hyp", "basis": ["a", "b"],
              "gram": [["0", "1"], ["1", "0"]], "canonical": ["-2", "-2"],
              "neg_curves": [{"label": "f1", "coeffs": ["1", "0"]},
@@ -318,6 +318,28 @@ def test_uncertifiable_catalog_model_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(model))
     report, code = run(["--catalog", str(path), "zariski", "--surface", "hyp",
                         "--div", "2a - b"])
+    assert report is None and code == 2
+    assert "hyp: generators f1 and g pair negatively (-1)" in capsys.readouterr().err
+    # A support the machinery cannot certify as negative definite exits 3.
+    from delpezzo import positivity
+    monkeypatch.setattr(positivity, "is_negative_definite", lambda gram: False)
+    report, code = run(["zariski", "--surface", "dP7", "--div", "-K - 2Ltilde"])
     assert report is None and code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot certify: ") and "Traceback" not in err
+    assert err.startswith("error: cannot certify: support {E1, E2} on dP7 ")
+    assert "Traceback" not in err
+
+
+def test_discontinuous_profile_exits_3(monkeypatch, capsys):
+    from delpezzo import positivity
+    from delpezzo.exactnum import PiecewisePoly, Poly
+
+    def lifted(breakpoints, pieces):  # a jump at the first wall
+        return PiecewisePoly(breakpoints, [pieces[0] + Poly([1]), *pieces[1:]])
+
+    monkeypatch.setattr(positivity, "PiecewisePoly", lifted)
+    report, code = run(["volfn", "--surface", "dP7", "--divisor-spec", "Ltilde"])
+    assert report is None and code == 3
+    assert capsys.readouterr().err.startswith(
+        "error: cannot certify: volume profile on dP7 is not continuous "
+        "(pieces disagree at breakpoint 1")

@@ -1,14 +1,21 @@
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import neg_curves_oracle
 from delpezzo.catalog import builtin_names, canonical_name
-from delpezzo.lattice import (DivClass, ModelInvariantError, UnknownSurfaceError,
-                              catalog, catalog_names, enumerate_neg_curves, is_nef,
-                              load_models, model_from_dict, model_to_dict)
+from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel,
+                              UnknownSurfaceError, catalog, catalog_names,
+                              enumerate_neg_curves, is_nef, load_models, model_from_dict,
+                              model_to_dict)
 
 # sha256 of the built-in models in their declarative form, sorted by name.
 BUILTIN_DIGEST = "c466a163f2201cc7ae141429a923ffdd87fdd2ebb952d71f1cc2acdfe4f999df"
@@ -124,9 +131,8 @@ def test_pair_models_track_coefficient():
         catalog("P(1,1,2)+5/4Q")
 
 
-def test_builtin_pairs_are_built_once(monkeypatch):
-    from delpezzo import catalog as cat
-    from delpezzo.lattice import SurfaceModel
+def _counted_validations(monkeypatch) -> list[str]:
+    """Names of the models validated from here on."""
     calls = []
     original = SurfaceModel.validate
 
@@ -135,9 +141,16 @@ def test_builtin_pairs_are_built_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(SurfaceModel, "validate", counted)
-    cat._builtin_pair.cache_clear()
+    return calls
+
+
+def test_builtin_pairs_are_built_once(monkeypatch):
+    cat = importlib.import_module("delpezzo.catalog")
+    calls = _counted_validations(monkeypatch)
+    cat._builtin.cache_clear()
     first = catalog("P(1,1,2)+1/2Q")
     assert catalog("P(1,1,2)+Q/2") is first
+    assert catalog("P(1,1,2)+2/4Q") is first
     assert calls == ["P(1,1,2)+1/2Q"]
     # a pair over a --catalog base is built and validated on every lookup
     base = model_from_dict(model_to_dict(catalog("P(1,1,2)")), validate=False)
@@ -149,20 +162,48 @@ def test_builtin_pairs_are_built_once(monkeypatch):
 
 
 def test_weighted_planes_are_built_once(monkeypatch):
-    from delpezzo import catalog as cat
-    from delpezzo.lattice import SurfaceModel
-    calls = []
-    original = SurfaceModel.validate
-
-    def counted(self):
-        calls.append(self.name)
-        return original(self)
-
-    monkeypatch.setattr(SurfaceModel, "validate", counted)
-    cat._weighted_plane.cache_clear()
+    cat = importlib.import_module("delpezzo.catalog")
+    calls = _counted_validations(monkeypatch)
+    cat._builtin.cache_clear()
     first = catalog("P(1,2,3)")
     assert catalog("P(1, 2, 3)") is first
     assert calls == ["P(1,2,3)"]
+    assert catalog("P2") is catalog("P(1,1,1)")
+
+
+def test_fixed_models_are_built_on_first_lookup(monkeypatch):
+    cat = importlib.import_module("delpezzo.catalog")
+    built = []
+
+    def counted(**fields):
+        built.append(fields["name"])
+        return SurfaceModel(**fields)
+
+    monkeypatch.setattr(cat, "SurfaceModel", counted)
+    cat._builtin.cache_clear()
+    assert len(builtin_names()) == 20
+    assert built == []
+    assert catalog("dP7").name == "dP7"
+    assert built == ["dP7"]
+
+
+def test_package_catalog_stays_the_lookup_function():
+    # The first lookup must not rebind ``delpezzo.catalog`` to the submodule;
+    # a fresh interpreter is the only place where that first import happens.
+    code = ("import delpezzo; delpezzo.catalog('dP7'); "
+            "print(delpezzo.catalog('dP6').name)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "dP6\n"
+
+
+def test_neg_curves_match_the_permutation_oracle():
+    for bound in (6, 8):
+        for k in range(9):
+            assert enumerate_neg_curves(k, bound) == \
+                neg_curves_oracle.enumerate_neg_curves(k, bound)
 
 
 @pytest.mark.parametrize("name", builtin_names() + ["P(1,1,2)+1/2Q", "P(1,2,3)"])

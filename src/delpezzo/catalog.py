@@ -4,8 +4,9 @@ Canonical names are degree-based: "dP9" (= "P2") down to "dP1" for the
 blow-ups of the plane at general points, "P1xP1", weighted planes
 "P(1,1,n)" with their ruled-surface resolution models "Fn~P(1,1,n)",
 and boundary pairs "P(1,1,n)+cQ" (c a rational in [0,1), Q the
-hyperplane section at infinity).  Blown-up points are always in general
-position; special-position surfaces are rejected rather than mis-modeled.
+hyperplane section at infinity; a pair over a pair is refused).  Blown-up
+points are always in general position; special-position surfaces are
+rejected rather than mis-modeled.
 
 The constructors below are the only source of the catalog.  Every model
 is built on its first lookup and then kept, one per canonical name: the
@@ -41,7 +42,7 @@ _ALIASES = {
     "P1xP1": "P1xP1",
 }
 
-_PAIR_RE = re.compile(r"^(?P<base>.+?)\+(?P<coeff>\d+(?:/\d+)?)Q$")
+_PAIR_RE = re.compile(r"^(?P<base>.+?)\+(?P<coeff>\d+(?:/0*[1-9]\d*)?)Q$")
 _WPS_RE = re.compile(r"^P\((\d+),(\d+),(\d+)\)$")
 
 
@@ -213,6 +214,10 @@ def _pair(base: SurfaceModel, c: Fraction) -> SurfaceModel:
         raise UnknownSurfaceError(
             f"boundary coefficient {rat_str(c)} must lie in [0,1)")
     suffix = f"+{rat_str(c)}Q"
+    if base.boundary:
+        raise UnknownSurfaceError(
+            f"{base.name} already has a boundary; a pair over a pair is not "
+            "a catalog surface")
     fields = {}
     if base.name.startswith("F"):
         q_cls = DivClass.of([1, -int(base.gram[0][0])])

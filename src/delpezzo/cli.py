@@ -21,7 +21,7 @@ from pathlib import Path
 from . import azflag, gitcubic, localvol, positivity, valuative
 from .exactnum import rat, rat_str
 from .lattice import (DivClass, SurfaceModel, UnknownSurfaceError, catalog,
-                      catalog_names, load_models, model_to_dict)
+                      catalog_names, load_models, model_to_dict, validate_links)
 from .localvol import parse_sing
 from .parse import ParseError, parse_div_expr, poly_terms
 from .report import Report
@@ -156,22 +156,24 @@ def _load_extra(paths) -> dict[str, SurfaceModel]:
 
 
 def _surface(args, extra) -> SurfaceModel:
-    """The named model; a --catalog model is validated and refused if invalid."""
+    """The named model.  While --catalog models are loaded, the model (one of
+    them, or a pair over one) is validated, its links are checked against
+    their built-in targets, and it is refused if either fails."""
     try:
         m = catalog(args.surface, extra=extra)
     except UnknownSurfaceError as exc:
         raise CommandError(str(exc)) from exc
-    if extra and extra.get(m.name) is m:
-        problems = m.validate()
+    if extra:
+        problems = m.validate() or validate_links(m)
         if problems:
             raise CommandError("invalid --catalog model: " + "; ".join(problems))
     return m
 
 
 def _div_from_expr(m: SurfaceModel, src: str) -> DivClass:
-    def check(label):
+    def check(label, pos):
         if m.named(label) is None:
-            raise ParseError(f"unknown divisor label {label!r} on {m.name}", 0)
+            raise ParseError(f"unknown divisor label {label!r} on {m.name}", pos)
     terms = parse_div_expr(src, check)
     total = DivClass((Fraction(0),) * m.rank)
     for coeff, label in terms:

@@ -317,6 +317,60 @@ class SurfaceModel:
         return self
 
 
+def validate_links(m: SurfaceModel) -> list[str]:
+    """Problems of a validated model's blow-up and resolution links (empty
+    when healthy), each checked against ``catalog(link.target)``, the
+    built-in model that divisor specs are resolved on.
+
+    Kept apart from ``SurfaceModel.validate`` so that building a pair does
+    not also build and validate its resolution target.
+    """
+    problems: list[str] = []
+    for kind, link in (("blowup", m.blowup), ("resolution", m.resolution)):
+        if link is None:
+            continue
+        where = f"{m.name}: {kind} link to {link.target}"
+        try:
+            target = catalog(link.target)
+        except UnknownSurfaceError:
+            problems.append(f"{where}: target is not a built-in surface")
+            continue
+        pulled: list[DivClass] = []
+        if (len(link.pullback) != target.rank
+                or any(len(row) != m.rank for row in link.pullback)):
+            problems.append(f"{where}: pullback is not {target.rank} x {m.rank}")
+        else:
+            # the pullback of the i-th basis class is the i-th column
+            pulled = [DivClass(tuple(row[i] for row in link.pullback))
+                      for i in range(m.rank)]
+            for i, a in enumerate(pulled):
+                for j in range(i, m.rank):
+                    if target.intersect(a, pulled[j]) != m.gram[i][j]:
+                        problems.append(
+                            f"{where}: pullback changes the pairing of "
+                            f"{m.basis_labels[i]} and {m.basis_labels[j]}")
+        e = link.exceptional
+        if len(e) != target.rank:
+            problems.append(f"{where}: exceptional class has wrong length")
+        else:
+            sq = target.intersect(e, e)
+            if sq >= 0:
+                problems.append(f"{where}: exceptional class has square {rat_str(sq)} >= 0")
+            for label, a in zip(m.basis_labels, pulled):
+                if target.intersect(e, a) != 0:
+                    problems.append(
+                        f"{where}: exceptional class meets the pullback of {label}")
+        if link.exceptional_label not in (v[0] for v in link.graph.vertices):
+            problems.append(
+                f"{where}: exceptional label {link.exceptional_label} is not a "
+                "vertex of its graph")
+        if len(link.boundary_mults) != len(m.boundary):
+            problems.append(
+                f"{where}: {len(link.boundary_mults)} boundary multiplicities for "
+                f"{len(m.boundary)} boundary parts")
+    return problems
+
+
 def is_nef(m: SurfaceModel, d: DivClass) -> bool:
     """Nefness against the catalogued effective-cone generators."""
     if not m.neg_curves:

@@ -1,10 +1,14 @@
 """Input grammars: polynomial expressions and divisor-class expressions.
 
-The polynomial grammar covers variables x, y, z, w, rational literals
-("3", "5/6"), +, -, explicit or implicit multiplication, integer
-exponents and parentheses; division appears only inside rational
-literals, anything else is rejected as non-polynomial.  Parse errors
-carry the 1-based column of the offending token.
+The polynomial grammar covers the caller's variables (x, y, z, w by
+default), integer and "p/q" literals ("3", "5/6"; no decimals), +, -, explicit
+or implicit multiplication (juxtaposed single-letter variables such as
+"xyz" multiply too), integer exponents and parentheses; division appears
+only inside rational literals, anything else is rejected as
+non-polynomial.  The parser evaluates as it reads, so a polynomial goes
+straight to its exponent-tuple -> coefficient map with no syntax tree in
+between.  Errors carry the 1-based column of the offending token; the
+first syntax error is reported before any unknown variable.
 """
 
 from __future__ import annotations
@@ -22,51 +26,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         self.pos = pos
         super().__init__(f"{message} (column {pos + 1})")
-
-
-# --- AST ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: Rat
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "PolyExpr"
-    right: "PolyExpr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "PolyExpr"
-    right: "PolyExpr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "PolyExpr"
-    right: "PolyExpr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "PolyExpr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "PolyExpr"
-
-
-PolyExpr = Num | Var | Add | Sub | Mul | Pow | Neg
 
 
 @dataclass(frozen=True)
@@ -109,9 +68,21 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, src: str):
+    """Recursive descent that evaluates as it reads: each rule returns the
+    term map (exponent tuple -> nonzero coefficient) of what it has read.
+
+    Syntax errors are raised where they are read.  The first unknown
+    variable in reading order is only recorded, and raised once the whole
+    input has parsed, so a syntax error anywhere takes precedence.
+    """
+
+    def __init__(self, src: str, variables: Sequence[str]):
         self.toks = _tokenize(src)
         self.i = 0
+        self.variables = variables
+        self.index = {v: i for i, v in enumerate(variables)}
+        self.zero = (0,) * len(variables)
+        self.unknown: ParseError | None = None
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -121,150 +92,108 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, text: str) -> _Token:
+    def at_op(self, ops: str) -> bool:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.pos)
-        return self.take()
+        return tok.kind == "op" and tok.text in ops
 
-    def parse(self) -> PolyExpr:
-        expr = self.expr()
+    def parse(self) -> dict[tuple[int, ...], Rat]:
+        terms = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return expr
+        if self.unknown is not None:
+            raise self.unknown
+        return terms
 
-    def expr(self) -> PolyExpr:
-        tok = self.peek()
-        negate = False
-        if tok.kind == "op" and tok.text in "+-":
-            self.take()
-            negate = tok.text == "-"
-        node: PolyExpr = self.term()
+    def expr(self) -> dict:
+        negate = self.at_op("+-") and self.take().text == "-"
+        terms = self.term()
         if negate:
-            node = Neg(node)
+            terms = {k: -v for k, v in terms.items()}
+        while self.at_op("+-"):
+            sign = -1 if self.take().text == "-" else 1
+            out = dict(terms)
+            for k, v in self.term().items():
+                out[k] = out.get(k, Fraction(0)) + sign * v
+            terms = {k: v for k, v in out.items() if v != 0}
+        return terms
+
+    def term(self) -> dict:
+        terms = self.factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
+            if self.at_op("*"):
                 self.take()
-                rhs = self.term()
-                node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
-            else:
-                return node
+            elif not (self.peek().kind in ("num", "name") or self.at_op("(")):
+                return terms
+            terms = poly_mul(terms, self.factor())   # explicit or implicit
 
-    def term(self) -> PolyExpr:
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.take()
-                node = Mul(node, self.factor())
-            elif tok.kind in ("num", "name") or (tok.kind == "op" and tok.text == "("):
-                node = Mul(node, self.factor())   # implicit multiplication
-            else:
-                return node
+    def factor(self) -> dict:
+        if self.at_op("-"):
+            self.take()
+            return {k: -v for k, v in self.factor().items()}
+        base = self.atom()
+        if not self.at_op("^"):
+            return base
+        self.take()
+        etok = self.peek()
+        if etok.kind != "num" or etok.value.denominator != 1:
+            raise ParseError("expected integer exponent after '^'", etok.pos)
+        self.take()
+        terms = {self.zero: Fraction(1)}
+        for _ in range(int(etok.value)):
+            terms = poly_mul(terms, base)
+        return terms
 
-    def factor(self) -> PolyExpr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.take()
-            return Neg(self.factor())
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.take()
-            etok = self.peek()
-            if etok.kind != "num" or etok.value.denominator != 1:
-                raise ParseError("expected integer exponent after '^'", etok.pos)
-            self.take()
-            node = Pow(node, int(etok.value))
-        return node
-
-    def atom(self) -> PolyExpr:
+    def atom(self) -> dict:
         tok = self.take()
         if tok.kind == "num":
             value = tok.value
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "/":
+            if self.at_op("/"):
                 self.take()
                 den = self.peek()
                 if den.kind != "num" or den.value.denominator != 1 or den.value == 0:
                     raise ParseError("expected nonzero integer denominator", den.pos)
                 self.take()
                 value = value / den.value
-            return Num(value)
+            return {self.zero: value} if value != 0 else {}
         if tok.kind == "name":
-            return Var(tok.text, tok.pos)
+            return self.monomial(tok)
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            terms = self.expr()
+            if not self.at_op(")"):
+                raise ParseError("expected ')'", self.peek().pos)
+            self.take()
+            return terms
         if tok.kind == "op" and tok.text == "/":
             raise ParseError("division is only allowed inside rational literals", tok.pos)
-        raise ParseError(f"expected a number, variable or '('", tok.pos)
+        raise ParseError("expected a number, variable or '('", tok.pos)
 
-
-def parse_poly(src: str) -> PolyExpr:
-    """Parse a polynomial expression to its AST (positioned errors)."""
-    return _Parser(src).parse()
-
-
-def expand(expr: PolyExpr, variables: Sequence[str] = POLY_VARS,
-           ) -> dict[tuple[int, ...], Rat]:
-    """Expand an AST to a finite exponent-to-coefficient map."""
-    index = {v: i for i, v in enumerate(variables)}
-    zero = tuple(0 for _ in variables)
-
-    def go(node: PolyExpr) -> dict:
-        if isinstance(node, Num):
-            return {zero: node.value} if node.value != 0 else {}
-        if isinstance(node, Var):
-            if node.name not in index:
-                # juxtaposed single-letter variables ("xyz") multiply
-                if len(node.name) > 1 and all(ch in index for ch in node.name):
-                    acc = {zero: Fraction(1)}
-                    for ch in node.name:
-                        acc = poly_mul(acc, go(Var(ch, node.pos)))
-                    return acc
-                raise ParseError(
-                    f"unknown variable {node.name!r} (allowed: {', '.join(variables)})",
-                    node.pos)
-            key = tuple(int(i == index[node.name]) for i in range(len(variables)))
-            return {key: Fraction(1)}
-        if isinstance(node, Neg):
-            return {k: -v for k, v in go(node.operand).items()}
-        if isinstance(node, Add):
-            out = dict(go(node.left))
-            for k, v in go(node.right).items():
-                out[k] = out.get(k, Fraction(0)) + v
-            return {k: v for k, v in out.items() if v != 0}
-        if isinstance(node, Sub):
-            out = dict(go(node.left))
-            for k, v in go(node.right).items():
-                out[k] = out.get(k, Fraction(0)) - v
-            return {k: v for k, v in out.items() if v != 0}
-        if isinstance(node, Mul):
-            return poly_mul(go(node.left), go(node.right))
-        if isinstance(node, Pow):
-            acc = {zero: Fraction(1)}
-            for _ in range(node.exponent):
-                acc = poly_mul(acc, go(node.base))
-            return acc
-        raise TypeError(f"unknown node {node!r}")
-
-    return go(expr)
+    def monomial(self, tok: _Token) -> dict:
+        """A variable, or juxtaposed single-letter variables ("xyz") multiplied."""
+        letters = [tok.text] if tok.text in self.index else list(tok.text)
+        if any(letter not in self.index for letter in letters):
+            if self.unknown is None:
+                self.unknown = ParseError(
+                    f"unknown variable {tok.text!r} (allowed: {', '.join(self.variables)})",
+                    tok.pos)
+            return {}
+        exps = [0] * len(self.variables)
+        for letter in letters:
+            exps[self.index[letter]] += 1
+        return {tuple(exps): Fraction(1)}
 
 
 def poly_terms(src: str, variables: Sequence[str] = POLY_VARS) -> dict[tuple[int, ...], Rat]:
-    """Parse and expand in one step."""
-    return expand(parse_poly(src), variables)
+    """The exponent-tuple -> coefficient map of a polynomial expression."""
+    return _Parser(src, variables).parse()
 
 
 def parse_div_expr(src: str, resolve: "callable") -> "list[tuple[Rat, str]]":
     """Parse a divisor expression like "3H - E1 - 1/2Q" into (coeff, label) terms.
 
-    ``resolve`` is called with each label purely to validate it early and
-    raise a helpful error; the returned terms keep the label text.
+    ``resolve`` is called with each label and its 0-based column purely to
+    validate it early and raise a helpful, positioned error; the returned
+    terms keep the label text.
     """
     toks = _tokenize(src)
     terms: list[tuple[Rat, str]] = []
@@ -294,7 +223,7 @@ def parse_div_expr(src: str, resolve: "callable") -> "list[tuple[Rat, str]]":
         tok = toks[i]
         if tok.kind != "name":
             raise ParseError("expected a divisor label", tok.pos)
-        resolve(tok.text)
+        resolve(tok.text, tok.pos)
         terms.append((sign * coeff, tok.text))
         i += 1
         first = False

@@ -16,7 +16,8 @@ from typing import Callable, Mapping
 
 from . import azflag, gitcubic, localvol, positivity, valuative
 from .exactnum import Poly, PiecewisePoly, rat_str
-from .lattice import DivClass, SurfaceModel, catalog, catalog_names, enumerate_neg_curves
+from .lattice import (DivClass, SurfaceModel, catalog, catalog_names, enumerate_neg_curves,
+                      validate_links)
 from .localvol import QuotientSing, markov_tree, parse_sing, wps_volume
 
 
@@ -39,7 +40,7 @@ def _catalog_rows(extra: Mapping[str, SurfaceModel] | None) -> list[Row]:
     for name in names:
         def check(name=name):
             m = catalog(name, extra=extra)
-            problems = m.validate()
+            problems = m.validate() or validate_links(m)
             return (not problems,
                     "invariants hold" if not problems else "; ".join(problems))
         rows.append(Row(1, f"catalog:{name}",

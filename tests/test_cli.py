@@ -343,3 +343,71 @@ def test_discontinuous_profile_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(
         "error: cannot certify: volume profile on dP7 is not continuous "
         "(pieces disagree at breakpoint 1")
+
+
+def test_pair_over_a_pair_is_refused(capsys):
+    report, code = run(["beta", "--surface", "P(1,1,2)+1/2Q+1/4Q",
+                        "--divisor-spec", "exceptional"])
+    assert report is None and code == 2
+    assert "P(1,1,2)+1/2Q already has a boundary" in capsys.readouterr().err
+
+
+def test_zero_denominator_in_a_pair_name_is_a_usage_error(capsys):
+    report, code = run(["catalog", "show", "P(1,1,2)+1/0Q"])
+    assert report is None and code == 2
+    assert "unknown surface 'P(1,1,2)+1/0Q'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blowup, problem", [
+    ({"pullback": [["2"], ["0"]]},
+     "blowup link to dP8: pullback changes the pairing of H and H"),
+    ({"exceptional_label": "X"},
+     "blowup link to dP8: exceptional label X is not a vertex of its graph"),
+    ({"target": "myF1"}, "blowup link to myF1: target is not a built-in surface"),
+])
+def test_catalog_links_are_checked_against_their_targets(tmp_path, capsys, blowup, problem):
+    # Each edit used to give a certified beta, a traceback or a mid-command
+    # refusal; the model is now refused up front.
+    plane = model_to_dict(catalog("dP9"))
+    plane["name"] = "myP2"
+    plane["blowup"].update(blowup)
+    f1 = {**model_to_dict(catalog("dP8")), "name": "myF1"}
+    path = tmp_path / "links.json"
+    path.write_text(json.dumps({"models": [plane, f1]}))
+    flags = ["--catalog", str(path)]
+    report, code = run(flags + ["beta", "--surface", "myP2",
+                                "--divisor-spec", "exceptional:pt"])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: invalid --catalog model: myP2: {problem}\n"
+    report, code = run(flags + ["reproduce-paper", "--section", "1"])
+    rows = {r["id"]: r for r in json.loads(report.to_json())["results"]["rows"]}
+    assert rows["catalog:myP2"]["status"] == "FAIL"
+    assert problem in rows["catalog:myP2"]["result"]
+    assert rows["catalog:myF1"]["status"] == "pass"
+
+
+def test_pair_over_a_catalog_base_has_its_links_checked(tmp_path, capsys):
+    # The pair inherits the broken pullback; it used to certify beta = -1.
+    cone = model_to_dict(catalog("P(1,1,2)"))
+    cone["name"] = "myP112"
+    cone["resolution"]["pullback"] = [["1"], ["2"]]
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(cone))
+    report, code = run(["--catalog", str(path), "beta", "--surface", "myP112+1/2Q",
+                        "--divisor-spec", "exceptional"])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid --catalog model: myP112+1/2Q: resolution link to "
+        "F2~P(1,1,2)+1/2Q: pullback changes the pairing of O1 and O1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["zariski", "--surface", "dP7", "--div", "-K - 2Q"],
+     "unknown divisor label 'Q' on dP7 (column 7)"),
+    (["intersect", "--surface", "dP7", "--d1", "H", "--d2", "H - E1 - X9"],
+     "unknown divisor label 'X9' on dP7 (column 10)"),
+])
+def test_unknown_divisor_label_is_reported_at_its_column(capsys, argv, message):
+    report, code = run(argv)
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -15,7 +16,7 @@ from delpezzo.catalog import builtin_names, canonical_name
 from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel,
                               UnknownSurfaceError, catalog, catalog_names,
                               enumerate_neg_curves, is_nef, load_models, model_from_dict,
-                              model_to_dict)
+                              model_to_dict, validate_links)
 
 # sha256 of the built-in models in their declarative form, sorted by name.
 BUILTIN_DIGEST = "c466a163f2201cc7ae141429a923ffdd87fdd2ebb952d71f1cc2acdfe4f999df"
@@ -112,6 +113,38 @@ def test_catalog_unknown():
         catalog("dP10")
     with pytest.raises(UnknownSurfaceError):
         catalog("P(2,4,5)")   # not well-formed
+
+
+def test_nested_pairs_and_zero_denominators_are_unknown():
+    for name in ("P(1,1,2)+1/2Q+1/4Q", "F2~P(1,1,2)+1/2Q+1/4Q", "P(1,1,2)+1/0Q"):
+        with pytest.raises(UnknownSurfaceError):
+            catalog(name)
+
+
+def test_builtin_links_pass_the_link_checks():
+    pairs = [f"P(1,1,{n})+{c}Q" for n in range(2, 7) for c in ("0", "1/2", "5/6")]
+    for name in builtin_names() + pairs:
+        assert validate_links(catalog(name)) == [], name
+
+
+def test_link_checks_report_each_broken_link():
+    pair = catalog("P(1,1,2)+1/2Q")
+    link = pair.resolution
+    for broken, problems in (
+            (dataclasses.replace(link, boundary_mults=()),
+             ["0 boundary multiplicities for 1 boundary parts"]),
+            (dataclasses.replace(link, exceptional=DivClass.of([2, 1])),
+             ["exceptional class meets the pullback of O1"]),
+            (dataclasses.replace(link, exceptional=DivClass.of([0, 1])),
+             ["exceptional class has square 0 >= 0",
+              "exceptional class meets the pullback of O1"]),
+            (dataclasses.replace(link, pullback=((F(1, 2),),)),
+             ["pullback is not 2 x 1"]),
+            (dataclasses.replace(link, target="P(1,1,9)"),
+             ["target is not a built-in surface"])):
+        where = f"P(1,1,2)+1/2Q: resolution link to {broken.target}: "
+        assert validate_links(dataclasses.replace(pair, resolution=broken)) == [
+            where + problem for problem in problems]
 
 
 def test_parametrized_wps():

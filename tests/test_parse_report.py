@@ -1,9 +1,12 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from delpezzo.parse import ParseError, parse_div_expr, parse_poly, poly_terms
+import poly_parse_oracle
+from delpezzo.parse import POLY_VARS, ParseError, parse_div_expr, poly_terms
 from delpezzo.report import Report
 
 
@@ -21,16 +24,16 @@ def test_parse_poly_germs_and_forms():
 
 def test_parse_poly_errors_are_positioned():
     with pytest.raises(ParseError) as err:
-        parse_poly("y^2 - x^")
+        poly_terms("y^2 - x^")
     assert "column 9" in str(err.value)
     with pytest.raises(ParseError):
-        parse_poly("y^2 - x^y")
+        poly_terms("y^2 - x^y")
     with pytest.raises(ParseError):
-        parse_poly("x/y")          # division only in rational literals
+        poly_terms("x/y")          # division only in rational literals
     with pytest.raises(ParseError):
-        parse_poly("x + ")
+        poly_terms("x + ")
     with pytest.raises(ParseError):
-        parse_poly("x ? y")
+        poly_terms("x ? y")
     with pytest.raises(ParseError):
         poly_terms("a + b", ("x", "y"))
     for src, column in (("x + q", 5), ("x^2 + y^3 + z", 13)):
@@ -39,17 +42,53 @@ def test_parse_poly_errors_are_positioned():
         assert f"(column {column})" in str(err.value)
 
 
+def _outcome(parse, src, variables):
+    """The term map with its key order, or the ParseError message."""
+    try:
+        return list(parse(src, variables).items())
+    except ParseError as exc:
+        return str(exc)
+
+
+# Nine characters keep every power small: at most "(x+y)^333".
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="xyzwq0123+-*^()/ ", max_size=9),
+       st.sampled_from([("x", "y"), POLY_VARS]))
+def test_poly_terms_match_the_tree_oracle(src, variables):
+    got = _outcome(poly_terms, src, variables)
+    want = _outcome(poly_parse_oracle.poly_terms, src, variables)
+    if got != want:
+        # The one intended difference: an unknown variable under "^0" is
+        # refused, where the oracle accepts or names a later unknown variable.
+        assert re.search(r"\^\s*0+(?![0-9])", src)
+        assert isinstance(got, str) and got.startswith("unknown variable")
+        assert isinstance(want, list) or want.startswith("unknown variable")
+
+
+def test_unknown_variable_under_power_zero_is_refused():
+    assert poly_parse_oracle.poly_terms("q^0 + x", ("x", "y")) == {(0, 0): 1, (1, 0): 1}
+    with pytest.raises(ParseError) as err:
+        poly_terms("q^0 + x", ("x", "y"))
+    assert str(err.value) == "unknown variable 'q' (allowed: x, y) (column 1)"
+
+
+def test_first_syntax_error_wins_over_an_unknown_variable():
+    with pytest.raises(ParseError) as err:
+        poly_terms("q + x^", ("x", "y"))
+    assert str(err.value) == "expected integer exponent after '^' (column 7)"
+
+
 def test_parse_div_expr():
-    terms = parse_div_expr("3H - E1 - 1/2 Q", lambda label: None)
+    terms = parse_div_expr("3H - E1 - 1/2 Q", lambda label, pos: None)
     assert terms == [(3, "H"), (-1, "E1"), (F(-1, 2), "Q")]
-    assert parse_div_expr("-K", lambda label: None) == [(-1, "K")]
-    assert parse_div_expr("2*H + E2", lambda label: None) == [(2, "H"), (1, "E2")]
+    assert parse_div_expr("-K", lambda label, pos: None) == [(-1, "K")]
+    assert parse_div_expr("2*H + E2", lambda label, pos: None) == [(2, "H"), (1, "E2")]
     with pytest.raises(ParseError):
-        parse_div_expr("H E1", lambda label: None)   # missing sign
+        parse_div_expr("H E1", lambda label, pos: None)   # missing sign
     with pytest.raises(ParseError):
-        parse_div_expr("", lambda label: None)
+        parse_div_expr("", lambda label, pos: None)
     with pytest.raises(ParseError):
-        parse_div_expr("3 +", lambda label: None)
+        parse_div_expr("3 +", lambda label, pos: None)
 
 
 def test_report_json_and_table_render_same_values():

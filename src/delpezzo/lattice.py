@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -30,6 +31,35 @@ from .localvol import QuotientSing, parse_sing
 # (degree 8 is F1 with one, or P1xP1 with none).
 _DEL_PEZZO_LINES = {9: (0,), 8: (0, 1), 7: (3,), 6: (6,), 5: (10,), 4: (16,),
                    3: (27,), 2: (56,), 1: (240,)}
+
+
+def _over_one_denominator(values: Sequence[Rat]) -> tuple[int, list[int]]:
+    """(s, n) with values[i] = n[i] / s: integer numerators over the least
+    common denominator s."""
+    s = lcm(*(v.denominator for v in values))
+    return s, [v.numerator * (s // v.denominator) for v in values]
+
+
+def _rows_over_one_denominator(rows: Sequence[Sequence[Rat]]
+                               ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(q, M) with rows[i][j] = M[i][j] / q."""
+    q, flat = _over_one_denominator([x for row in rows for x in row])
+    entries = iter(flat)
+    return q, tuple(tuple(islice(entries, len(row))) for row in rows)
+
+
+def _pair_columns(d: DivClass, q: int,
+                  vectors: Sequence[Sequence[int]]) -> tuple[Rat, ...]:
+    """d . C for each column k of ``vectors``, where (G.C)_i = vectors[i][k] / q."""
+    if len(d) != len(vectors):
+        raise ValueError("rank mismatch in intersection pairing")
+    den, nums = _over_one_denominator(d.coeffs)
+    acc = [0] * (len(vectors[0]) if vectors else 0)
+    for a, row in zip(nums, vectors):
+        if a:
+            acc = [s + a * x for s, x in zip(acc, row)]
+    q *= den
+    return tuple(Fraction(s, q) for s in acc)
 
 
 class UnknownSurfaceError(KeyError):
@@ -153,15 +183,29 @@ class SurfaceModel:
         return d
 
     def intersect(self, d1: DivClass, d2: DivClass) -> Rat:
+        """d1 . d2 through the model's Gram matrix.
+
+        The Gram matrix is held once per model as integers over one
+        denominator, and each class is cleared to integer numerators over
+        one denominator, so the pairing is an integer sum over the nonzero
+        coordinates of both classes and one Fraction.
+        """
         if len(d1) != self.rank or len(d2) != self.rank:
             raise ValueError("rank mismatch in intersection pairing")
-        total = Fraction(0)
-        for i, a in enumerate(d1.coeffs):
-            if a == 0:
-                continue
-            row = self.gram[i]
-            total += a * sum((row[j] * b for j, b in enumerate(d2.coeffs)), Fraction(0))
-        return total
+        q, gram = self._int_gram
+        s1, a = _over_one_denominator(d1.coeffs)
+        s2, b = _over_one_denominator(d2.coeffs)
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
+        total = 0
+        for x, row in zip(a, gram):
+            if x:
+                total += x * sum(row[j] * y for j, y in nonzero)
+        return Fraction(total, q * s1 * s2)
+
+    @cached_property
+    def _int_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(q, G) with gram[i][j] = G[i][j] / q."""
+        return _rows_over_one_denominator(self.gram)
 
     @cached_property
     def _curve_vectors(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -170,11 +214,11 @@ class SurfaceModel:
             raise ValueError("rank mismatch in intersection pairing")
         gc = [[sum((g * b for g, b in zip(row, c.cls.coeffs)), Fraction(0))
                for c in self.neg_curves] for row in self.gram]
-        q = 1
-        for row in gc:
-            for x in row:
-                q = lcm(q, x.denominator)
-        return q, tuple(tuple(x.numerator * (q // x.denominator) for x in row) for row in gc)
+        return _rows_over_one_denominator(gc)
+
+    @cached_property
+    def _curve_index(self) -> dict[LabeledCurve, int]:
+        return {c: k for k, c in enumerate(self.neg_curves)}
 
     def curve_pairings(self, d: DivClass) -> tuple[Rat, ...]:
         """d . C for every catalogued curve C, in ``neg_curves`` order.
@@ -185,19 +229,17 @@ class SurfaceModel:
         denominator, so the pairings are integer sums and one Fraction
         each.
         """
-        if len(d) != self.rank:
-            raise ValueError("rank mismatch in intersection pairing")
+        return _pair_columns(d, *self._curve_vectors)
+
+    def _pairings_with(self, curves: Sequence[LabeledCurve],
+                       classes: Sequence[DivClass]) -> list[tuple[Rat, ...]]:
+        """For each d in ``classes``, d . C for every C in ``curves``, which
+        must be catalogued curves; read from the columns of the curve vectors
+        that belong to ``curves``, as ``curve_pairings`` reads all of them."""
         q, vectors = self._curve_vectors
-        den = 1
-        for a in d.coeffs:
-            den = lcm(den, a.denominator)
-        acc = [0] * len(self.neg_curves)
-        for a, row in zip(d.coeffs, vectors):
-            if a:
-                a = a.numerator * (den // a.denominator)
-                acc = [s + a * x for s, x in zip(acc, row)]
-        q *= den
-        return tuple(Fraction(s, q) for s in acc)
+        ks = [self._curve_index[c] for c in curves]
+        columns = [[row[k] for k in ks] for row in vectors]
+        return [_pair_columns(d, q, columns) for d in classes]
 
     def minus_k(self) -> DivClass:
         return -self.canonical

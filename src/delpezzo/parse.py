@@ -15,11 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .exactnum import Rat, poly_mul
 
 POLY_VARS = ("x", "y", "z", "w")
+
+# Bounds on the work of one polynomial: a power is expanded by repeated
+# multiplication, so its cost grows with the exponent, and a product of
+# polynomials with a and b terms has up to a * b terms.
+MAX_EXPONENT = 100
+MAX_TERMS = 2_000
 
 
 class ParseError(ValueError):
@@ -125,7 +132,11 @@ class _Parser:
                 self.take()
             elif not (self.peek().kind in ("num", "name") or self.at_op("(")):
                 return terms
-            terms = poly_mul(terms, self.factor())   # explicit or implicit
+            pos = self.peek().pos
+            other = self.factor()
+            if len(terms) * len(other) > MAX_TERMS:
+                raise ParseError(f"product may have more than {MAX_TERMS} terms", pos)
+            terms = poly_mul(terms, other)   # explicit or implicit
 
     def factor(self) -> dict:
         if self.at_op("-"):
@@ -139,8 +150,14 @@ class _Parser:
         if etok.kind != "num" or etok.value.denominator != 1:
             raise ParseError("expected integer exponent after '^'", etok.pos)
         self.take()
+        e = int(etok.value)
+        if e > MAX_EXPONENT:
+            raise ParseError(f"exponent {e} exceeds {MAX_EXPONENT}", etok.pos)
+        # each term of base^e is a product of e terms of base, in any order
+        if base and comb(len(base) + e - 1, e) > MAX_TERMS:
+            raise ParseError(f"power may have more than {MAX_TERMS} terms", etok.pos)
         terms = {self.zero: Fraction(1)}
-        for _ in range(int(etok.value)):
+        for _ in range(e):
             terms = poly_mul(terms, base)
         return terms
 

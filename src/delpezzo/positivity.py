@@ -117,16 +117,19 @@ class ZariskiDecomp:
 def _solve_support(m: SurfaceModel, support: Sequence[LabeledCurve],
                    classes: Sequence[DivClass]) -> tuple[Matrix, list[list[Rat]]]:
     """The support's Gram matrix, certified negative definite, and for each
-    class d the coefficients x with (d - sum x_i C_i) . C_j = 0 on the support."""
+    class d the coefficients x with (d - sum x_i C_i) . C_j = 0 on the support.
+
+    The Gram matrix C_i . C_j and the right-hand sides d . C_j are read from
+    the model's cached curve vectors for the support curves."""
     if not support:
         return (), [[] for _ in classes]
-    gram = tuple(tuple(m.intersect(a.cls, b.cls) for b in support) for a in support)
+    rows = m._pairings_with(support, [c.cls for c in support] + list(classes))
+    gram = tuple(rows[:len(support)])
     if not is_negative_definite(gram):
         raise ConeDataError(
             f"support {{{', '.join(c.label for c in support)}}} on {m.name} is not "
             "negative definite; cone data possibly incomplete")
-    return gram, [solve(gram, [m.intersect(d, c.cls) for c in support])
-                  for d in classes]
+    return gram, [solve(gram, rhs) for rhs in rows[len(support):]]
 
 
 def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
@@ -253,6 +256,11 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
         raise ValueError(f"{m.render(L)} is not big on {m.name}")
     if E.is_zero():
         raise ValueError("E must be a nonzero effective class")
+    le = m.intersect(L, E)
+    if le < 0:  # a nef class pairs >= 0 with every effective class
+        raise ValueError(
+            f"E = {m.render(E)} is not effective on {m.name}: the nef class L = "
+            f"{m.render(L)} pairs to {rat_str(le)} < 0 with it")
 
     support: list[LabeledCurve] = []
     t_cur = Fraction(0)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import intersect_oracle
 import neg_curves_oracle
 from delpezzo.catalog import builtin_names, canonical_name
 from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel,
@@ -248,6 +249,22 @@ def test_curve_pairings_match_intersect(name, data):
                                 min_size=m.rank, max_size=m.rank))
     d = DivClass(tuple(coeffs))
     assert m.curve_pairings(d) == tuple(m.intersect(d, c.cls) for c in m.neg_curves)
+
+
+# Rational coordinates with zeros, which the integer pairing skips on both sides.
+_COORDS = st.one_of(st.just(F(0)),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["P(1,1,2)+1/2Q", "P(1,2,3)"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_intersect_matches_the_dense_oracle(name, data):
+    m = catalog(name)
+    d1, d2 = (DivClass(tuple(data.draw(st.lists(_COORDS, min_size=m.rank,
+                                                 max_size=m.rank))))
+              for _ in range(2))
+    assert m.intersect(d1, d2) == intersect_oracle.intersect(m, d1, d2)
 
 
 def test_builtin_catalog_digest_is_pinned():

@@ -1,12 +1,14 @@
 import json
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import poly_parse_oracle
-from delpezzo.parse import POLY_VARS, ParseError, parse_div_expr, poly_terms
+from delpezzo.parse import (MAX_EXPONENT, POLY_VARS, ParseError, parse_div_expr,
+                            poly_terms)
 from delpezzo.report import Report
 
 
@@ -50,12 +52,19 @@ def _outcome(parse, src, variables):
         return str(exc)
 
 
-# Nine characters keep every power small: at most "(x+y)^333".
+# Nine characters reach "x^9999999".  The parser refuses an exponent above
+# MAX_EXPONENT where it reads it; the oracle would expand it, so it is not
+# asked.  Below that bound nine characters keep every power small.
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet="xyzwq0123+-*^()/ ", max_size=9),
        st.sampled_from([("x", "y"), POLY_VARS]))
 def test_poly_terms_match_the_tree_oracle(src, variables):
     got = _outcome(poly_terms, src, variables)
+    if isinstance(got, str) and got.startswith("exponent "):
+        # The second intended difference: the exponent bound.
+        e = int(got.split()[1])
+        assert e > MAX_EXPONENT and re.search(rf"\^\s*0*{e}(?![0-9])", src)
+        return
     want = _outcome(poly_parse_oracle.poly_terms, src, variables)
     if got != want:
         # The one intended difference: an unknown variable under "^0" is
@@ -63,6 +72,25 @@ def test_poly_terms_match_the_tree_oracle(src, variables):
         assert re.search(r"\^\s*0+(?![0-9])", src)
         assert isinstance(got, str) and got.startswith("unknown variable")
         assert isinstance(want, list) or want.startswith("unknown variable")
+
+
+@pytest.mark.parametrize("src, message", [
+    ("x^999999999", "exponent 999999999 exceeds 100 (column 3)"),
+    ("(x+y+1)^250", "exponent 250 exceeds 100 (column 9)"),
+    ("(x+y+z+w+1)^40", "power may have more than 2000 terms (column 13)"),
+    ("(x+y)^40 (x+y)^40 (x+y)^40", "product may have more than 2000 terms (column 19)"),
+])
+def test_oversized_polynomials_are_refused_before_expanding(src, message):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        poly_terms(src)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == message
+
+
+def test_polynomials_at_the_bounds_parse():
+    assert poly_terms("x^100", ("x", "y")) == {(100, 0): 1}
+    assert len(poly_terms("(x+y+z+w)^20")) == 1771      # C(23, 3) <= MAX_TERMS
 
 
 def test_unknown_variable_under_power_zero_is_refused():

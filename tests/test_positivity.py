@@ -2,11 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import intersect_oracle
 import simplex_oracle
 from delpezzo import lp, positivity
 from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import Poly
-from delpezzo.lattice import DivClass, catalog
+from delpezzo.lattice import DivClass, SurfaceModel, catalog
+from delpezzo.linalg import solve
 from delpezzo.positivity import (NotPseudoeffectiveError, pseff_certificate,
                                  pseff_threshold, volume, volume_profile, zariski)
 from delpezzo.valuative import profile_for, resolve_divisor_spec
@@ -265,3 +267,77 @@ def test_zariski_fuzz_random_classes():
                 assert volume(m, d) == 0
             else:
                 assert dec.verify(m, d) == []
+
+
+def _recorded_support_solves(monkeypatch) -> list:
+    """Record (model, support, classes, result) of every support solve."""
+    calls = []
+    original = positivity._solve_support
+
+    def recorded(m, support, classes):
+        res = original(m, support, classes)
+        calls.append((m, list(support), list(classes), res))
+        return res
+
+    monkeypatch.setattr(positivity, "_solve_support", recorded)
+    return calls
+
+
+def test_support_solves_match_the_dense_oracle(monkeypatch):
+    """The Gram matrix and coefficients of every support solve met by the
+    dP3 and dP2 walks of -K - tE, for E a curve or a sum of two curves, equal
+    those built with the dense pairing."""
+    calls = _recorded_support_solves(monkeypatch)
+    for name in ("dP3", "dP2"):
+        m = catalog(name)
+        curves = m.neg_curves
+        for e in [c.cls for c in curves] + [a.cls + b.cls for a, b in
+                                             zip(curves[::3], curves[1::3])]:
+            volume_profile(m, m.minus_k(), e)
+    solved = [call for call in calls if call[1]]
+    assert len({(m.name, tuple(c.label for c in support))
+                for m, support, _, _ in solved}) == 75
+    for m, support, classes, (gram, coeffs) in solved:
+        want = tuple(tuple(intersect_oracle.intersect(m, a.cls, b.cls) for b in support)
+                     for a in support)
+        assert gram == want
+        assert coeffs == [solve(want, [intersect_oracle.intersect(m, d, c.cls)
+                                       for c in support]) for d in classes]
+
+
+def test_support_solves_make_no_intersect_calls(monkeypatch):
+    """A dP2 walk builds its support Gram matrices and right-hand sides from
+    the cached curve vectors, without a single SurfaceModel.intersect call."""
+    m = catalog("dP2")
+    inside, from_solves = [False], []
+    solve_support, intersect = positivity._solve_support, SurfaceModel.intersect
+
+    def marked(*args):
+        inside[0] = True
+        try:
+            return solve_support(*args)
+        finally:
+            inside[0] = False
+
+    def counted(self, d1, d2):
+        if inside[0]:
+            from_solves.append((d1, d2))
+        return intersect(self, d1, d2)
+
+    monkeypatch.setattr(positivity, "_solve_support", marked)
+    monkeypatch.setattr(SurfaceModel, "intersect", counted)
+    prof = volume_profile(m, m.minus_k(), m.curve("E1"), "E1")
+    assert any(ch.support for ch in prof.chambers)
+    assert from_solves == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["volfn", "--surface", "dP7", "--divisor-spec=-E1"],
+    ["beta", "--surface", "dP7", "--divisor-spec=K"],
+])
+def test_non_effective_divisor_is_a_usage_error(capsys, argv):
+    from delpezzo.cli import run
+    report, code = run(argv)
+    assert report is None and code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: E = ") and "is not effective on dP7" in err

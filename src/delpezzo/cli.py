@@ -14,16 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 from . import azflag, gitcubic, localvol, positivity, valuative
 from .exactnum import rat, rat_str
-from .lattice import (DivClass, SurfaceModel, UnknownSurfaceError, catalog,
-                      catalog_names, load_models, model_to_dict, validate_links)
+from .lattice import (SurfaceModel, catalog, catalog_names, load_models, model_to_dict,
+                      validate_links)
 from .localvol import parse_sing
-from .parse import ParseError, parse_div_expr, poly_terms
+from .parse import div_from_expr, poly_terms
 from .report import Report
 from .reproduce import run_corpus
 
@@ -59,34 +58,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
 
-    def add(name: str, help_: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, **kwargs)
+    def add(name: str, help_: str, fn) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_)
         _add_global_flags(p, suppress=True)
+        p.set_defaults(fn=fn)
         return p
 
-    p = add("catalog", "list or show surface models")
+    p = add("catalog", "list or show surface models", cmd_catalog)
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?")
 
-    p = add("intersect", "intersection number of two divisor classes")
+    p = add("intersect", "intersection number of two divisor classes", cmd_intersect)
     p.add_argument("--surface", required=True)
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
 
-    p = add("zariski", "Zariski decomposition with certificates")
+    p = add("zariski", "Zariski decomposition with certificates", cmd_zariski)
     p.add_argument("--surface", required=True)
     p.add_argument("--div", required=True)
 
-    p = add("volfn", "volume profile vol(L - tE) for a divisor spec")
+    p = add("volfn", "volume profile vol(L - tE) for a divisor spec", cmd_volfn)
     p.add_argument("--surface", required=True)
     p.add_argument("--divisor-spec", required=True)
 
-    p = add("beta", "A, S, beta and delta for divisor specs")
+    p = add("beta", "A, S, beta and delta for divisor specs", cmd_beta)
     p.add_argument("--surface", required=True)
     p.add_argument("--divisor-spec", action="append", required=True,
                    help="repeatable; first destabilizer is reported")
 
-    p = add("delta-flag", "restricted invariant and local delta bound for a flag")
+    p = add("delta-flag", "restricted invariant and local delta bound for a flag",
+            cmd_delta_flag)
     p.add_argument("--surface", required=True)
     p.add_argument("--flag", required=True, help="built-in flag name, or a name "
                                                  "inside --flag-file")
@@ -94,54 +95,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flag-file", default=None,
                    help="JSON file of declarative flags (caller asserts plt type)")
 
-    p = add("semistable", "certified semistability via the catalogued flags")
+    p = add("semistable", "certified semistability via the catalogued flags", cmd_semistable)
     p.add_argument("--surface", required=True)
     p.add_argument("--flag-file", default=None,
                    help="JSON file of additional declarative flags")
 
-    p = add("discrep", "discrepancies from a resolution dual graph")
+    p = add("discrep", "discrepancies from a resolution dual graph", cmd_discrep)
     p.add_argument("--graph", required=True,
                    help="built-in name (quadric-cone, elliptic-cone, rnc-cone:n"
                         "[+ruling], cone-genus:g, An:n) or a JSON file path")
 
-    p = add("classify", "singularity class from a resolution dual graph")
+    p = add("classify", "singularity class from a resolution dual graph", cmd_classify)
     p.add_argument("--graph", required=True)
 
-    p = add("lct", "log canonical threshold of a plane curve germ")
+    p = add("lct", "log canonical threshold of a plane curve germ", cmd_lct)
     p.add_argument("--poly", help="germ in x, y (e.g. \"y^2 - x^3\")")
     p.add_argument("--lines", type=int, help="n lines through the origin")
     p.add_argument("--allow-degenerate", action="store_true",
                    help="accept a possibly Newton-degenerate germ")
 
-    p = add("nvol", "normalized volume of a quotient singularity or monomial valuation")
+    p = add("nvol", "normalized volume of a quotient singularity or monomial valuation",
+            cmd_nvol)
     p.add_argument("--sing", help="e.g. \"1/2(1,1)\", \"A2\" or \"smooth\"")
     p.add_argument("--monomial", help="weights w1,w2")
 
-    p = add("budget", "admissible singularities for a given degree")
+    p = add("budget", "admissible singularities for a given degree", cmd_budget)
     p.add_argument("--degree", type=int, required=True)
 
-    p = add("local-global", "volume bound (-K)^2 <= (9/4) nvol at every point")
+    p = add("local-global", "volume bound (-K)^2 <= (9/4) nvol at every point",
+            cmd_local_global)
     p.add_argument("--surface")
     p.add_argument("--vol")
     p.add_argument("--sing", action="append", default=None)
 
-    p = add("markov", "Markov mutation tree to a given depth")
+    p = add("markov", "Markov mutation tree to a given depth", cmd_markov)
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("wps-vol", "anticanonical volume of a weighted projective plane")
+    p = add("wps-vol", "anticanonical volume of a weighted projective plane", cmd_wps_vol)
     p.add_argument("--weights", required=True, help="a,b,c")
 
-    p = add("git-weight", "Hilbert-Mumford pairing of a cubic with a 1-PS")
+    p = add("git-weight", "Hilbert-Mumford pairing of a cubic with a 1-PS", cmd_git_weight)
     p.add_argument("--poly", required=True)
     p.add_argument("--one-ps", required=True, help="w1,w2,w3,w4 (sum 0)")
 
-    p = add("git-destab", "torus destabilizer search for a cubic form")
+    p = add("git-destab", "torus destabilizer search for a cubic form", cmd_git_destab)
     p.add_argument("--poly")
     p.add_argument("--substitute", help="4x4 rational matrix, rows ';'-separated")
     p.add_argument("--verdict-table", action="store_true",
                    help="recompute the shipped normal-form table")
 
-    p = add("reproduce-paper", "run the full reproduction corpus")
+    p = add("reproduce-paper", "run the full reproduction corpus", cmd_reproduce)
     p.add_argument("--section", type=int, default=None)
 
     return parser
@@ -155,30 +158,16 @@ def _load_extra(paths) -> dict[str, SurfaceModel]:
     return extra
 
 
-def _surface(args, extra) -> SurfaceModel:
+def _surface(name: str, extra) -> SurfaceModel:
     """The named model.  While --catalog models are loaded, the model (one of
     them, or a pair over one) is validated, its links are checked against
     their built-in targets, and it is refused if either fails."""
-    try:
-        m = catalog(args.surface, extra=extra)
-    except UnknownSurfaceError as exc:
-        raise CommandError(str(exc)) from exc
+    m = catalog(name, extra=extra)
     if extra:
         problems = m.validate() or validate_links(m)
         if problems:
             raise CommandError("invalid --catalog model: " + "; ".join(problems))
     return m
-
-
-def _div_from_expr(m: SurfaceModel, src: str) -> DivClass:
-    def check(label, pos):
-        if m.named(label) is None:
-            raise ParseError(f"unknown divisor label {label!r} on {m.name}", pos)
-    terms = parse_div_expr(src, check)
-    total = DivClass((Fraction(0),) * m.rank)
-    for coeff, label in terms:
-        total = total + m.named(label).scale(coeff)
-    return total
 
 
 def _germ_from_poly(src: str) -> valuative.PlaneCurveGerm:
@@ -219,22 +208,22 @@ def cmd_catalog(args, extra):
         return {"surfaces": names}, True, {"action": "list"}, []
     if not args.name:
         raise CommandError("catalog show needs a surface name")
-    m = _surface(argparse.Namespace(surface=args.name), extra)
+    m = _surface(args.name, extra)
     return model_to_dict(m), True, {"action": "show", "surface": args.name}, [m.name]
 
 
 def cmd_intersect(args, extra):
-    m = _surface(args, extra)
-    d1 = _div_from_expr(m, args.d1)
-    d2 = _div_from_expr(m, args.d2)
+    m = _surface(args.surface, extra)
+    d1 = div_from_expr(m, args.d1)
+    d2 = div_from_expr(m, args.d2)
     value = m.intersect(d1, d2)
     return ({"d1": m.render(d1), "d2": m.render(d2), "value": value},
             True, {"surface": m.name, "d1": args.d1, "d2": args.d2}, [m.name])
 
 
 def cmd_zariski(args, extra):
-    m = _surface(args, extra)
-    d = _div_from_expr(m, args.div)
+    m = _surface(args.surface, extra)
+    d = div_from_expr(m, args.div)
     inputs = {"surface": m.name, "div": args.div}
     try:
         dec = positivity.zariski(m, d)
@@ -258,11 +247,8 @@ def cmd_zariski(args, extra):
 
 
 def cmd_volfn(args, extra):
-    m = _surface(args, extra)
-    try:
-        inv = valuative.invariants(m, args.divisor_spec)
-    except valuative.DivisorSpecError:
-        inv = valuative.invariants(m, _div_from_expr(m, args.divisor_spec))
+    m = _surface(args.surface, extra)
+    inv = valuative.invariants(m, args.divisor_spec)
     rd, prof = inv.divisor, inv.profile
     results = {
         "work_model": rd.work.name,
@@ -277,14 +263,11 @@ def cmd_volfn(args, extra):
 
 
 def cmd_beta(args, extra):
-    m = _surface(args, extra)
+    m = _surface(args.surface, extra)
     reports = []
     destab = None
     for spec in args.divisor_spec:
-        try:
-            rep = valuative.beta_report(m, spec)
-        except valuative.DivisorSpecError:
-            rep = valuative.beta_report(m, _div_from_expr(m, spec))
+        rep = valuative.beta_report(m, spec)
         reports.append({"divisor_spec": spec, **rep})
         if destab is None and rep["beta"] < 0:
             destab = (spec, rep["beta"])
@@ -306,7 +289,7 @@ def _file_flags(path, m):
 
 
 def cmd_delta_flag(args, extra):
-    m = _surface(args, extra)
+    m = _surface(args.surface, extra)
     flags = {f.name: f for f, _ in azflag.builtin_flags(m)}
     if args.flag_file:
         flags.update({f.name: f for f, _ in _file_flags(args.flag_file, m)})
@@ -334,16 +317,13 @@ def cmd_delta_flag(args, extra):
 
 
 def cmd_semistable(args, extra):
-    m = _surface(args, extra)
+    m = _surface(args.surface, extra)
     flags = azflag.builtin_flags(m)
     inputs = {"surface": m.name}
     if args.flag_file:
         flags = flags + _file_flags(args.flag_file, m)
         inputs["flag_file"] = args.flag_file
-    try:
-        rep = azflag.semistable_via_flags(m, flags)
-    except azflag.CoverageError as exc:
-        raise CommandError(str(exc)) from exc
+    rep = azflag.semistable_via_flags(m, flags)
     return rep.as_dict(), rep.verdict, inputs, \
         [m.name] + [f.name for f, _ in flags]
 
@@ -383,10 +363,7 @@ def cmd_nvol(args, extra):
     if (args.sing is None) == (args.monomial is None):
         raise CommandError("give exactly one of --sing or --monomial")
     if args.sing is not None:
-        try:
-            s = parse_sing(args.sing)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from exc
+        s = parse_sing(args.sing)
         return ({"singularity": s.display, "nvol": localvol.nvol_quotient(s)},
                 True, {"sing": args.sing}, [])
     parts = args.monomial.split(",")
@@ -404,7 +381,7 @@ def cmd_budget(args, extra):
 
 def cmd_local_global(args, extra):
     if args.surface:
-        m = _surface(args, extra)
+        m = _surface(args.surface, extra)
         pol = m.polarization()
         vol = m.intersect(pol, pol)
         sings = [s.sing for s in m.sings]
@@ -431,11 +408,7 @@ def cmd_markov(args, extra):
 
 def cmd_wps_vol(args, extra):
     a, b, c = _int_list(args.weights, 3)
-    try:
-        value = localvol.wps_volume(a, b, c)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-    return {"volume": value}, True, {"weights": args.weights}, []
+    return {"volume": localvol.wps_volume(a, b, c)}, True, {"weights": args.weights}, []
 
 
 def cmd_git_weight(args, extra):
@@ -484,28 +457,6 @@ def cmd_reproduce(args, extra):
     return results, ok, inputs, ["built-in catalog"] + sorted(extra or ())
 
 
-_COMMANDS = {
-    "catalog": cmd_catalog,
-    "intersect": cmd_intersect,
-    "zariski": cmd_zariski,
-    "volfn": cmd_volfn,
-    "beta": cmd_beta,
-    "delta-flag": cmd_delta_flag,
-    "semistable": cmd_semistable,
-    "discrep": cmd_discrep,
-    "classify": cmd_classify,
-    "lct": cmd_lct,
-    "nvol": cmd_nvol,
-    "budget": cmd_budget,
-    "local-global": cmd_local_global,
-    "markov": cmd_markov,
-    "wps-vol": cmd_wps_vol,
-    "git-weight": cmd_git_weight,
-    "git-destab": cmd_git_destab,
-    "reproduce-paper": cmd_reproduce,
-}
-
-
 def reproduce_paper(seed: int = DEFAULT_SEED, section: int | None = None,
                     extra: dict[str, SurfaceModel] | None = None) -> Report:
     """Run the full reproduction corpus and return its report.
@@ -535,7 +486,7 @@ def run(argv) -> tuple[Report | None, int]:
         return None, 2 if exc.code not in (0, None) else 0
     try:
         extra = _load_extra(args.catalog)
-        out = _COMMANDS[args.cmd](args, extra)
+        out = args.fn(args, extra)
         results, ok, inputs, provenance, *rest = out
         notes = rest[0] if rest else []
     except (CommandError, ValueError, KeyError) as exc:

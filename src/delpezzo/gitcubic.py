@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from . import lp
 from .exactnum import Rat, poly_mul, rat, rat_str
-from .linalg import det
+from .linalg import SingularMatrixError, solve
 
 VARS = ("x", "y", "z", "w")
 WEIGHT_BOUND = 9
@@ -149,8 +149,10 @@ def apply_coordinate_change(f: CubicForm, matrix: Sequence[Sequence[Rat]]) -> Cu
     m = [[rat(x) for x in row] for row in matrix]
     if len(m) != 4 or any(len(row) != 4 for row in m):
         raise ValueError("need a 4x4 matrix")
-    if det(m) == 0:
-        raise ValueError("coordinate change must be invertible")
+    try:
+        solve(m, [0] * 4)
+    except SingularMatrixError:
+        raise ValueError("coordinate change must be invertible") from None
 
     unit = {(0, 0, 0, 0): Fraction(1)}
 

@@ -2,14 +2,13 @@
 
 Small matrices only (Picard ranks <= 9, Zariski supports, resolution
 graphs), so plain elimination with Fraction entries is both exact and
-fast.  Gaussian elimination gives Gram-system solves and determinants;
-one symmetric (congruence) elimination gives the signature, and with it
-every negative-definiteness certificate and lattice signature check.
+fast.  Gaussian elimination gives Gram-system solves; one symmetric
+(congruence) elimination gives the signature, and with it every
+negative-definiteness certificate and lattice signature check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import Rat, rat
@@ -43,27 +42,6 @@ def solve(m: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> list[Rat]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n] for row in a]
-
-
-def det(m: Sequence[Sequence[Rat]]) -> Rat:
-    n = len(m)
-    a = [[rat(x) for x in row] for row in m]
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        d *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return sign * d
 
 
 def symmetric_signature(m: Sequence[Sequence[Rat]]) -> tuple[int, int, int]:

@@ -299,7 +299,7 @@ def p114_pair_report(d: int) -> dict:
         if s <= 0:
             raise ValueError("pair is not log Fano for this c")
         L = DivClass((s / 4, s))  # pullback of O(s)
-        S = volume_profile(work, L, work.curve("e"), "e").S
+        S = volume_profile(work, L, work.curve("e")).S
         A = Fraction(1, 2) - c  # log discrepancy 2/4, minus c * ord_e(pullback of D)
         return A - S
 

@@ -19,6 +19,7 @@ from math import comb
 from typing import Sequence
 
 from .exactnum import Rat, poly_mul
+from .lattice import DivClass, SurfaceModel
 
 POLY_VARS = ("x", "y", "z", "w")
 
@@ -247,3 +248,15 @@ def parse_div_expr(src: str, resolve: "callable") -> "list[tuple[Rat, str]]":
     if not terms:
         raise ParseError("empty divisor expression", 0)
     return terms
+
+
+def div_from_expr(m: SurfaceModel, src: str) -> DivClass:
+    """The class on ``m`` of a divisor expression over its labels; an unknown
+    label is a ParseError at the label's column."""
+    def check(label, pos):
+        if m.named(label) is None:
+            raise ParseError(f"unknown divisor label {label!r} on {m.name}", pos)
+    total = DivClass((Fraction(0),) * m.rank)
+    for coeff, label in parse_div_expr(src, check):
+        total = total + m.named(label).scale(coeff)
+    return total

@@ -200,7 +200,6 @@ class VolumeProfile:
     chambers: tuple[Chamber, ...]
     L: DivClass
     E: DivClass
-    e_label: str
     L2: Rat
 
     @cached_property
@@ -241,8 +240,7 @@ class VolumeProfile:
         return rep
 
 
-def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
-                   e_label: str = "E") -> VolumeProfile:
+def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     """Exact profile of vol(L - tE) for L big and nef, E effective and prime.
 
     Chamber walls are roots of the linear functions t -> P(t) . C over the
@@ -280,12 +278,15 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
         pairings = [(c, a, b) for c, a, b in zip(m.neg_curves, m.curve_pairings(p_const),
                                                   m.curve_pairings(p_slope))
                     if c not in support]
-        # Immediate violations at t_cur mean more curves enter right here.
-        entering_now = [c for c, a, b in pairings if a + t_cur * b < 0]
+        # A value negative just after t_cur (negative, or zero and falling)
+        # means a curve enters, or a support curve leaves, right here.
+        entering_now = [c for c, a, b in pairings
+                        if (v := a + t_cur * b) < 0 or (v == 0 and b < 0)]
         if entering_now:
             support.extend(entering_now)
             continue
-        leaving_now = [c for c, n in zip(support, n_polys) if n(t_cur) < 0]
+        leaving_now = [c for c, a, b in zip(support, c0, c1)
+                       if (v := a + t_cur * b) < 0 or (v == 0 and b < 0)]
         if leaving_now:
             support = [c for c in support if c not in leaving_now]
             continue
@@ -342,7 +343,7 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass,
                 raise ConeDataError(f"volume profile on {m.name} is not continuous ({exc}); "
                                     "cone data possibly incomplete") from exc
             return VolumeProfile(profile=profile, tau=t_end, chambers=tuple(chambers),
-                                 L=L, E=E, e_label=e_label, L2=l2)
+                                 L=L, E=E, L2=l2)
         for root, kind, c in wall_events:
             if root == t_end:
                 if kind == "enter":

@@ -319,32 +319,43 @@ def _link_log_discrepancy(m: SurfaceModel, link: ModelLink) -> Rat:
     return val
 
 
+def _linked(m: SurfaceModel, link: ModelLink, kind: str) -> ResolvedDivisor:
+    return ResolvedDivisor(m, catalog(link.target), link.pull(m.polarization()),
+                           link.exceptional, link.exceptional_label,
+                           _link_log_discrepancy(m, link), kind)
+
+
+def _raw(m: SurfaceModel, cls: DivClass) -> ResolvedDivisor:
+    if len(cls) != m.rank:
+        raise DivisorSpecError("raw class has the wrong rank")
+    return ResolvedDivisor(m, m, m.polarization(), cls, m.render(cls), Fraction(1), "raw")
+
+
 def resolve_divisor_spec(m: SurfaceModel, spec: "str | DivClass") -> ResolvedDivisor:
     """Resolve a named spec ("exceptional:pt", "exceptional", a curve or
-    boundary label, "anticanonical-curve", ...) or a raw class on the surface."""
+    boundary label, "anticanonical-curve", ...) or a raw class on the surface.
+
+    A keyword the surface cannot resolve reports why; any other string
+    that is not a label is read as a divisor expression ("3H - E1 - E2")
+    and resolved as its raw class."""
     if isinstance(spec, DivClass):
-        if len(spec) != m.rank:
-            raise DivisorSpecError("raw class has the wrong rank")
-        return ResolvedDivisor(m, m, m.polarization(), spec, m.render(spec),
-                               Fraction(1), "raw")
+        return _raw(m, spec)
     name = spec.strip()
     if name == "exceptional:pt":
         if m.blowup is None:
             raise DivisorSpecError(f"{m.name} has no catalogued point blow-up")
-        link = m.blowup
-        work = catalog(link.target)
-        return ResolvedDivisor(m, work, link.pull(m.polarization()),
-                               link.exceptional, link.exceptional_label,
-                               _link_log_discrepancy(m, link), "blowup")
+        return _linked(m, m.blowup, "blowup")
     if name in ("exceptional", "e") and m.resolution is not None:
-        link = m.resolution
-        work = catalog(link.target)
-        return ResolvedDivisor(m, work, link.pull(m.polarization()),
-                               link.exceptional, link.exceptional_label,
-                               _link_log_discrepancy(m, link), "resolution")
+        return _linked(m, m.resolution, "resolution")
     cls = m.named(name)
     if cls is None:
-        raise DivisorSpecError(f"unknown divisor spec {name!r} on {m.name}")
+        if name == "exceptional":
+            raise DivisorSpecError(f"{m.name} has no catalogued resolution")
+        from .parse import ParseError, div_from_expr  # the grammar only expressions need
+        try:
+            return _raw(m, div_from_expr(m, spec))
+        except ParseError as exc:
+            raise DivisorSpecError(str(exc)) from exc
     a = Fraction(1)
     for part in m.boundary:
         if part.label == name:
@@ -381,7 +392,7 @@ class Invariants:
 def invariants(m: SurfaceModel, spec: "str | DivClass") -> Invariants:
     """Resolve the spec once and walk its volume profile once."""
     rd = resolve_divisor_spec(m, spec)
-    return Invariants(rd, volume_profile(rd.work, rd.L, rd.E, rd.label))
+    return Invariants(rd, volume_profile(rd.work, rd.L, rd.E))
 
 
 def profile_for(m: SurfaceModel, spec: "str | DivClass") -> VolumeProfile:

@@ -191,7 +191,7 @@ def test_criterion_13_property_suites():
         pairs.extend((m, spec) for spec in m.beta_candidates)
     for m, spec in pairs:
         rd = resolve_divisor_spec(m, spec)
-        prof = positivity.volume_profile(rd.work, rd.L, rd.E, rd.label)
+        prof = positivity.volume_profile(rd.work, rd.L, rd.E)
         l2 = rd.work.intersect(rd.L, rd.L)
         total = F(0)
         for i, ch in enumerate(prof.chambers):

@@ -171,7 +171,7 @@ def test_semistability_walks_each_divisor_once(monkeypatch):
     walks = []
 
     def counting(*args):
-        walks.append(args[3])
+        walks.append(args[2])
         return walk(*args)
 
     monkeypatch.setattr(valuative, "volume_profile", counting)

@@ -1,5 +1,7 @@
 import json
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -411,3 +413,28 @@ def test_unknown_divisor_label_is_reported_at_its_column(capsys, argv, message):
     report, code = run(argv)
     assert report is None and code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cmd", ["beta", "volfn"])
+def test_unusable_keyword_spec_reports_its_cause(capsys, cmd):
+    report, code = run([cmd, "--surface", "dP1", "--divisor-spec", "exceptional:pt"])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == "error: dP1 has no catalogued point blow-up\n"
+
+
+def _readme_commands():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in text.split("```sh")[1:]
+             for line in block.split("```")[0].splitlines()]
+    return [shlex.split(line, comments=True)[1:]
+            for line in lines if line.startswith("delpezzo ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(_readme_commands()) >= 20
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=shlex.join)
+def test_readme_cli_example_runs(argv):
+    report, code = run(argv)
+    assert report is not None and code == 0

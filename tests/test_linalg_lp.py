@@ -7,8 +7,8 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from delpezzo.linalg import (SingularMatrixError, det, is_negative_definite, mat,
-                             solve, symmetric_signature)
+from delpezzo.linalg import (SingularMatrixError, is_negative_definite, mat, solve,
+                             symmetric_signature)
 from delpezzo.lattice import catalog
 from delpezzo.lp import eq_feasibility, in_cone
 
@@ -19,7 +19,6 @@ def test_solve_and_det():
     m = [[F(2), F(1)], [F(1), F(3)]]
     x = solve(m, [F(5), F(10)])
     assert x == [F(1), F(3)]
-    assert det(m) == 5
     with pytest.raises(SingularMatrixError):
         solve([[F(1), F(2)], [F(2), F(4)]], [F(0), F(0)])
 
@@ -95,7 +94,6 @@ def test_signature_and_definiteness_against_sympy(m):
 def test_det_and_solve_against_sympy(m, b):
     sm = _sympy_matrix(m)
     expected_det = sm.det()
-    assert det(m) == F(int(expected_det.p), int(expected_det.q))
     b = b[:len(m)]
     if expected_det == 0:
         with pytest.raises(SingularMatrixError):

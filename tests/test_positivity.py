@@ -163,6 +163,19 @@ def test_profile_dp7_two_chambers():
     assert prof.chamber_at(2).p_at(2) == DivClass.of([1, 0, 0])
 
 
+def test_profile_enters_a_curve_that_turns_negative_at_zero():
+    # L.e = 0 and f.e = 1 on F2: e is orthogonal to L and falls below zero
+    # just after t = 0, so it is in the support of the first chamber.
+    m = catalog("F2~P(1,1,2)")
+    prof = profile_for(m, "f")
+    assert prof.profile.breakpoints == (0, 4)
+    assert prof.profile.pieces == (Poly([8, -4, F(1, 2)]),)
+    assert prof.chambers[0].support == ("e",)
+    dec = zariski(m, prof.L - prof.E.scale(F(1, 2)))
+    assert dec.negative == (("e", F(1, 4)),)
+    assert m.intersect(dec.positive, dec.positive) == prof.value(F(1, 2)) == F(49, 8)
+
+
 def test_pseff_thresholds():
     p2 = catalog("P2")
     assert pseff_threshold(*(lambda rd: (rd.work, rd.L, rd.E))(
@@ -193,7 +206,7 @@ def _suite():
 def test_profiles_nonincreasing_and_start_at_volume():
     for name, m, spec in _suite():
         rd = resolve_divisor_spec(m, spec)
-        prof = volume_profile(rd.work, rd.L, rd.E, rd.label)
+        prof = volume_profile(rd.work, rd.L, rd.E)
         l2 = rd.work.intersect(rd.L, rd.L)
         assert prof.profile(0) == l2, (name, spec)
         assert prof.profile(prof.tau) == 0, (name, spec)
@@ -207,7 +220,7 @@ def test_profiles_nonincreasing_and_start_at_volume():
 def test_derivative_and_mass_identities_on_suite():
     for name, m, spec in _suite():
         rd = resolve_divisor_spec(m, spec)
-        prof = volume_profile(rd.work, rd.L, rd.E, rd.label)
+        prof = volume_profile(rd.work, rd.L, rd.E)
         l2 = rd.work.intersect(rd.L, rd.L)
         total = F(0)
         for i, ch in enumerate(prof.chambers):
@@ -221,7 +234,7 @@ def test_derivative_and_mass_identities_on_suite():
 def test_zariski_certificates_along_suite_profiles():
     for name, m, spec in _suite():
         rd = resolve_divisor_spec(m, spec)
-        prof = volume_profile(rd.work, rd.L, rd.E, rd.label)
+        prof = volume_profile(rd.work, rd.L, rd.E)
         for ch in prof.chambers:
             mid = (ch.lo + ch.hi) / 2
             d = rd.L - rd.E.scale(mid)
@@ -326,7 +339,7 @@ def test_support_solves_make_no_intersect_calls(monkeypatch):
 
     monkeypatch.setattr(positivity, "_solve_support", marked)
     monkeypatch.setattr(SurfaceModel, "intersect", counted)
-    prof = volume_profile(m, m.minus_k(), m.curve("E1"), "E1")
+    prof = volume_profile(m, m.minus_k(), m.curve("E1"))
     assert any(ch.support for ch in prof.chambers)
     assert from_solves == []
 

@@ -171,6 +171,33 @@ def test_unknown_divisor_spec():
         invariants(catalog("P2"), "exceptional")   # no resolution link on a smooth plane
 
 
+def test_unusable_keyword_reports_its_cause():
+    with pytest.raises(DivisorSpecError, match="^dP9 has no catalogued resolution$"):
+        invariants(catalog("P2"), "exceptional")
+    with pytest.raises(DivisorSpecError, match="^dP1 has no catalogued point blow-up$"):
+        invariants(catalog("dP1"), "exceptional:pt")
+
+
+def test_divisor_expression_spec_is_its_raw_class():
+    dp7 = catalog("dP7")
+    got = invariants(dp7, "3H - E1 - E2")
+    raw = invariants(dp7, DivClass.of([3, -1, -1]))
+    assert got.divisor == raw.divisor and got.divisor.kind == "raw"
+    assert (got.A, got.S, got.beta) == (raw.A, raw.S, raw.beta) == (1, F(1, 3), F(2, 3))
+
+
+@pytest.mark.parametrize("pair, beta, tau", [
+    ("", F(-1, 3), 4), ("+1/4Q", F(-1, 6), F(7, 2)), ("+1/2Q", 0, 3)],
+    ids=("c=0", "c=1/4", "c=1/2"))
+def test_f2_fibre_matches_the_ruling_of_the_cone(pair, beta, tau):
+    # The fibre f of F2 is the strict transform of a ruling through the
+    # vertex of P(1,1,2), so the two divisors have the same A, S and beta.
+    up = invariants(catalog("F2~P(1,1,2)" + pair), "f")
+    down = invariants(catalog("P(1,1,2)" + pair), "ruling")
+    assert (up.A, up.S, up.beta) == (down.A, down.S, down.beta)
+    assert up.beta == beta and up.profile.tau == tau
+
+
 def test_terminal_classification_reachable():
     # contracting a (-1)-curve to a smooth point: a = 1, capped minimum 1
     got = classify(named_graph("rnc-cone:1"))

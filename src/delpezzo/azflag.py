@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactnum import Poly, Rat, rat, rat_str
-from .lattice import SurfaceModel
+from .lattice import SurfaceModel, missing_fields
 from .positivity import Chamber
 from .valuative import Invariants, invariants
 
@@ -187,20 +187,22 @@ def flag_from_dict(data: Mapping, m: SurfaceModel) -> tuple[FlagSpec, tuple[str,
     default to asserted_plt = false: the plt hypothesis is the caller's.
     """
     points = []
-    for p in data.get("points", [{"label": "generic"}]):
-        n_orders = p.get("n_orders")
-        corrections = p.get("deg_corrections")
-        points.append(FlagPoint(
-            label=p["label"],
-            diff_coeff=rat(p.get("diff_coeff", 0)),
-            under_n=bool(p.get("under_n", False)),
-            n_orders=tuple(Poly([rat(c) for c in cs]) for cs in n_orders)
-            if n_orders is not None else None,
-            deg_corrections=tuple(Poly([rat(c) for c in cs]) for cs in corrections)
-            if corrections is not None else None,
-        ))
+    with missing_fields(f"flag {data['name']!r}" if "name" in data else "flag"):
+        spec = data["divisor_spec"]
+        for p in data.get("points", [{"label": "generic"}]):
+            n_orders = p.get("n_orders")
+            corrections = p.get("deg_corrections")
+            points.append(FlagPoint(
+                label=p["label"],
+                diff_coeff=rat(p.get("diff_coeff", 0)),
+                under_n=bool(p.get("under_n", False)),
+                n_orders=tuple(Poly([rat(c) for c in cs]) for cs in n_orders)
+                if n_orders is not None else None,
+                deg_corrections=tuple(Poly([rat(c) for c in cs]) for cs in corrections)
+                if corrections is not None else None,
+            ))
     flag = flag_from_divisor(
-        m, data["divisor_spec"], name=data.get("name", data["divisor_spec"]),
+        m, spec, name=data.get("name", spec),
         points=tuple(points), asserted_plt=bool(data.get("asserted_plt", False)))
     n_chambers = len(flag.inv.profile.chambers)
     for pt in flag.points:

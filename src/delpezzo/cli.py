@@ -12,7 +12,6 @@ rendered exactly as "p/q".
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 from . import azflag, gitcubic, localvol, positivity, valuative
 from .exactnum import rat, rat_str
 from .lattice import (SurfaceModel, catalog, catalog_names, load_models, model_to_dict,
-                      validate_links)
+                      read_json, validate_links)
 from .localvol import parse_sing
 from .parse import div_from_expr, poly_terms
 from .report import Report
@@ -185,8 +184,7 @@ def _cubic_from_poly(src: str) -> gitcubic.CubicForm:
 def _graph_from_spec(spec: str) -> valuative.ResolutionGraph:
     path = Path(spec)
     if path.suffix == ".json" or path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            return valuative.ResolutionGraph.from_dict(json.load(fh))
+        return read_json(path, valuative.ResolutionGraph.from_dict)
     return valuative.named_graph(spec)
 
 
@@ -282,10 +280,11 @@ def cmd_beta(args, extra):
 
 
 def _file_flags(path, m):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    entries = data["flags"] if isinstance(data, dict) and "flags" in data else [data]
-    return [azflag.flag_from_dict(entry, m) for entry in entries]
+    def load(data):
+        entries = data["flags"] if isinstance(data, dict) and "flags" in data else [data]
+        return [azflag.flag_from_dict(entry, m) for entry in entries]
+
+    return read_json(path, load)
 
 
 def cmd_delta_flag(args, extra):

@@ -106,18 +106,33 @@ def barycenter_in_hull(f: CubicForm) -> bool:
 def brute_force_destabilizer(f: CubicForm) -> OnePS | None:
     """First weight vector (lexicographic, entries within WEIGHT_BOUND) that
     is strictly positive on the whole support; an oracle for the decision
-    of ``torus_destabilizer``, whose witnesses may exceed the bound."""
-    supp = f.support
-    rng = range(-WEIGHT_BOUND, WEIGHT_BOUND + 1)
+    of ``torus_destabilizer``, whose witnesses may exceed the bound.
+
+    With w4 = -(w1 + w2 + w3), a monomial e pairs to r + c*w3, where
+    r = w1*(e1 - e4) + w2*(e2 - e4) and c = e3 - e4.  For fixed (w1, w2)
+    each monomial with c != 0 bounds w3 from one side, one with c = 0
+    passes or rules out the pair, and |w3|, |w4| <= WEIGHT_BOUND bound w3
+    from both.  The first witness is the low end of the first nonempty
+    interval; the zero vector pairs to 0 and so is never in one.
+    """
+    diffs = [(e[0] - e[3], e[1] - e[3], e[2] - e[3]) for e in f.support]
+    bound = WEIGHT_BOUND
+    rng = range(-bound, bound + 1)
     for w1 in rng:
         for w2 in rng:
-            for w3 in rng:
-                w4 = -(w1 + w2 + w3)
-                if abs(w4) > WEIGHT_BOUND or (w1 == w2 == w3 == 0 and w4 == 0):
-                    continue
-                ws = (w1, w2, w3, w4)
-                if all(sum(w * e for w, e in zip(ws, expo)) > 0 for expo in supp):
-                    return OnePS(ws)
+            lo, hi = max(-bound, -bound - w1 - w2), min(bound, bound - w1 - w2)
+            for a, b, c in diffs:
+                r = w1 * a + w2 * b
+                if c > 0:
+                    lo = max(lo, -r // c + 1)   # w3 > -r/c
+                elif c < 0:
+                    hi = min(hi, (r - 1) // -c)  # w3 < r/(-c)
+                elif r <= 0:
+                    break
+                if lo > hi:
+                    break
+            else:
+                return OnePS((w1, w2, lo, -(w1 + w2 + lo)))
     return None
 
 

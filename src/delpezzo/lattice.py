@@ -14,13 +14,15 @@ number of callers may share models concurrently.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .exactnum import Rat, rat, rat_str
 from .linalg import Matrix, mat, symmetric_signature
@@ -48,18 +50,25 @@ def _rows_over_one_denominator(rows: Sequence[Sequence[Rat]]
     return q, tuple(tuple(islice(entries, len(row))) for row in rows)
 
 
-def _pair_columns(d: DivClass, q: int,
-                  vectors: Sequence[Sequence[int]]) -> tuple[Rat, ...]:
-    """d . C for each column k of ``vectors``, where (G.C)_i = vectors[i][k] / q."""
+def _pair_numerators(d: DivClass, q: int, vectors: Sequence[Sequence[int]],
+                     start: int = 0) -> tuple[int, list[int]]:
+    """(r, n) with d . C = n[k - start] / r for each column k >= start of
+    ``vectors``, where (G.C)_i = vectors[i][k] / q: integers only."""
     if len(d) != len(vectors):
         raise ValueError("rank mismatch in intersection pairing")
     den, nums = _over_one_denominator(d.coeffs)
-    acc = [0] * (len(vectors[0]) if vectors else 0)
+    acc = [0] * (len(vectors[0]) - start if vectors else 0)
     for a, row in zip(nums, vectors):
         if a:
-            acc = [s + a * x for s, x in zip(acc, row)]
-    q *= den
-    return tuple(Fraction(s, q) for s in acc)
+            acc = [s + a * x for s, x in zip(acc, row[start:])]
+    return q * den, acc
+
+
+def _pair_columns(d: DivClass, q: int,
+                  vectors: Sequence[Sequence[int]]) -> tuple[Rat, ...]:
+    """d . C for each column k of ``vectors``, where (G.C)_i = vectors[i][k] / q."""
+    r, acc = _pair_numerators(d, q, vectors)
+    return tuple(Fraction(s, r) for s in acc)
 
 
 class UnknownSurfaceError(KeyError):
@@ -68,6 +77,31 @@ class UnknownSurfaceError(KeyError):
 
 class ModelInvariantError(ValueError):
     """A surface model violates one of its structural invariants."""
+
+
+class MissingFieldError(ValueError):
+    """A declarative (JSON) input lacks a required field."""
+
+
+@contextmanager
+def missing_fields(what: str) -> Iterator[None]:
+    """Report a KeyError raised inside as a MissingFieldError that names
+    ``what`` and the missing field.  Wrap only the reads of the input."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MissingFieldError(f"{what} lacks field {exc.args[0]!r}") from None
+
+
+def read_json(path: str | Path, load: Callable[[Any], Any]) -> Any:
+    """load(data) for the JSON document at ``path``, with the file named in
+    a MissingFieldError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        return load(data)
+    except MissingFieldError as exc:
+        raise MissingFieldError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -209,12 +243,26 @@ class SurfaceModel:
 
     @cached_property
     def _curve_vectors(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(q, V) with (G.C)_i = V[i][k] / q for the k-th catalogued curve C."""
+        """(q, V) with (G.C)_i = V[i][k] / q for the k-th catalogued curve C.
+
+        G.C is an integer column over the Gram's denominator times the
+        curve's.  Its gcd with that denominator leaves the column's least
+        denominator, and q is the lcm of those: the (q, V) that reducing
+        every entry as a Fraction and clearing them to one denominator gives.
+        """
         if any(len(c.cls) != self.rank for c in self.neg_curves):
             raise ValueError("rank mismatch in intersection pairing")
-        gc = [[sum((g * b for g, b in zip(row, c.cls.coeffs)), Fraction(0))
-               for c in self.neg_curves] for row in self.gram]
-        return _rows_over_one_denominator(gc)
+        qg, gram = self._int_gram
+        columns, dens = [], []
+        for c in self.neg_curves:
+            s, nums = _over_one_denominator(c.cls.coeffs)
+            col = [sum(map(mul, row, nums)) for row in gram]
+            g = gcd(qg * s, *col)
+            columns.append([x // g for x in col])
+            dens.append(qg * s // g)
+        q = lcm(*dens)
+        columns = [[x * (q // d) for x in col] for col, d in zip(columns, dens)]
+        return q, tuple(tuple(col[i] for col in columns) for i in range(len(gram)))
 
     @cached_property
     def _curve_index(self) -> dict[LabeledCurve, int]:
@@ -312,31 +360,35 @@ class SurfaceModel:
         short = [c.label for c in self.neg_curves if len(c.cls) != n]
         problems += [f"{self.name}: curve {label} has wrong length" for label in short]
         # The pairings need every class at full length.  They are read one row
-        # at a time, so no N x N table is held (dP1 has 240 generators).
+        # at a time, as integer numerators over the row's denominator and from
+        # the diagonal on, so no N x N table is held (dP1 has 240 generators);
+        # a Fraction is built only for a reported value.
         curves = () if short else self.neg_curves
         mk = (self.minus_k() if self.del_pezzo and len(self.canonical) == n and not short
               else None)
-        mk_dot = self.curve_pairings(mk) if mk is not None else ()
+        q, vectors = (1, ()) if short else self._curve_vectors
+        if mk is not None:
+            mk_den, mk_dot = _pair_numerators(mk, q, vectors)
         lines: set[DivClass] = set()
         for i, c in enumerate(curves):
-            row = self.curve_pairings(c.cls)
-            sq = row[i]
+            den, row = _pair_numerators(c.cls, q, vectors, i)
+            sq = row[0]
             if sq > 0 and n > 1:
                 problems.append(
-                    f"{self.name}: generator {c.label} has positive square {sq} "
-                    "on a rank >= 2 model")
-            if mk is not None and sq == -1:
-                if mk_dot[i] != 1:
+                    f"{self.name}: generator {c.label} has positive square "
+                    f"{Fraction(sq, den)} on a rank >= 2 model")
+            if mk is not None and sq == -den:
+                if mk_dot[i] != mk_den:
                     problems.append(
                         f"{self.name}: (-1)-curve {c.label} has -K.C != 1")
                 else:
                     lines.add(c.cls)
             # two distinct irreducible curves meet non-negatively
-            for other, v in zip(curves[i + 1:], row[i + 1:]):
+            for other, v in zip(curves[i + 1:], row[1:]):
                 if v < 0 and other.cls != c.cls:
                     problems.append(
                         f"{self.name}: generators {c.label} and {other.label} "
-                        f"pair negatively ({rat_str(v)})")
+                        f"pair negatively ({rat_str(Fraction(v, den))})")
         if mk is not None:
             degree = self.intersect(mk, mk)
             want = _DEL_PEZZO_LINES.get(degree)
@@ -532,25 +584,26 @@ def model_from_dict(data: Mapping, validate: bool = True) -> SurfaceModel:
             boundary_mults=tuple(rat(x) for x in d.get("boundary_mults", [])),
         )
 
-    m = SurfaceModel(
-        name=data["name"],
-        basis_labels=tuple(data["basis"]),
-        gram=mat(data["gram"]),
-        canonical=DivClass.of(data["canonical"]),
-        neg_curves=tuple(LabeledCurve(c["label"], DivClass.of(c["coeffs"]))
-                         for c in data["neg_curves"]),
-        boundary=tuple(BoundaryPart(b["label"], DivClass.of(b["coeffs"]), rat(b["coeff"]))
-                       for b in data.get("boundary", [])),
-        sings=tuple(SingularPoint(parse_sing(s["sing"]), s["location"])
-                    for s in data.get("sings", [])),
-        named_divisors={k: DivClass.of(v)
-                        for k, v in data.get("named_divisors", {}).items()},
-        point_classes=tuple(data.get("point_classes", ["generic"])),
-        del_pezzo=bool(data.get("del_pezzo", False)),
-        blowup=link_from(data.get("blowup")),
-        resolution=link_from(data.get("resolution")),
-        beta_candidates=tuple(data.get("beta_candidates", [])),
-    )
+    with missing_fields(f"model {data['name']!r}" if "name" in data else "model"):
+        m = SurfaceModel(
+            name=data["name"],
+            basis_labels=tuple(data["basis"]),
+            gram=mat(data["gram"]),
+            canonical=DivClass.of(data["canonical"]),
+            neg_curves=tuple(LabeledCurve(c["label"], DivClass.of(c["coeffs"]))
+                             for c in data["neg_curves"]),
+            boundary=tuple(BoundaryPart(b["label"], DivClass.of(b["coeffs"]), rat(b["coeff"]))
+                           for b in data.get("boundary", [])),
+            sings=tuple(SingularPoint(parse_sing(s["sing"]), s["location"])
+                        for s in data.get("sings", [])),
+            named_divisors={k: DivClass.of(v)
+                            for k, v in data.get("named_divisors", {}).items()},
+            point_classes=tuple(data.get("point_classes", ["generic"])),
+            del_pezzo=bool(data.get("del_pezzo", False)),
+            blowup=link_from(data.get("blowup")),
+            resolution=link_from(data.get("resolution")),
+            beta_candidates=tuple(data.get("beta_candidates", [])),
+        )
     if validate:
         m.validate_strict()
     return m
@@ -558,15 +611,16 @@ def model_from_dict(data: Mapping, validate: bool = True) -> SurfaceModel:
 
 def load_models(path: str | Path, validate: bool = True) -> list[SurfaceModel]:
     """Read one model or a {"models": [...]} collection from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "models" in data:
-        entries = data["models"]
-    elif isinstance(data, dict):
-        entries = [data]
-    else:
-        entries = data
-    return [model_from_dict(e, validate=validate) for e in entries]
+    def load(data) -> list[SurfaceModel]:
+        if isinstance(data, dict) and "models" in data:
+            entries = data["models"]
+        elif isinstance(data, dict):
+            entries = [data]
+        else:
+            entries = data
+        return [model_from_dict(e, validate=validate) for e in entries]
+
+    return read_json(path, load)
 
 
 def catalog(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> SurfaceModel:

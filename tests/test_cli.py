@@ -276,6 +276,39 @@ def test_flag_file_loading(tmp_path):
     assert any("plt" in note for note in payload["results"]["notes"])
 
 
+def _missing_model_field(tmp_path):
+    model = {**model_to_dict(catalog("dP7")), "name": "dP7-no-gram"}
+    del model["gram"]
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps({"models": [model]}))
+    return (["--catalog", str(path), "catalog", "list"],
+            f"{path}: model 'dP7-no-gram' lacks field 'gram'")
+
+
+def _missing_flag_field(tmp_path):
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps({"flags": [{"name": "x"}]}))
+    return (["semistable", "--surface", "dP3", "--flag-file", str(path)],
+            f"{path}: flag 'x' lacks field 'divisor_spec'")
+
+
+def _missing_graph_field(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"edges": []}))
+    return (["discrep", "--graph", str(path)],
+            f"{path}: resolution graph lacks field 'vertices'")
+
+
+@pytest.mark.parametrize("make", [_missing_model_field, _missing_flag_field,
+                                  _missing_graph_field],
+                         ids=["catalog", "flag-file", "graph"])
+def test_json_input_without_a_field_names_file_and_field(tmp_path, capsys, make):
+    argv, message = make(tmp_path)
+    report, code = run(argv)
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_beta_accepts_raw_divisor_expression():
     payload, _ = _json_run(["beta", "--surface", "dP7",
                             "--divisor-spec", "H - E1 - E2"])

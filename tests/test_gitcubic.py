@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import git_bruteforce_oracle
 from delpezzo.gitcubic import (CONE_PLANE_CUBIC, FERMAT, TRIPLE_A2, CubicForm,
                                OnePS, apply_coordinate_change, barycenter_in_hull,
                                brute_force_destabilizer, catalog_verdicts,
@@ -95,6 +96,29 @@ def test_lp_witness_is_primitive_verified_and_agrees_with_brute_force(supp):
     if w is not None:
         assert sum(w.weights) == 0 and math.gcd(*w.weights) == 1
         assert hm_weight(f, w) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms)
+def test_interval_search_matches_the_triple_loop(f):
+    assert brute_force_destabilizer(f) == git_bruteforce_oracle.brute_force_destabilizer(f)
+
+
+# Every monomial has equal z and w exponents, so each one either passes or
+# rules out a (w1, w2) pair and none bounds w3.
+_FLAT_IN_W3 = CubicForm.from_terms({(3, 0, 0, 0): 1, (2, 1, 0, 0): 1, (1, 0, 1, 1): 1})
+
+
+@pytest.mark.parametrize("f, witness", [
+    (_FLAT_IN_W3, (1, -1, -9, 9)),
+    (FERMAT, None),
+    (TRIPLE_A2, None),
+    (CONE_PLANE_CUBIC, (1, 1, 1, -3)),
+], ids=["flat-in-w3", "fermat", "xyz-w3", "cone-plane-cubic"])
+def test_interval_search_on_pinned_forms(f, witness):
+    got = brute_force_destabilizer(f)
+    assert got == git_bruteforce_oracle.brute_force_destabilizer(f)
+    assert (got and got.weights) == witness
 
 
 def test_destabilizer_is_one_lp_and_never_the_brute_force(monkeypatch):

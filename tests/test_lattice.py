@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import hashlib
 import importlib
 import json
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import intersect_oracle
 import neg_curves_oracle
+import validate_oracle
 from delpezzo.catalog import builtin_names, canonical_name
 from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel,
                               UnknownSurfaceError, catalog, catalog_names,
@@ -313,3 +315,77 @@ def test_invalid_gram_rejected():
     # one asymmetric pair, reported once
     assert [p for p in problems if "not symmetric" in p] == \
         ["dP7: gram not symmetric at (0,1)"]
+
+
+_ORACLE_MODELS = builtin_names() + ["P(1,1,2)+1/2Q", "P(1,2,3)"]
+
+
+@pytest.mark.parametrize("name", _ORACLE_MODELS)
+def test_curve_vectors_match_the_fraction_construction(name):
+    m = catalog(name)
+    fresh = model_from_dict(model_to_dict(m), validate=False)
+    assert fresh._curve_vectors == validate_oracle.curve_vectors(m)
+
+
+@pytest.mark.parametrize("name", _ORACLE_MODELS)
+def test_validate_matches_the_fraction_oracle(name):
+    m = catalog(name)
+    assert m.validate() == validate_oracle.validate(m) == []
+
+
+def _with_curve(label, coeffs):
+    def corrupt(data):
+        data["neg_curves"].append({"label": label, "coeffs": coeffs})
+    return corrupt
+
+
+def _without_curve(label):
+    def corrupt(data):
+        data["neg_curves"] = [c for c in data["neg_curves"] if c["label"] != label]
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, problem", [
+    (_with_curve("P", ["1/2", "0", "0"]),
+     "dP7: generator P has positive square 1/4 on a rank >= 2 model"),
+    (_with_curve("C", ["2", "-2", "-1"]), "dP7: (-1)-curve C has -K.C != 1"),
+    (_with_curve("X", ["0", "1/2", "0"]),
+     "dP7: generators E1 and X pair negatively (-1/2)"),
+    (_without_curve("E2"),
+     "dP7: 2 (-1)-curves listed, a del Pezzo surface of degree 7 has 3"),
+    (_with_curve("S", ["1", "0"]), "dP7: curve S has wrong length"),
+], ids=["positive-square", "minus-K-degree", "negative-pair", "missing-line",
+        "wrong-length"])
+def test_validate_matches_the_fraction_oracle_on_corrupt_models(corrupt, problem):
+    data = model_to_dict(catalog("dP7"))
+    corrupt(data)
+    m = model_from_dict(data, validate=False)
+    problems = m.validate()
+    assert problem in problems
+    assert problems == validate_oracle.validate(m)
+
+
+def test_validate_builds_no_fraction_per_pairing():
+    """dP1's 240 rows of up to 240 pairings are checked as integers: the
+    Fractions that validate builds itself (-K and its square) do not grow
+    with the number of generators; the oracle builds one per pairing."""
+    m = model_from_dict(model_to_dict(catalog("dP1")), validate=False)
+    lattice_file = sys.modules[SurfaceModel.__module__].__file__
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__ \
+                and frame.f_code.co_name == "__new__":
+            caller = frame.f_back
+            while caller.f_code.co_filename == fractions.__file__:
+                caller = caller.f_back
+            built.append(caller.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        problems = m.validate()
+    finally:
+        sys.setprofile(None)
+    assert problems == []
+    assert len(m.neg_curves) == 240
+    assert built.count(lattice_file) <= m.rank + 1

@@ -1,0 +1,82 @@
+"""Model construction over Fraction entries, kept as a test oracle.
+
+These are the forms that ``SurfaceModel`` used before its curve vectors
+and validation rows went to integers: G.C summed entry by entry as
+Fractions and then cleared to one denominator, and a ``validate`` whose
+generator loop reads each row of pairings as Fractions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from delpezzo.exactnum import rat_str
+from delpezzo.lattice import _DEL_PEZZO_LINES, DivClass, _rows_over_one_denominator
+from delpezzo.linalg import symmetric_signature
+
+
+def curve_vectors(m) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(q, V) with (G.C)_i = V[i][k] / q for the k-th catalogued curve C."""
+    if any(len(c.cls) != m.rank for c in m.neg_curves):
+        raise ValueError("rank mismatch in intersection pairing")
+    gc = [[sum((g * b for g, b in zip(row, c.cls.coeffs)), Fraction(0))
+           for c in m.neg_curves] for row in m.gram]
+    return _rows_over_one_denominator(gc)
+
+
+def validate(m) -> list[str]:
+    """The list of invariant violations of m (empty when healthy)."""
+    problems: list[str] = []
+    n = m.rank
+    if len(m.gram) != n or any(len(row) != n for row in m.gram):
+        return [f"{m.name}: gram shape does not match rank {n}"]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m.gram[i][j] != m.gram[j][i]:
+                problems.append(f"{m.name}: gram not symmetric at ({i},{j})")
+    if not problems:
+        sig = symmetric_signature(m.gram)
+        if sig != (1, n - 1, 0):
+            problems.append(f"{m.name}: gram signature {sig} is not (1, {n - 1}, 0)")
+    if len(m.canonical) != n:
+        problems.append(f"{m.name}: canonical class has wrong length")
+    if not m.neg_curves:
+        problems.append(f"{m.name}: no effective-cone generators listed")
+    short = [c.label for c in m.neg_curves if len(c.cls) != n]
+    problems += [f"{m.name}: curve {label} has wrong length" for label in short]
+    curves = () if short else m.neg_curves
+    mk = (m.minus_k() if m.del_pezzo and len(m.canonical) == n and not short
+          else None)
+    mk_dot = m.curve_pairings(mk) if mk is not None else ()
+    lines: set[DivClass] = set()
+    for i, c in enumerate(curves):
+        row = m.curve_pairings(c.cls)
+        sq = row[i]
+        if sq > 0 and n > 1:
+            problems.append(
+                f"{m.name}: generator {c.label} has positive square {sq} "
+                "on a rank >= 2 model")
+        if mk is not None and sq == -1:
+            if mk_dot[i] != 1:
+                problems.append(f"{m.name}: (-1)-curve {c.label} has -K.C != 1")
+            else:
+                lines.add(c.cls)
+        for other, v in zip(curves[i + 1:], row[i + 1:]):
+            if v < 0 and other.cls != c.cls:
+                problems.append(
+                    f"{m.name}: generators {c.label} and {other.label} "
+                    f"pair negatively ({rat_str(v)})")
+    if mk is not None:
+        degree = m.intersect(mk, mk)
+        want = _DEL_PEZZO_LINES.get(degree)
+        if want is None:
+            problems.append(f"{m.name}: del Pezzo degree {degree} outside 1..9")
+        elif len(lines) not in want:
+            problems.append(
+                f"{m.name}: {len(lines)} (-1)-curves listed, a del Pezzo "
+                f"surface of degree {degree} has {' or '.join(map(str, want))}")
+    for b in m.boundary:
+        if not 0 <= b.coeff < 1:
+            problems.append(
+                f"{m.name}: boundary coefficient {rat_str(b.coeff)} outside [0,1)")
+    return problems

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exactnum import Poly, Rat, rat, rat_str
-from .lattice import SurfaceModel, missing_fields
+from .lattice import SurfaceModel, json_object, json_objects, missing_fields
 from .positivity import Chamber
 from .valuative import Invariants, invariants
 
@@ -187,9 +187,11 @@ def flag_from_dict(data: Mapping, m: SurfaceModel) -> tuple[FlagSpec, tuple[str,
     default to asserted_plt = false: the plt hypothesis is the caller's.
     """
     points = []
-    with missing_fields(f"flag {data['name']!r}" if "name" in data else "flag"):
+    data = json_object(data, "flag")
+    what = f"flag {data['name']!r}" if "name" in data else "flag"
+    with missing_fields(what):
         spec = data["divisor_spec"]
-        for p in data.get("points", [{"label": "generic"}]):
+        for p in json_objects(data.get("points", [{"label": "generic"}]), f"{what}: points"):
             n_orders = p.get("n_orders")
             corrections = p.get("deg_corrections")
             points.append(FlagPoint(

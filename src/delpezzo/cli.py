@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import azflag, gitcubic, localvol, positivity, valuative
 from .exactnum import rat, rat_str
-from .lattice import (SurfaceModel, catalog, catalog_names, load_models, model_to_dict,
-                      read_json, validate_links)
+from .lattice import (SurfaceModel, catalog, catalog_names, json_objects, load_models,
+                      model_to_dict, read_json, validate_links)
 from .localvol import parse_sing
 from .parse import div_from_expr, poly_terms
 from .report import Report
@@ -281,7 +281,8 @@ def cmd_beta(args, extra):
 
 def _file_flags(path, m):
     def load(data):
-        entries = data["flags"] if isinstance(data, dict) and "flags" in data else [data]
+        entries = (json_objects(data["flags"], "flags") if isinstance(data, dict) and "flags" in data
+                   else [data])
         return [azflag.flag_from_dict(entry, m) for entry in entries]
 
     return read_json(path, load)

@@ -13,7 +13,8 @@ a pure function, so concurrent use needs no locking.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import add
 from typing import Iterable, Sequence, Union
 
 #: Exact rational scalar.  ``fractions.Fraction`` already maintains the
@@ -57,15 +58,30 @@ def sqrt_rat(x: Rat) -> Rat | None:
     return None
 
 
+def over_one_denominator(values: Sequence[Rat]) -> tuple[int, list[int]]:
+    """(s, n) with values[i] = n[i] / s: integer numerators over the least
+    common denominator s."""
+    s = lcm(*(v.denominator for v in values))
+    return s, [v.numerator * (s // v.denominator) for v in values]
+
+
 def poly_mul(a: dict, b: dict) -> dict:
     """Product of two multivariate polynomials kept as exponent-tuple ->
-    coefficient maps (zero terms dropped)."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {k: v for k, v in out.items() if v != 0}
+    coefficient maps (zero terms dropped).
+
+    Each factor is cleared to integer numerators over one denominator, so
+    the term products are integer products and sums, and a Fraction is
+    built once per term of the result; keys come in the order the term
+    products first reach them."""
+    sa, na = over_one_denominator(list(a.values()))
+    sb, nb = over_one_denominator(list(b.values()))
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in zip(a, na):
+        for eb, cb in zip(b, nb):
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    s = sa * sb
+    return {k: Fraction(v, s) for k, v in out.items() if v}
 
 
 class Poly:

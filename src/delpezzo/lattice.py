@@ -24,7 +24,7 @@ from operator import mul
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .exactnum import Rat, rat, rat_str
+from .exactnum import Rat, over_one_denominator, rat, rat_str
 from .linalg import Matrix, mat, symmetric_signature
 from .localvol import QuotientSing, parse_sing
 
@@ -35,17 +35,10 @@ _DEL_PEZZO_LINES = {9: (0,), 8: (0, 1), 7: (3,), 6: (6,), 5: (10,), 4: (16,),
                    3: (27,), 2: (56,), 1: (240,)}
 
 
-def _over_one_denominator(values: Sequence[Rat]) -> tuple[int, list[int]]:
-    """(s, n) with values[i] = n[i] / s: integer numerators over the least
-    common denominator s."""
-    s = lcm(*(v.denominator for v in values))
-    return s, [v.numerator * (s // v.denominator) for v in values]
-
-
 def _rows_over_one_denominator(rows: Sequence[Sequence[Rat]]
                                ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(q, M) with rows[i][j] = M[i][j] / q."""
-    q, flat = _over_one_denominator([x for row in rows for x in row])
+    q, flat = over_one_denominator([x for row in rows for x in row])
     entries = iter(flat)
     return q, tuple(tuple(islice(entries, len(row))) for row in rows)
 
@@ -56,7 +49,7 @@ def _pair_numerators(d: DivClass, q: int, vectors: Sequence[Sequence[int]],
     ``vectors``, where (G.C)_i = vectors[i][k] / q: integers only."""
     if len(d) != len(vectors):
         raise ValueError("rank mismatch in intersection pairing")
-    den, nums = _over_one_denominator(d.coeffs)
+    den, nums = over_one_denominator(d.coeffs)
     acc = [0] * (len(vectors[0]) - start if vectors else 0)
     for a, row in zip(nums, vectors):
         if a:
@@ -79,8 +72,34 @@ class ModelInvariantError(ValueError):
     """A surface model violates one of its structural invariants."""
 
 
-class MissingFieldError(ValueError):
+class InputShapeError(ValueError):
+    """A declarative (JSON) input does not have the shape its loader reads."""
+
+
+class MissingFieldError(InputShapeError):
     """A declarative (JSON) input lacks a required field."""
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def json_object(value: Any, what: str) -> Mapping:
+    """``value`` if it is a JSON object; an InputShapeError naming ``what``
+    otherwise."""
+    if not isinstance(value, Mapping):
+        raise InputShapeError(f"{what} is {_JSON_KINDS.get(type(value))}, not an object")
+    return value
+
+
+def json_objects(values: Any, what: str) -> Sequence[Mapping]:
+    """``values`` if it is a JSON array of objects; an InputShapeError naming
+    ``what`` otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise InputShapeError(f"{what} is {_JSON_KINDS.get(type(values))}, not an array")
+    for v in values:
+        json_object(v, f"{what} entry")
+    return values
 
 
 @contextmanager
@@ -95,13 +114,13 @@ def missing_fields(what: str) -> Iterator[None]:
 
 def read_json(path: str | Path, load: Callable[[Any], Any]) -> Any:
     """load(data) for the JSON document at ``path``, with the file named in
-    a MissingFieldError."""
+    an InputShapeError."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         return load(data)
-    except MissingFieldError as exc:
-        raise MissingFieldError(f"{path}: {exc}") from None
+    except InputShapeError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -227,8 +246,8 @@ class SurfaceModel:
         if len(d1) != self.rank or len(d2) != self.rank:
             raise ValueError("rank mismatch in intersection pairing")
         q, gram = self._int_gram
-        s1, a = _over_one_denominator(d1.coeffs)
-        s2, b = _over_one_denominator(d2.coeffs)
+        s1, a = over_one_denominator(d1.coeffs)
+        s2, b = over_one_denominator(d2.coeffs)
         nonzero = [(j, y) for j, y in enumerate(b) if y]
         total = 0
         for x, row in zip(a, gram):
@@ -255,7 +274,7 @@ class SurfaceModel:
         qg, gram = self._int_gram
         columns, dens = [], []
         for c in self.neg_curves:
-            s, nums = _over_one_denominator(c.cls.coeffs)
+            s, nums = over_one_denominator(c.cls.coeffs)
             col = [sum(map(mul, row, nums)) for row in gram]
             g = gcd(qg * s, *col)
             columns.append([x // g for x in col])
@@ -279,15 +298,15 @@ class SurfaceModel:
         """
         return _pair_columns(d, *self._curve_vectors)
 
-    def _pairings_with(self, curves: Sequence[LabeledCurve],
-                       classes: Sequence[DivClass]) -> list[tuple[Rat, ...]]:
-        """For each d in ``classes``, d . C for every C in ``curves``, which
-        must be catalogued curves; read from the columns of the curve vectors
-        that belong to ``curves``, as ``curve_pairings`` reads all of them."""
+    def _pair_numerators_with(self, curves: Sequence[LabeledCurve],
+                              classes: Sequence[DivClass]) -> list[tuple[int, list[int]]]:
+        """For each d in ``classes``, (r, n) with d . C = n[i] / r for the
+        i-th curve C of ``curves``, which must be catalogued curves; read
+        from the columns of the curve vectors that belong to ``curves``."""
         q, vectors = self._curve_vectors
         ks = [self._curve_index[c] for c in curves]
         columns = [[row[k] for k in ks] for row in vectors]
-        return [_pair_columns(d, q, columns) for d in classes]
+        return [_pair_numerators(d, q, columns) for d in classes]
 
     def minus_k(self) -> DivClass:
         return -self.canonical
@@ -568,9 +587,10 @@ def model_to_dict(m: SurfaceModel) -> dict:
 
 def model_from_dict(data: Mapping, validate: bool = True) -> SurfaceModel:
     """Load a model from its declarative form; validates unless told not to."""
-    def link_from(d) -> ModelLink | None:
+    def link_from(d, kind: str) -> ModelLink | None:
         if d is None:
             return None
+        d = json_object(d, f"{kind} link")
         return ModelLink(
             target=d["target"],
             pullback=mat(d["pullback"]),
@@ -578,30 +598,33 @@ def model_from_dict(data: Mapping, validate: bool = True) -> SurfaceModel:
             exceptional=DivClass.of(d["exceptional"]),
             graph=GraphData(
                 vertices=tuple((v[0], int(v[1]), int(v[2]))
-                               for v in d["graph"]["vertices"]),
+                               for v in json_object(d["graph"], f"{kind} graph")["vertices"]),
                 edges=tuple(tuple(int(x) for x in e) for e in d["graph"]["edges"]),
             ),
             boundary_mults=tuple(rat(x) for x in d.get("boundary_mults", [])),
         )
 
-    with missing_fields(f"model {data['name']!r}" if "name" in data else "model"):
+    data = json_object(data, "model")
+    what = f"model {data['name']!r}" if "name" in data else "model"
+    with missing_fields(what):
         m = SurfaceModel(
             name=data["name"],
             basis_labels=tuple(data["basis"]),
             gram=mat(data["gram"]),
             canonical=DivClass.of(data["canonical"]),
             neg_curves=tuple(LabeledCurve(c["label"], DivClass.of(c["coeffs"]))
-                             for c in data["neg_curves"]),
+                             for c in json_objects(data["neg_curves"], f"{what}: neg_curves")),
             boundary=tuple(BoundaryPart(b["label"], DivClass.of(b["coeffs"]), rat(b["coeff"]))
-                           for b in data.get("boundary", [])),
+                           for b in json_objects(data.get("boundary", []),
+                                                 f"{what}: boundary")),
             sings=tuple(SingularPoint(parse_sing(s["sing"]), s["location"])
-                        for s in data.get("sings", [])),
+                        for s in json_objects(data.get("sings", []), f"{what}: sings")),
             named_divisors={k: DivClass.of(v)
                             for k, v in data.get("named_divisors", {}).items()},
             point_classes=tuple(data.get("point_classes", ["generic"])),
             del_pezzo=bool(data.get("del_pezzo", False)),
-            blowup=link_from(data.get("blowup")),
-            resolution=link_from(data.get("resolution")),
+            blowup=link_from(data.get("blowup"), f"{what}: blowup"),
+            resolution=link_from(data.get("resolution"), f"{what}: resolution"),
             beta_candidates=tuple(data.get("beta_candidates", [])),
         )
     if validate:
@@ -618,7 +641,8 @@ def load_models(path: str | Path, validate: bool = True) -> list[SurfaceModel]:
             entries = [data]
         else:
             entries = data
-        return [model_from_dict(e, validate=validate) for e in entries]
+        return [model_from_dict(e, validate=validate)
+                for e in json_objects(entries, "model list")]
 
     return read_json(path, load)
 

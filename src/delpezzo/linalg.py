@@ -3,8 +3,16 @@
 Small matrices only (Picard ranks <= 9, Zariski supports, resolution
 graphs), so plain elimination with Fraction entries is both exact and
 fast.  Gaussian elimination gives Gram-system solves; one symmetric
-(congruence) elimination gives the signature, and with it every
-negative-definiteness certificate and lattice signature check.
+(congruence) elimination gives the signature, and with it the lattice
+signature checks and the negative-definiteness tests of resolution
+graphs and decompositions.
+
+The Zariski supports use one integer kernel instead, ``bareiss``: a
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968))
+without pivoting.  Its pivots are the leading principal minors, which
+certify negative definiteness by Sylvester's criterion
+(``sylvester_negative_definite``), and the same elimination carries the
+right-hand sides to integer solutions over the determinant.
 """
 
 from __future__ import annotations
@@ -85,3 +93,45 @@ def is_negative_definite(m: Sequence[Sequence[Rat]]) -> bool:
     """All eigenvalues negative; the empty matrix counts as negative definite
     (empty support)."""
     return symmetric_signature(m) == (0, len(m), 0)
+
+
+def bareiss(a: Sequence[Sequence[int]],
+            rhs: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """(minors, xs) for the square integer matrix a and integer columns rhs.
+
+    Gauss-Jordan elimination without pivoting, fraction-free: step k keeps
+    row k and replaces every other row r by (p * r - f * row_k) // d, where
+    p is the pivot, f the row's entry in column k and d the previous pivot
+    (1 at the start).  The divisions are exact, and the pivot of step k is
+    the leading principal minor D_{k+1}.  ``minors`` lists D_1, D_2, ...
+    up to and including the first zero one, where the elimination stops.
+    When none is zero, xs[j] is the integer vector X with a X = det(a) *
+    rhs[j]; otherwise xs is empty.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a) or any(len(b) != n for b in rhs):
+        raise ValueError("shape mismatch in Bareiss elimination")
+    rows = [list(row) + [b[i] for b in rhs] for i, row in enumerate(a)]
+    minors: list[int] = []
+    d = 1
+    for k in range(n):
+        prow = rows[k]
+        p = prow[k]
+        minors.append(p)
+        if p == 0:
+            return minors, []
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = ([(p * x - f * y) // d for x, y in zip(row, prow)] if f
+                           else [p * x // d for x in row])
+        d = p
+    return minors, [[row[n + j] for row in rows] for j in range(len(rhs))]
+
+
+def sylvester_negative_definite(minors: Sequence[int], n: int) -> bool:
+    """Sylvester's criterion on the leading principal minors of an n x n
+    symmetric matrix, as ``bareiss`` lists them: negative definite exactly
+    when (-1)^k D_k > 0 for k = 1..n.  True for n = 0."""
+    return len(minors) == n and all((x < 0) == (k % 2 == 0) and x != 0
+                                    for k, x in enumerate(minors))

@@ -25,7 +25,11 @@ J. Res. NBS 71B (1967)):
   read back as Fractions through d and the column scales.
 
 The result carries the number of pivots taken, a deterministic measure
-of the work done.
+of the work done.  Before it is returned it is re-checked in integers, on
+the scaled columns as they were before the pivots: a solution x must
+satisfy x >= 0 and A x = b, a Farkas vector y must satisfy y.A_j <= 0 for
+every column and y.b > 0; ArithmeticError otherwise.  The check costs
+O(m n), against O(m n) per pivot.
 """
 
 from __future__ import annotations
@@ -68,19 +72,58 @@ def eq_feasibility(a: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> LPFeasibilit
     for i in range(m):
         rows[i][n + i] = 1
     basis = [n + i for i in range(m)]
+    scaled = [row[:n] + row[-1:] for row in rows]  # the columns the result is checked on
 
     # Reduced-cost row for  min sum(artificials):  r_j = c_j - sum_i rows[i][j];
     # the artificial columns have c_j = 1 and reduced cost 0.
     rhs = n + m
     obj = [-sum(row[j] for row in rows) for j in range(n)] + [0] * m
     obj.append(-sum(row[rhs] for row in rows))
+    obj, d, pivots = _phase1(rows, obj, basis)
 
+    if obj[rhs] == 0:
+        # x_j = (u / d) * s_j / s_rhs for the basic column j = basis[i] < n,
+        # u = rows[i][rhs]: a x = b reads sum_j scaled[k][j] u_j = d scaled[k][n].
+        basic = [(j, row[rhs]) for j, row in zip(basis, rows) if j < n]
+        if d <= 0 or any(u < 0 for _, u in basic):
+            raise ArithmeticError("LP solution fails its check: x >= 0")
+        if any(sum(row[j] * u for j, u in basic) != d * row[n] for row in scaled):
+            raise ArithmeticError("LP solution fails its check: a x = b")
+        x = [Fraction(0)] * n
+        for j, u in basic:
+            x[j] = Fraction(u * scales[j], d * s_rhs)
+        return LPFeasibility(True, tuple(x), None, pivots)
+
+    # Infeasible: simplex multipliers from artificial reduced costs
+    # (artificial columns are unscaled), y_i = z_i sign_i / d with
+    # z_i = d - obj[n + i].  y.A_j and y.b have the signs of the sums of
+    # z_i scaled[i][j] and z_i scaled[i][n].
+    z = [d - obj[n + i] for i in range(m)]
+    sums = [0] * (n + 1)
+    for zi, row in zip(z, scaled):
+        if zi:
+            sums = [t + zi * x for t, x in zip(sums, row)]
+    if d <= 0 or any(t > 0 for t in sums[:n]):
+        raise ArithmeticError("LP Farkas vector fails its check: y.A_j <= 0")
+    if sums[n] <= 0:
+        raise ArithmeticError("LP Farkas vector fails its check: y.b > 0")
+    y = [Fraction(zi * sign, d) for zi, sign in zip(z, signs)]
+    return LPFeasibility(False, None, tuple(y), pivots)
+
+
+def _phase1(rows: list[list[int]], obj: list[int], basis: list[int]
+            ) -> tuple[list[int], int, int]:
+    """Bland pivots on the integer tableau ``rows`` and ``basis``, updated in
+    place, until no reduced cost in ``obj`` is negative; returns the final
+    objective row, the last pivot d and the number of pivots."""
+    m = len(rows)
+    rhs = len(obj) - 1
     d = 1
     pivots = 0
     while True:
         enter = next((j for j in range(rhs) if obj[j] < 0), None)
         if enter is None:
-            break
+            return obj, d, pivots
         # Ratio test with Bland tie-breaking on the leaving basis index.
         piv = None
         for i in range(m):
@@ -109,18 +152,6 @@ def eq_feasibility(a: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> LPFeasibilit
         d = p
         basis[piv] = enter
         pivots += 1
-
-    if obj[rhs] == 0:
-        x = [Fraction(0)] * n
-        for i, bj in enumerate(basis):
-            if bj < n:
-                x[bj] = Fraction(rows[i][rhs] * scales[bj], d * s_rhs)
-        return LPFeasibility(True, tuple(x), None, pivots)
-
-    # Infeasible: simplex multipliers from artificial reduced costs
-    # (artificial columns are unscaled), mapped back through the row signs.
-    y = [Fraction(d - obj[n + i], d) * signs[i] for i in range(m)]
-    return LPFeasibility(False, None, tuple(y), pivots)
 
 
 def in_cone(generators: Sequence[Sequence[Rat]], target: Sequence[Rat]) -> LPFeasibility:

@@ -12,6 +12,15 @@ inside a chamber the negative-part support is constant and the
 coefficients are linear in t, so each piece of the profile is a
 quadratic with rational breakpoints found by exact root-finding on the
 linear wall functions (never by numeric sampling).
+
+Both the decomposition and the walk solve their support systems with one
+integer kernel, ``_solve_support``: a fraction-free Bareiss elimination of
+the integer support Gram whose leading principal minors certify it
+negative definite.  The walk runs on integers throughout.  It reads L . C
+and E . C once per walk as integer numerators, gets P(t) . C by linearity
+from the support rows, tests entry by cross-multiplication and picks the
+next wall as one integer (num, den) minimum.  Fractions are built only
+for the values its Chamber records hold.
 """
 
 from __future__ import annotations
@@ -19,12 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from . import lp
-from .exactnum import Poly, PiecewisePoly, Rat, rat, rat_str, rational_roots
-from .lattice import DivClass, LabeledCurve, SurfaceModel, is_nef
-from .linalg import Matrix, is_negative_definite, solve
+from .exactnum import (Poly, PiecewisePoly, Rat, over_one_denominator, rat, rat_str,
+                       rational_roots)
+from .lattice import DivClass, LabeledCurve, SurfaceModel, _pair_numerators, is_nef
+from .linalg import (Matrix, bareiss, is_negative_definite, solve,
+                     sylvester_negative_definite)
 
 
 class NotPseudoeffectiveError(ValueError):
@@ -115,21 +127,50 @@ class ZariskiDecomp:
 
 
 def _solve_support(m: SurfaceModel, support: Sequence[LabeledCurve],
-                   classes: Sequence[DivClass]) -> tuple[Matrix, list[list[Rat]]]:
-    """The support's Gram matrix, certified negative definite, and for each
-    class d the coefficients x with (d - sum x_i C_i) . C_j = 0 on the support.
+                   classes: Sequence[DivClass]
+                   ) -> tuple[int, tuple[tuple[int, ...], ...], list[tuple[int, list[int]]]]:
+    """(w, gram, sols): the support's Gram matrix C_i . C_j = gram[i][j] / w
+    in integers, certified negative definite, and for each class d its
+    (r, X), r > 0, with (d - sum x_i C_i) . C_j = 0 on the support for
+    x_i = X[i] / r.
 
-    The Gram matrix C_i . C_j and the right-hand sides d . C_j are read from
-    the model's cached curve vectors for the support curves."""
+    The pairings are integer numerators read from the model's cached curve
+    vectors.  One Bareiss elimination of the integer Gram, carried along
+    every right-hand side, gives the leading principal minors, whose signs
+    certify the Gram negative definite (Sylvester's criterion), and the
+    solutions over the determinant."""
     if not support:
-        return (), [[] for _ in classes]
-    rows = m._pairings_with(support, [c.cls for c in support] + list(classes))
-    gram = tuple(rows[:len(support)])
-    if not is_negative_definite(gram):
+        return 1, (), [(1, []) for _ in classes]
+    n = len(support)
+    rows = m._pair_numerators_with(support, [c.cls for c in support] + list(classes))
+    w = lcm(*(r for r, _ in rows[:n]))
+    gram = tuple(tuple(x * (w // r) for x in nums) for r, nums in rows[:n])
+    # sum_i x_i gram[j][i] / w = d . C_j = nums[j] / r, so gram (r x) = w nums
+    minors, xs = bareiss(gram, [[w * v for v in nums] for _, nums in rows[n:]])
+    if not sylvester_negative_definite(minors, n):
         raise ConeDataError(
             f"support {{{', '.join(c.label for c in support)}}} on {m.name} is not "
             "negative definite; cone data possibly incomplete")
-    return gram, [solve(gram, rhs) for rhs in rows[len(support):]]
+    det = minors[-1]
+    sign = 1 if det > 0 else -1
+    return w, gram, [(sign * det * r, [sign * x for x in xv])
+                     for (r, _), xv in zip(rows[n:], xs)]
+
+
+def _minus_combination(d: DivClass, xs: Sequence[int], r: int,
+                       curves: Sequence[LabeledCurve]) -> DivClass:
+    """d - sum (xs[i] / r) C_i, summed in integers over one denominator:
+    one Fraction per coordinate."""
+    s, acc = over_one_denominator(d.coeffs)
+    cleared = [over_one_denominator(c.cls.coeffs) for c in curves]
+    den = lcm(*(t for t, _ in cleared))
+    acc = [v * r * den for v in acc]
+    for x, (t, nums) in zip(xs, cleared):
+        f = s * x * (den // t)
+        if f:
+            acc = [a - f * v for a, v in zip(acc, nums)]
+    den *= s * r
+    return DivClass(tuple(Fraction(a, den) for a in acc))
 
 
 def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
@@ -140,15 +181,14 @@ def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
         raise NotPseudoeffectiveError(m, d, cert, m.intersect(cert, d))
     support: list[LabeledCurve] = []
     for _ in range(len(m.neg_curves) + 1):
-        gram, (coeffs,) = _solve_support(m, support, [d])
-        p = d
-        for c, x in zip(support, coeffs):
-            p = p - c.cls.scale(x)
+        w, gram, ((r, xs),) = _solve_support(m, support, [d])
+        p = _minus_combination(d, xs, r, support)
         violating = [c for c, v in zip(m.neg_curves, m.curve_pairings(p))
                      if v < 0 and c not in support]
         if not violating:
-            dec = ZariskiDecomp(p, tuple((c.label, x) for c, x in zip(support, coeffs)),
-                                gram)
+            dec = ZariskiDecomp(
+                p, tuple((c.label, Fraction(x, r)) for c, x in zip(support, xs)),
+                tuple(tuple(Fraction(g, w) for g in row) for row in gram))
             problems = dec.verify(m, d)
             if problems:
                 raise ConeDataError("; ".join(problems))
@@ -246,6 +286,17 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     Chamber walls are roots of the linear functions t -> P(t) . C over the
     catalogued generators; the walk ends at the pseudoeffective threshold,
     where the (at most quadratic) volume piece vanishes.
+
+    The walk runs on integers.  L . C_k and E . C_k are read once per walk
+    as integer numerators from the cached curve vectors.  In a chamber with
+    support S and coefficients x_i = a_i + b_i t from the one support
+    kernel, P_const . C_k = L . C_k - sum a_i C_i . C_k and P_slope . C_k =
+    -E . C_k - sum b_i C_i . C_k, each over one denominator.  Entry at the
+    current t is tested by cross-multiplying, and the next wall is one
+    integer (num, den) minimum, ties kept in ``neg_curves`` order.  As
+    P(t) . C_i = 0 on the support, vol = P(t) . (L - tE), so a chamber makes
+    no ``intersect`` call.  Fractions are built only for the Chamber record
+    and the chosen wall.
     """
     if not is_nef(m, L):
         raise ValueError(f"{m.render(L)} is not nef on {m.name}")
@@ -259,59 +310,87 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
         raise ValueError(
             f"E = {m.render(E)} is not effective on {m.name}: the nef class L = "
             f"{m.render(L)} pairs to {rat_str(le)} < 0 with it")
+    ee = m.intersect(E, E)
+    neg_e = -E
 
-    support: list[LabeledCurve] = []
+    curves = m.neg_curves
+    q, vectors = m._curve_vectors
+    l_den, l_dot = _pair_numerators(L, q, vectors)  # L . C_k = l_dot[k] / l_den
+    e_den, e_dot = _pair_numerators(E, q, vectors)  # E . C_k = e_dot[k] / e_den
+    rows: dict[int, tuple[int, list[int]]] = {}     # C_i . C_k = row[k] / r
+
+    support: list[int] = []  # indices into neg_curves, in entry order
     t_cur = Fraction(0)
     breakpoints: list[Rat] = [t_cur]
     pieces: list[Poly] = []
     chambers: list[Chamber] = []
 
-    for _ in range(2 * len(m.neg_curves) + 6):
-        _, (c0, c1) = _solve_support(m, support, [L, -E])
-        p_const, p_slope = L, -E
-        for c, a, b in zip(support, c0, c1):
-            p_const = p_const - c.cls.scale(a)
-            p_slope = p_slope - c.cls.scale(b)
-        n_polys = [Poly([a, b]) for a, b in zip(c0, c1)]
+    for _ in range(2 * len(curves) + 6):
+        in_support = set(support)
+        s_curves = [curves[k] for k in support]
+        _, _, ((r0, x0), (r1, x1)) = _solve_support(m, s_curves, [L, neg_e])
+        # a_i = x0[i] / r0 and b_i = x1[i] / r1; P_const . C_k = pc[k] / dc and
+        # P_slope . C_k = ps[k] / ds, summed over one denominator rw for the rows
+        for k in support:
+            if k not in rows:
+                rows[k] = _pair_numerators(curves[k].cls, q, vectors)
+        rw = lcm(*(rows[k][0] for k in support))
+        pc = [v * r0 * rw for v in l_dot]
+        ps = [-v * r1 * rw for v in e_dot]
+        for k, a, b in zip(support, x0, x1):
+            r, row = rows[k]
+            fa, fb = l_den * a * (rw // r), e_den * b * (rw // r)
+            if fa:
+                pc = [s - fa * x for s, x in zip(pc, row)]
+            if fb:
+                ps = [s - fb * x for s, x in zip(ps, row)]
+        dc, ds = l_den * r0 * rw, e_den * r1 * rw
 
-        # (P_const . C, P_slope . C) for every curve outside the support.
-        pairings = [(c, a, b) for c, a, b in zip(m.neg_curves, m.curve_pairings(p_const),
-                                                  m.curve_pairings(p_slope))
-                    if c not in support]
-        # A value negative just after t_cur (negative, or zero and falling)
-        # means a curve enters, or a support curve leaves, right here.
-        entering_now = [c for c, a, b in pairings
-                        if (v := a + t_cur * b) < 0 or (v == 0 and b < 0)]
+        # A value negative just after t_cur = tn/td (negative, or zero and
+        # falling) means a curve enters, or a support curve leaves, right here.
+        tn, td = t_cur.numerator, t_cur.denominator
+        cd, ct = ds * td, dc * tn
+        outside = [k for k in range(len(curves)) if k not in in_support]
+        entering_now = [k for k in outside
+                        if (v := pc[k] * cd + ps[k] * ct) < 0 or (v == 0 and ps[k] < 0)]
         if entering_now:
             support.extend(entering_now)
             continue
-        leaving_now = [c for c, a, b in zip(support, c0, c1)
-                       if (v := a + t_cur * b) < 0 or (v == 0 and b < 0)]
+        leaving_now = {k for k, a, b in zip(support, x0, x1)
+                       if (v := a * r1 * td + b * r0 * tn) < 0 or (v == 0 and b < 0)}
         if leaving_now:
-            support = [c for c in support if c not in leaving_now]
+            support = [k for k in support if k not in leaving_now]
             continue
 
-        vol = Poly([
-            m.intersect(p_const, p_const),
-            2 * m.intersect(p_const, p_slope),
-            m.intersect(p_slope, p_slope),
-        ])
+        # P(t) = L - tE - sum x_i C_i with P(t) . C_i = 0, so P(t)^2 = P(t) . (L - tE)
+        la = Fraction(sum(a * l_dot[k] for k, a in zip(support, x0)), r0 * l_den)
+        lb = Fraction(sum(b * l_dot[k] for k, b in zip(support, x1)), r1 * l_den)
+        ea = Fraction(sum(a * e_dot[k] for k, a in zip(support, x0)), r0 * e_den)
+        eb = Fraction(sum(b * e_dot[k] for k, b in zip(support, x1)), r1 * e_den)
+        vol = Poly([l2 - la, ea - lb - 2 * le, ee + eb])
 
-        wall_events: list[tuple[Rat, str, LabeledCurve]] = []
-        for c, a, b in pairings:
+        # Walls after t_cur as (num, den, index), den > 0: a curve outside
+        # enters where P(t) . C falls to 0, a support curve leaves where its
+        # coefficient does.
+        walls: list[tuple[int, int, int]] = []
+        for k in outside:
+            if ps[k] < 0:
+                num, den = pc[k] * ds, -ps[k] * dc
+                if num * td > tn * den:
+                    walls.append((num, den, k))
+        for k, a, b in zip(support, x0, x1):
             if b < 0:
-                root = -a / b
-                if root > t_cur:
-                    wall_events.append((root, "enter", c))
-        for c, n in zip(support, n_polys):
-            if n.degree == 1 and n.coeff(1) < 0:
-                root = -n.coeff(0) / n.coeff(1)
-                if root > t_cur:
-                    wall_events.append((root, "leave", c))
+                num, den = a * r1, -b * r0
+                if num * td > tn * den:
+                    walls.append((num, den, k))
+        nearest = None
+        for num, den, _ in walls:
+            if nearest is None or num * nearest[1] < nearest[0] * den:
+                nearest = (num, den)
+        next_wall = Fraction(*nearest) if nearest else None
 
         vol_roots = [r for r in rational_roots(vol) if r > t_cur]
         tau_candidate = min(vol_roots) if vol_roots else None
-        next_wall = min((e[0] for e in wall_events), default=None)
 
         if tau_candidate is not None and (next_wall is None or tau_candidate <= next_wall):
             t_end = tau_candidate
@@ -332,9 +411,11 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
         breakpoints.append(t_end)
         pieces.append(vol)
         chambers.append(Chamber(
-            lo=t_cur, hi=t_end, support=tuple(c.label for c in support),
-            p_const=p_const, p_slope=p_slope,
-            n_coeffs=tuple((c.label, n) for c, n in zip(support, n_polys)),
+            lo=t_cur, hi=t_end, support=tuple(c.label for c in s_curves),
+            p_const=_minus_combination(L, x0, r0, s_curves),
+            p_slope=_minus_combination(neg_e, x1, r1, s_curves),
+            n_coeffs=tuple((c.label, Poly([Fraction(a, r0), Fraction(b, r1)]))
+                           for c, a, b in zip(s_curves, x0, x1)),
             vol=vol))
         if final:
             try:  # the walk's pieces must join continuously
@@ -344,12 +425,11 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
                                     "cone data possibly incomplete") from exc
             return VolumeProfile(profile=profile, tau=t_end, chambers=tuple(chambers),
                                  L=L, E=E, L2=l2)
-        for root, kind, c in wall_events:
-            if root == t_end:
-                if kind == "enter":
-                    support.append(c)
-                else:
-                    support.remove(c)
+        # the support curves at the chosen wall leave and the curves outside
+        # it enter, after the support that stays and in neg_curves order
+        at_wall = {k for num, den, k in walls if num * nearest[1] == nearest[0] * den}
+        support = ([k for k in support if k not in at_wall]
+                   + [k for k in outside if k in at_wall])
         t_cur = t_end
     raise ConeDataError(
         f"chamber walk on {m.name} did not terminate; cone data possibly incomplete")

@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import Rat, rat
-from .lattice import DivClass, GraphData, ModelLink, SurfaceModel, catalog, missing_fields
+from .lattice import (DivClass, GraphData, ModelLink, SurfaceModel, catalog, json_object,
+                      json_objects, missing_fields)
 from .linalg import is_negative_definite, solve
 from .positivity import VolumeProfile, volume_profile
 
@@ -94,16 +95,19 @@ class ResolutionGraph:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ResolutionGraph":
+        data = json_object(data, "resolution graph")
         with missing_fields("resolution graph"):
             return cls(
                 vertices=tuple(GraphVertex(v["label"], int(v["genus"]), int(v["self_int"]))
-                               for v in data["vertices"]),
+                               for v in json_objects(data["vertices"],
+                                                     "resolution graph: vertices")),
                 edges=tuple(tuple(int(x) for x in e) for e in data.get("edges", [])),
                 strict_transforms=tuple(
                     StrictTransform(rat(st["coeff"]),
                                     tuple((int(i), int(m)) for i, m in st["incidences"]),
                                     st.get("label", "D"))
-                    for st in data.get("strict_transforms", [])),
+                    for st in json_objects(data.get("strict_transforms", []),
+                                           "resolution graph: strict_transforms")),
             )
 
     @classmethod

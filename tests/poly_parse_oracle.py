@@ -10,6 +10,11 @@ maps and every error message and column.
 One known difference: ``expand`` never evaluates the base of a power
 with exponent 0, so an unknown variable there ("q^0 + x") is accepted
 here and refused by the engine.
+
+Products are taken by ``poly_mul`` below, the Fraction term product that
+``delpezzo.exactnum.poly_mul`` computed before it moved to integer
+numerators over one denominator, so the comparison checks that product
+too, key order included.
 """
 
 from __future__ import annotations
@@ -18,8 +23,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from delpezzo.exactnum import Rat, poly_mul
+from delpezzo.exactnum import Rat
 from delpezzo.parse import POLY_VARS, ParseError, _tokenize, _Token
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    """Product of two exponent-tuple -> coefficient maps, term by term in
+    Fractions (zero terms dropped)."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: v for k, v in out.items() if v != 0}
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,42 @@ def test_json_input_without_a_field_names_file_and_field(tmp_path, capsys, make)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, document, message", [
+    (["--catalog", "{path}", "catalog", "list"], ["x"],
+     "model list entry is a string, not an object"),
+    (["semistable", "--surface", "dP3", "--flag-file", "{path}"], {"flags": ["x"]},
+     "flags entry is a string, not an object"),
+    (["discrep", "--graph", "{path}"], [1, 2],
+     "resolution graph is an array, not an object"),
+], ids=["catalog", "flag-file", "graph"])
+def test_json_entries_that_are_not_objects_are_refused(tmp_path, capsys, argv, document,
+                                                       message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    report, code = run([a.format(path=path) for a in argv])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_corrupt_lp_solution_is_not_printed_as_semistable(monkeypatch, capsys):
+    from delpezzo import lp
+    real = lp._phase1
+
+    def corrupted(rows, obj, basis):  # one basic value off by one
+        obj, d, pivots = real(rows, obj, basis)
+        rows[0][-1] += d
+        return obj, d, pivots
+
+    argv = ["git-destab", "--poly", "x^3+y^3+z^3+w^3"]
+    report, code = run(argv)
+    assert code == 0 and "torus-semistable" in report.to_table()
+    monkeypatch.setattr(lp, "_phase1", corrupted)
+    report, code = run(argv)
+    assert report is None and code == 3
+    assert capsys.readouterr().err == (
+        "error: cannot certify: LP solution fails its check: a x = b\n")
+
+
 def test_beta_accepts_raw_divisor_expression():
     payload, _ = _json_run(["beta", "--surface", "dP7",
                             "--divisor-spec", "H - E1 - E2"])
@@ -357,7 +393,7 @@ def test_uncertifiable_catalog_model_exits_3(tmp_path, capsys, monkeypatch):
     assert "hyp: generators f1 and g pair negatively (-1)" in capsys.readouterr().err
     # A support the machinery cannot certify as negative definite exits 3.
     from delpezzo import positivity
-    monkeypatch.setattr(positivity, "is_negative_definite", lambda gram: False)
+    monkeypatch.setattr(positivity, "sylvester_negative_definite", lambda minors, n: False)
     report, code = run(["zariski", "--surface", "dP7", "--div", "-K - 2Ltilde"])
     assert report is None and code == 3
     err = capsys.readouterr().err

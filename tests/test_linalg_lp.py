@@ -7,8 +7,9 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from delpezzo.linalg import (SingularMatrixError, is_negative_definite, mat, solve,
-                             symmetric_signature)
+from delpezzo import lp
+from delpezzo.linalg import (SingularMatrixError, bareiss, is_negative_definite, mat, solve,
+                             sylvester_negative_definite, symmetric_signature)
 from delpezzo.lattice import catalog
 from delpezzo.lp import eq_feasibility, in_cone
 
@@ -101,6 +102,57 @@ def test_det_and_solve_against_sympy(m, b):
         return
     x = sm.LUsolve(sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in b]))
     assert solve(m, b) == [F(int(v.p), int(v.q)) for v in x]
+
+
+@st.composite
+def integer_symmetric_matrices(draw):
+    """Symmetric integer matrices with n <= 6: plain (often indefinite),
+    zero-diagonal (D_1 = 0), low-rank sums of signed squares (singular when
+    the rank is below n, zero leading minors among them) and -(B B^T + I),
+    negative definite."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["plain", "zero-diagonal", "low-rank", "negative-definite"]))
+    if kind in ("low-rank", "negative-definite"):
+        k = draw(st.integers(0, n)) if kind == "low-rank" else n
+        v = [[draw(st.integers(-2, 2)) for _ in range(k)] for _ in range(n)]
+        d = ([draw(st.sampled_from([-1, 1])) for _ in range(k)] if kind == "low-rank"
+             else [-1] * k)
+        return [[sum(v[i][t] * d[t] * v[j][t] for t in range(k)) - (kind != "low-rank"
+                                                                     and i == j)
+                 for j in range(n)] for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or kind == "plain":
+                m[i][j] = m[j][i] = draw(st.integers(-4, 4))
+    return m
+
+
+@given(integer_symmetric_matrices(), st.lists(st.integers(-5, 5), min_size=12, max_size=12))
+@example([[0, 1], [1, 0]], [1] * 12)                           # D_1 = 0, indefinite
+@example([[-1, 1, 0], [1, -1, 0], [0, 0, -1]], [1] * 12)       # D_2 = 0
+@example([[1, 1], [1, 1]], [1] * 12)                           # singular
+@example([[-1, 2], [2, -1]], [2, -3] * 6)                      # indefinite, D_2 < 0
+@example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], [1] * 12)       # A_3, negative definite
+@example([], [0] * 12)
+def test_bareiss_minors_and_solutions_against_sympy(a, values):
+    n = len(a)
+    rhs = [values[:n], values[6:6 + n]]
+    minors, xs = bareiss(a, rhs)
+    sm = sympy.Matrix(n, n, [x for row in a for x in row])
+    want = [sm[:k, :k].det() for k in range(1, n + 1)]
+    first_zero = next((k for k, d in enumerate(want) if d == 0), None)
+    if first_zero is None:
+        assert minors == want
+        assert len(xs) == len(rhs)
+        for b, x in zip(rhs, xs):
+            assert sm * sympy.Matrix(n, 1, x) == (want[-1] if n else 1) * sympy.Matrix(n, 1, b)
+    else:
+        assert minors == want[:first_zero + 1] and xs == []
+    negdef = sylvester_negative_definite(minors, n)
+    assert negdef is is_negative_definite(mat(a))
+    assert negdef is (symmetric_signature(mat(a)) == (0, n, 0))
+    assert negdef is (sm.is_negative_definite if n else True)
 
 
 def _check_farkas(a, b, res):
@@ -219,3 +271,39 @@ def test_pivot_loop_does_no_fraction_arithmetic():
         sys.setprofile(None)
     assert not res.feasible and res.pivots == 188
     assert len(ops) <= len(a)
+
+
+def _bump_basic_rhs(rows, obj, basis, d, by):
+    """Add ``by`` to the right-hand side of the first row whose basic
+    column is a structural one."""
+    n = len(rows[0]) - len(rows) - 1
+    i = next(i for i, j in enumerate(basis) if j < n)
+    rows[i][-1] += by
+
+
+@pytest.mark.parametrize("a, b, corrupt, message", [
+    ([[F(1), F(0), F(1)], [F(0), F(1), F(1)]], [F(3), F(2)],
+     lambda rows, obj, basis, d: _bump_basic_rhs(rows, obj, basis, d, d), "a x = b"),
+    ([[F(1), F(-1)]], [F(2)],
+     lambda rows, obj, basis, d: _bump_basic_rhs(rows, obj, basis, d, -3 * d), "x >= 0"),
+    ([[F(1), F(1)]], [F(-1)],
+     lambda rows, obj, basis, d: obj.__setitem__(2, 2 * d - obj[2]), "y.A_j <= 0"),
+    ([[F(0), F(0)], [F(1), F(-1)]], [F(1), F(0)],
+     lambda rows, obj, basis, d: obj.__setitem__(2, d), "y.b > 0"),
+], ids=["solution", "sign", "farkas-columns", "farkas-rhs"])
+def test_corrupt_lp_results_are_refused(monkeypatch, a, b, corrupt, message):
+    """eq_feasibility re-checks the solution or Farkas vector it reads from
+    the final tableau against the integer-scaled columns before it returns:
+    a corrupted tableau raises ArithmeticError instead of a wrong result."""
+    real = lp._phase1
+
+    def corrupted(rows, obj, basis):
+        obj, d, pivots = real(rows, obj, basis)
+        corrupt(rows, obj, basis, d)
+        return obj, d, pivots
+
+    assert eq_feasibility(a, b) == simplex_oracle.eq_feasibility(a, b)
+    monkeypatch.setattr(lp, "_phase1", corrupted)
+    with pytest.raises(ArithmeticError) as err:
+        eq_feasibility(a, b)
+    assert str(err.value).endswith(f"fails its check: {message}")

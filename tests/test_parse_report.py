@@ -88,6 +88,16 @@ def test_oversized_polynomials_are_refused_before_expanding(src, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("src", ["(1/2 x + 3/5 y - 1)^12 (2/7 x - y)^3",
+                                 "(x + 1/3)^5 - (1/3 + x)^5 + 5/6 x y"])
+def test_fractional_products_match_the_tree_oracle(src):
+    """Integer numerators over one denominator give the Fraction term
+    products' map, key order included, with fractional coefficients."""
+    got = _outcome(poly_terms, src, ("x", "y"))
+    assert got == _outcome(poly_parse_oracle.poly_terms, src, ("x", "y"))
+    assert any(v.denominator > 1 for _, v in got)
+
+
 def test_polynomials_at_the_bounds_parse():
     assert poly_terms("x^100", ("x", "y")) == {(100, 0): 1}
     assert len(poly_terms("(x+y+z+w)^20")) == 1771      # C(23, 3) <= MAX_TERMS

@@ -1,9 +1,13 @@
+import fractions
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intersect_oracle
 import simplex_oracle
+import walk_oracle
 from delpezzo import lp, positivity
 from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import Poly
@@ -310,7 +314,9 @@ def test_support_solves_match_the_dense_oracle(monkeypatch):
     solved = [call for call in calls if call[1]]
     assert len({(m.name, tuple(c.label for c in support))
                 for m, support, _, _ in solved}) == 75
-    for m, support, classes, (gram, coeffs) in solved:
+    for m, support, classes, (w, int_gram, sols) in solved:
+        gram = tuple(tuple(F(g, w) for g in row) for row in int_gram)
+        coeffs = [[F(x, r) for x in xs] for r, xs in sols]
         want = tuple(tuple(intersect_oracle.intersect(m, a.cls, b.cls) for b in support)
                      for a in support)
         assert gram == want
@@ -339,9 +345,90 @@ def test_support_solves_make_no_intersect_calls(monkeypatch):
 
     monkeypatch.setattr(positivity, "_solve_support", marked)
     monkeypatch.setattr(SurfaceModel, "intersect", counted)
+    calls = _recorded_support_solves(monkeypatch)
     prof = volume_profile(m, m.minus_k(), m.curve("E1"))
     assert any(ch.support for ch in prof.chambers)
+    assert any(support for _, support, _, _ in calls)
     assert from_solves == []
+
+
+def _walk_outcome(walk, m, L, E):
+    """The walk's VolumeProfile, or the type and text of its refusal."""
+    try:
+        return walk(m, L, E)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_walk_matches_the_oracle(m, spec, scale=1):
+    """The integer walk and the Fraction walk of walk_oracle give equal
+    VolumeProfiles (chambers with their support order, p_const, p_slope and
+    n_coeffs, pieces, tau), or refuse with equal types and texts."""
+    rd = resolve_divisor_spec(m, spec)
+    L = rd.L.scale(scale)
+    got = _walk_outcome(volume_profile, rd.work, L, rd.E)
+    want = _walk_outcome(walk_oracle.volume_profile, rd.work, L, rd.E)
+    assert got == want, (m.name, spec, scale)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_walk_matches_the_fraction_oracle_on_catalog_specs(name):
+    """Every beta candidate with a working model (dP1's "exceptional:pt"
+    has none) and curve label (every 10th curve on dP1) of a built-in
+    model, at L and 2L."""
+    m = catalog(name)
+    labels = m.curve_labels()[::10 if name == "dP1" else 1]
+    candidates = tuple(s for s in m.beta_candidates if (name, s) != ("dP1", "exceptional:pt"))
+    for spec in candidates + labels:
+        for scale in (1, 2):
+            _assert_walk_matches_the_oracle(m, spec, scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.fractions(min_value=0, max_value=F(5, 6), max_denominator=6),
+       st.booleans(), st.integers(0, 10), st.sampled_from([1, 2]))
+def test_walk_matches_the_fraction_oracle_on_pairs(n, c, resolved, pick, scale):
+    """P(1,1,n)+cQ and its resolution Fn~P(1,1,n)+cQ, n = 2..4."""
+    name = f"{'F%d~' % n if resolved else ''}P(1,1,{n})+{c}Q"
+    m = catalog(name)
+    specs = m.beta_candidates + m.curve_labels()
+    _assert_walk_matches_the_oracle(m, specs[pick % len(specs)], scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([n for n in builtin_names() if n != "dP1"]), st.integers(0, 300),
+       st.integers(0, 300), st.sampled_from([1, 2]))
+def test_walk_matches_the_fraction_oracle_on_curve_sums(name, i, j, scale):
+    """A raw E = C + C' of two catalogued curves at L and 2L."""
+    m = catalog(name)
+    curves = m.neg_curves
+    e = curves[i % len(curves)].cls + curves[j % len(curves)].cls
+    _assert_walk_matches_the_oracle(m, e, scale)
+
+
+def test_walk_builds_fractions_for_its_records_only():
+    """A dP2 walk builds O(rank + |support|) Fractions per chamber, not one
+    per catalogued curve: past the 56 of the nef test of L, only its
+    records, walls and volume pieces."""
+    m = catalog("dP2")
+    pairings, other = [], []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ \
+                and code.co_name == "__new__":
+            caller = frame.f_back.f_code
+            (pairings if caller.co_filename.endswith("lattice.py")
+             and caller.co_name == "<genexpr>" else other).append(caller.co_name)
+
+    sys.setprofile(profile)
+    try:
+        prof = volume_profile(m, m.minus_k(), m.curve("E1"))
+    finally:
+        sys.setprofile(None)
+    assert [len(ch.support) for ch in prof.chambers] == [0, 1]
+    assert len(pairings) == len(m.neg_curves)
+    assert len(other) <= sum(6 * (m.rank + len(ch.support)) + 16 for ch in prof.chambers)
 
 
 @pytest.mark.parametrize("argv", [

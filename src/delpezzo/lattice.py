@@ -105,11 +105,15 @@ def json_objects(values: Any, what: str) -> Sequence[Mapping]:
 @contextmanager
 def missing_fields(what: str) -> Iterator[None]:
     """Report a KeyError raised inside as a MissingFieldError that names
-    ``what`` and the missing field.  Wrap only the reads of the input."""
+    ``what`` and the missing field, and a TypeError, IndexError or
+    AttributeError (a value of the wrong type or shape) as an
+    InputShapeError that names ``what``.  Wrap only the reads of the input."""
     try:
         yield
     except KeyError as exc:
         raise MissingFieldError(f"{what} lacks field {exc.args[0]!r}") from None
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise InputShapeError(f"{what} has a value of the wrong type: {exc}") from None
 
 
 def read_json(path: str | Path, load: Callable[[Any], Any]) -> Any:

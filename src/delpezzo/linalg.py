@@ -1,25 +1,23 @@
 """Dense exact linear algebra over the rationals.
 
 Small matrices only (Picard ranks <= 9, Zariski supports, resolution
-graphs), so plain elimination with Fraction entries is both exact and
-fast.  Gaussian elimination gives Gram-system solves; one symmetric
-(congruence) elimination gives the signature, and with it the lattice
-signature checks and the negative-definiteness tests of resolution
-graphs and decompositions.
-
-The Zariski supports use one integer kernel instead, ``bareiss``: a
+graphs).  Every linear solve runs on one integer kernel, ``bareiss``: a
 fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968))
-without pivoting.  Its pivots are the leading principal minors, which
-certify negative definiteness by Sylvester's criterion
-(``sylvester_negative_definite``), and the same elimination carries the
-right-hand sides to integer solutions over the determinant.
+that exchanges rows at a zero pivot.  Until the first exchange its pivots
+are the leading principal minors, which certify negative definiteness by
+Sylvester's criterion (``sylvester_negative_definite``), and the right-hand
+sides come out as integer solutions over the last pivot.  ``solve`` clears
+a rational system to integers row by row and divides by that pivot.  One
+symmetric (congruence) elimination, an independent second kernel, gives
+the signature for the lattice checks and for re-checking decompositions.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Rat, rat
+from .exactnum import Rat, over_one_denominator, rat
 
 Matrix = tuple[tuple[Rat, ...], ...]
 
@@ -37,19 +35,12 @@ def solve(m: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> list[Rat]:
     n = len(m)
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("shape mismatch in linear solve")
-    a = [[rat(x) for x in row] + [rat(bb)] for row, bb in zip(m, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("singular matrix in exact solve")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n] for row in a]
+    rows = [over_one_denominator([rat(x) for x in row] + [rat(bb)])[1]
+            for row, bb in zip(m, b)]
+    _, d, xs = bareiss([row[:-1] for row in rows], [[row[-1] for row in rows]])
+    if d == 0:
+        raise SingularMatrixError("singular matrix in exact solve")
+    return [Fraction(x, d) for x in xs[0]]
 
 
 def symmetric_signature(m: Sequence[Sequence[Rat]]) -> tuple[int, int, int]:
@@ -95,18 +86,19 @@ def is_negative_definite(m: Sequence[Sequence[Rat]]) -> bool:
     return symmetric_signature(m) == (0, len(m), 0)
 
 
-def bareiss(a: Sequence[Sequence[int]],
-            rhs: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """(minors, xs) for the square integer matrix a and integer columns rhs.
+def bareiss(a: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
+            ) -> tuple[list[int], int, list[list[int]]]:
+    """(minors, d, xs) for the square integer matrix a and integer columns rhs.
 
-    Gauss-Jordan elimination without pivoting, fraction-free: step k keeps
-    row k and replaces every other row r by (p * r - f * row_k) // d, where
-    p is the pivot, f the row's entry in column k and d the previous pivot
-    (1 at the start).  The divisions are exact, and the pivot of step k is
-    the leading principal minor D_{k+1}.  ``minors`` lists D_1, D_2, ...
-    up to and including the first zero one, where the elimination stops.
-    When none is zero, xs[j] is the integer vector X with a X = det(a) *
-    rhs[j]; otherwise xs is empty.
+    Gauss-Jordan elimination, fraction-free: step k keeps row k and replaces
+    every other row r by (p * r - f * row_k) // d, where p is the pivot, f
+    the row's entry in column k and d the previous pivot (1 at the start).
+    The divisions are exact.  A zero pivot is exchanged with the first row
+    below it that has a nonzero entry in its column.  Until then the pivot
+    of step k is the leading principal minor D_{k+1}: ``minors`` lists D_1,
+    D_2, ... up to and including the first zero one.  d is the last pivot,
+    +-det(a), or 0 when a is singular; then xs is empty, and otherwise
+    xs[j] is the integer vector X with a X = d * rhs[j].
     """
     n = len(a)
     if any(len(row) != n for row in a) or any(len(b) != n for b in rhs):
@@ -115,18 +107,20 @@ def bareiss(a: Sequence[Sequence[int]],
     minors: list[int] = []
     d = 1
     for k in range(n):
-        prow = rows[k]
-        p = prow[k]
-        minors.append(p)
-        if p == 0:
-            return minors, []
+        if 0 not in minors:
+            minors.append(rows[k][k])
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            return minors, 0, []
+        rows[k], rows[piv] = rows[piv], rows[k]
+        prow, p = rows[k], rows[k][k]
         for i, row in enumerate(rows):
             if i != k:
                 f = row[k]
                 rows[i] = ([(p * x - f * y) // d for x, y in zip(row, prow)] if f
                            else [p * x // d for x in row])
         d = p
-    return minors, [[row[n + j] for row in rows] for j in range(len(rhs))]
+    return minors, d, [[row[n + j] for row in rows] for j in range(len(rhs))]
 
 
 def sylvester_negative_definite(minors: Sequence[int], n: int) -> bool:

@@ -146,12 +146,11 @@ def _solve_support(m: SurfaceModel, support: Sequence[LabeledCurve],
     w = lcm(*(r for r, _ in rows[:n]))
     gram = tuple(tuple(x * (w // r) for x in nums) for r, nums in rows[:n])
     # sum_i x_i gram[j][i] / w = d . C_j = nums[j] / r, so gram (r x) = w nums
-    minors, xs = bareiss(gram, [[w * v for v in nums] for _, nums in rows[n:]])
+    minors, det, xs = bareiss(gram, [[w * v for v in nums] for _, nums in rows[n:]])
     if not sylvester_negative_definite(minors, n):
         raise ConeDataError(
             f"support {{{', '.join(c.label for c in support)}}} on {m.name} is not "
             "negative definite; cone data possibly incomplete")
-    det = minors[-1]
     sign = 1 if det > 0 else -1
     return w, gram, [(sign * det * r, [sign * x for x in xv])
                      for (r, _), xv in zip(rows[n:], xs)]

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactnum import Rat, rat
+from .exactnum import Rat, over_one_denominator, rat
 from .lattice import (DivClass, GraphData, ModelLink, SurfaceModel, catalog, json_object,
                       json_objects, missing_fields)
-from .linalg import is_negative_definite, solve
+from .linalg import bareiss, sylvester_negative_definite
 from .positivity import VolumeProfile, volume_profile
 
 
@@ -83,11 +83,11 @@ class ResolutionGraph:
                 if not 0 <= i < n:
                     raise ValueError("strict transform meets unknown vertex")
 
-    def intersection_matrix(self) -> list[list[Rat]]:
+    def intersection_matrix(self) -> list[list[int]]:
         n = len(self.vertices)
-        mat = [[Fraction(0)] * n for _ in range(n)]
+        mat = [[0] * n for _ in range(n)]
         for i, v in enumerate(self.vertices):
-            mat[i][i] = Fraction(v.self_int)
+            mat[i][i] = v.self_int
         for i, j, mult in self.edges:
             mat[i][j] += mult
             mat[j][i] += mult
@@ -119,10 +119,11 @@ class ResolutionGraph:
 
 
 def discrepancies(g: ResolutionGraph) -> list[Rat]:
-    """Exact discrepancy vector solved from the adjunction system."""
+    """Exact discrepancy vector a of the adjunction system M a = b, b cleared
+    to integers n / s.  One Bareiss elimination of the integer intersection
+    matrix M certifies it negative definite by its leading principal minors
+    and gives X with M X = det(M) n, so that a = X / (det(M) s)."""
     mat = g.intersection_matrix()
-    if not is_negative_definite(mat):
-        raise ValueError("intersection matrix is not negative definite")
     rhs = []
     for j, v in enumerate(g.vertices):
         val = Fraction(2 * v.genus - 2 - v.self_int)
@@ -131,7 +132,11 @@ def discrepancies(g: ResolutionGraph) -> list[Rat]:
                 if i == j:
                     val += st.coeff * mult
         rhs.append(val)
-    return solve(mat, rhs)
+    s, nums = over_one_denominator(rhs)
+    minors, det, xs = bareiss(mat, [nums])
+    if not sylvester_negative_definite(minors, len(mat)):
+        raise ValueError("intersection matrix is not negative definite")
+    return [Fraction(x, det * s) for x in xs[0]]
 
 
 @dataclass(frozen=True)

@@ -326,6 +326,33 @@ def test_json_entries_that_are_not_objects_are_refused(tmp_path, capsys, argv, d
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def _wrong_typed_graph_edge(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": [{"label": "E", "genus": 0, "self_int": -2}],
+                                "edges": [5]}))
+    return (["discrep", "--graph", str(path)],
+            f"{path}: resolution graph has a value of the wrong type: "
+            "'int' object is not iterable")
+
+
+def _wrong_typed_gram_entry(tmp_path):
+    model = {**model_to_dict(catalog("dP7")), "name": "dP7-bad-gram", "gram": [[{}]]}
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps({"models": [model]}))
+    return (["--catalog", str(path), "catalog", "list"],
+            f"{path}: model 'dP7-bad-gram' has a value of the wrong type: "
+            "cannot interpret {} as a rational number")
+
+
+@pytest.mark.parametrize("make", [_wrong_typed_graph_edge, _wrong_typed_gram_entry],
+                         ids=["graph-edge", "gram-entry"])
+def test_json_input_with_a_wrong_typed_value_names_file_and_object(tmp_path, capsys, make):
+    argv, message = make(tmp_path)
+    report, code = run(argv)
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_corrupt_lp_solution_is_not_printed_as_semistable(monkeypatch, capsys):
     from delpezzo import lp
     real = lp._phase1

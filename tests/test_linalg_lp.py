@@ -14,6 +14,7 @@ from delpezzo.lattice import catalog
 from delpezzo.lp import eq_feasibility, in_cone
 
 import simplex_oracle
+import solve_oracle
 
 
 def test_solve_and_det():
@@ -128,31 +129,87 @@ def integer_symmetric_matrices(draw):
     return m
 
 
-@given(integer_symmetric_matrices(), st.lists(st.integers(-5, 5), min_size=12, max_size=12))
+@st.composite
+def integer_matrices(draw):
+    """Non-symmetric integer matrices with n <= 6, half of them with a zero
+    (1, 1) entry, so D_1 = 0 and the elimination must exchange rows."""
+    n = draw(st.integers(0, 6))
+    a = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        a[0][0] = 0
+    return a
+
+
+@given(integer_symmetric_matrices() | integer_matrices(),
+       st.lists(st.integers(-5, 5), min_size=12, max_size=12))
 @example([[0, 1], [1, 0]], [1] * 12)                           # D_1 = 0, indefinite
-@example([[-1, 1, 0], [1, -1, 0], [0, 0, -1]], [1] * 12)       # D_2 = 0
+@example([[-1, 1, 0], [1, -1, 0], [0, 0, -1]], [1] * 12)       # D_2 = 0, singular
 @example([[1, 1], [1, 1]], [1] * 12)                           # singular
 @example([[-1, 2], [2, -1]], [2, -3] * 6)                      # indefinite, D_2 < 0
 @example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], [1] * 12)       # A_3, negative definite
+@example([[0, 2, 1], [1, 0, 0], [3, 1, 0]], [1, -2, 3] * 4)    # D_1 = 0, non-symmetric
+@example([[1, 2, 0], [2, 4, 1], [0, 1, 5]], [1] * 12)          # D_2 = 0, nonsingular
+@example([[0, 0], [1, 2]], [1] * 12)                           # zero row, singular
 @example([], [0] * 12)
 def test_bareiss_minors_and_solutions_against_sympy(a, values):
     n = len(a)
     rhs = [values[:n], values[6:6 + n]]
-    minors, xs = bareiss(a, rhs)
+    minors, d, xs = bareiss(a, rhs)
     sm = sympy.Matrix(n, n, [x for row in a for x in row])
     want = [sm[:k, :k].det() for k in range(1, n + 1)]
-    first_zero = next((k for k, d in enumerate(want) if d == 0), None)
+    first_zero = next((k for k, x in enumerate(want) if x == 0), None)
+    det = sm.det() if n else 1
     if first_zero is None:
-        assert minors == want
-        assert len(xs) == len(rhs)
-        for b, x in zip(rhs, xs):
-            assert sm * sympy.Matrix(n, 1, x) == (want[-1] if n else 1) * sympy.Matrix(n, 1, b)
+        assert minors == want and d == det
     else:
-        assert minors == want[:first_zero + 1] and xs == []
+        assert minors == want[:first_zero + 1]
+    if det == 0:
+        assert d == 0 and xs == []
+    else:
+        assert abs(d) == abs(det) and len(xs) == len(rhs)
+        for b, x in zip(rhs, xs):
+            assert sm * sympy.Matrix(n, 1, x) == d * sympy.Matrix(n, 1, b)
     negdef = sylvester_negative_definite(minors, n)
-    assert negdef is is_negative_definite(mat(a))
-    assert negdef is (symmetric_signature(mat(a)) == (0, n, 0))
-    assert negdef is (sm.is_negative_definite if n else True)
+    if first_zero is not None:
+        assert not negdef
+    if sm.is_symmetric():
+        assert negdef is is_negative_definite(mat(a))
+        assert negdef is (symmetric_signature(mat(a)) == (0, n, 0))
+        assert negdef is (sm.is_negative_definite if n else True)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Non-symmetric rational matrices with n <= 6: plain, with a zero
+    leading entry, or singular, with the last row a multiple of the first
+    or a zero column."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["plain", "zero-leading", "repeated-row", "zero-column"]))
+    m = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    if n and kind == "zero-leading":
+        m[0][0] = F(0)
+    elif n and kind == "repeated-row":
+        f = draw(_entries)
+        m[-1] = [f * x for x in m[0]]
+    elif n and kind == "zero-column":
+        j = draw(st.integers(0, n - 1))
+        for row in m:
+            row[j] = F(0)
+    return m
+
+
+@given(rational_matrices(), st.lists(_entries, min_size=6, max_size=6))
+@example([[F(0), F(1, 2)], [F(3), F(1)]], [F(1)] * 6)
+@example([[F(1), F(2)], [F(-1, 2), F(-1)]], [F(1)] * 6)
+def test_solve_matches_the_fraction_oracle(m, b):
+    b = b[:len(m)]
+    try:
+        want = solve_oracle.solve(m, b)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            solve(m, b)
+        return
+    assert solve(m, b) == want
 
 
 def _check_farkas(a, b, res):

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import intersect_oracle
 import simplex_oracle
+import solve_oracle
 import walk_oracle
 from delpezzo import lp, positivity
 from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import Poly
 from delpezzo.lattice import DivClass, SurfaceModel, catalog
-from delpezzo.linalg import solve
 from delpezzo.positivity import (NotPseudoeffectiveError, pseff_certificate,
                                  pseff_threshold, volume, volume_profile, zariski)
 from delpezzo.valuative import profile_for, resolve_divisor_spec
@@ -33,6 +33,15 @@ def test_zariski_dp7_line_example():
     assert dict(dec.negative) == {"E1": 1, "E2": 1}
     assert dec.verify(dp7, d) == []
     assert volume(dp7, d) == 1
+
+
+def test_refusal_whose_gram_has_a_zero_leading_minor():
+    """The Farkas class W on P1xP1 is solved from the Gram [[0, 1], [1, 0]],
+    whose D_1 = 0: the elimination exchanges rows."""
+    m = catalog("P1xP1")
+    with pytest.raises(NotPseudoeffectiveError) as err:
+        zariski(m, DivClass.of([1, -1]))
+    assert m.render(err.value.certificate) == "f1" and err.value.value == -1
 
 
 def test_zariski_rejects_non_pseudoeffective_with_certificate():
@@ -320,8 +329,9 @@ def test_support_solves_match_the_dense_oracle(monkeypatch):
         want = tuple(tuple(intersect_oracle.intersect(m, a.cls, b.cls) for b in support)
                      for a in support)
         assert gram == want
-        assert coeffs == [solve(want, [intersect_oracle.intersect(m, d, c.cls)
-                                       for c in support]) for d in classes]
+        assert coeffs == [
+            solve_oracle.solve(want, [intersect_oracle.intersect(m, d, c.cls) for c in support])
+            for d in classes]
 
 
 def test_support_solves_make_no_intersect_calls(monkeypatch):

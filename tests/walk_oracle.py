@@ -16,8 +16,9 @@ from typing import Sequence
 
 from delpezzo.exactnum import Poly, PiecewisePoly, Rat, rat_str, rational_roots
 from delpezzo.lattice import DivClass, LabeledCurve, SurfaceModel, is_nef
-from delpezzo.linalg import is_negative_definite, solve
+from delpezzo.linalg import is_negative_definite
 from delpezzo.positivity import Chamber, ConeDataError, VolumeProfile
+from solve_oracle import solve
 
 
 def _solve_support(m: SurfaceModel, support: Sequence[LabeledCurve],

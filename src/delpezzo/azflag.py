@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Any, Sequence
 
-from .exactnum import Poly, Rat, rat, rat_str
-from .lattice import SurfaceModel, json_object, json_objects, missing_fields
+from .exactnum import Poly, Rat, rat_str
+from .lattice import JsonValue, SurfaceModel
 from .positivity import Chamber
 from .valuative import Invariants, invariants
 
@@ -176,7 +176,11 @@ def semistable_via_flags(m: SurfaceModel,
     return SemistableReport(verdict, bounds, notes=tuple(notes))
 
 
-def flag_from_dict(data: Mapping, m: SurfaceModel) -> tuple[FlagSpec, tuple[str, ...]]:
+def _polys(r: JsonValue) -> tuple[Poly, ...] | None:
+    return None if r.value is None else tuple(Poly(cs.rats()) for cs in r.items())
+
+
+def flag_from_dict(data: Any, m: SurfaceModel) -> tuple[FlagSpec, tuple[str, ...]]:
     """Load a flag from its declarative form.
 
     Mirrors the FlagSpec fields: {"name", "divisor_spec", "points":
@@ -186,26 +190,17 @@ def flag_from_dict(data: Mapping, m: SurfaceModel) -> tuple[FlagSpec, tuple[str,
     loaded flag cross-validates against the profile machinery.  Files
     default to asserted_plt = false: the plt hypothesis is the caller's.
     """
-    points = []
-    data = json_object(data, "flag")
-    what = f"flag {data['name']!r}" if "name" in data else "flag"
-    with missing_fields(what):
-        spec = data["divisor_spec"]
-        for p in json_objects(data.get("points", [{"label": "generic"}]), f"{what}: points"):
-            n_orders = p.get("n_orders")
-            corrections = p.get("deg_corrections")
-            points.append(FlagPoint(
-                label=p["label"],
-                diff_coeff=rat(p.get("diff_coeff", 0)),
-                under_n=bool(p.get("under_n", False)),
-                n_orders=tuple(Poly([rat(c) for c in cs]) for cs in n_orders)
-                if n_orders is not None else None,
-                deg_corrections=tuple(Poly([rat(c) for c in cs]) for cs in corrections)
-                if corrections is not None else None,
-            ))
-    flag = flag_from_divisor(
-        m, spec, name=data.get("name", spec),
-        points=tuple(points), asserted_plt=bool(data.get("asserted_plt", False)))
+    r = JsonValue(data, "flag").named()
+    spec = r.get("divisor_spec").of(str)
+    points = tuple(FlagPoint(label=p.get("label").of(str),
+                             diff_coeff=p.get("diff_coeff", 0).rat(),
+                             under_n=p.get("under_n", False).of(bool),
+                             n_orders=_polys(p.get("n_orders", None)),
+                             deg_corrections=_polys(p.get("deg_corrections", None)))
+                   for p in r.get("points", [{"label": "generic"}]).items())
+    covers = r.get("covers", ["generic"]).strs()
+    flag = flag_from_divisor(m, spec, name=r.get("name", spec).of(str), points=points,
+                             asserted_plt=r.get("asserted_plt", False).of(bool))
     n_chambers = len(flag.inv.profile.chambers)
     for pt in flag.points:
         for field_name in ("n_orders", "deg_corrections"):
@@ -214,7 +209,6 @@ def flag_from_dict(data: Mapping, m: SurfaceModel) -> tuple[FlagSpec, tuple[str,
                 raise FlagDataError(
                     f"flag {flag.name}: point {pt.label!r} carries "
                     f"{len(seq)} {field_name} entries for {n_chambers} chambers")
-    covers = tuple(data.get("covers", ("generic",)))
     return flag, covers
 
 

@@ -30,9 +30,9 @@ from math import gcd
 from typing import Mapping
 
 from .exactnum import rat, rat_str
-from .lattice import (BoundaryPart, DivClass, GraphData, LabeledCurve, ModelLink,
-                      SingularPoint, SurfaceModel, UnknownSurfaceError, curve_label,
-                      enumerate_neg_curves)
+from .lattice import (BoundaryPart, DivClass, GraphVertex, LabeledCurve, ModelLink,
+                      ResolutionGraph, SingularPoint, SurfaceModel, UnknownSurfaceError,
+                      curve_label, enumerate_neg_curves)
 from .localvol import QuotientSing
 
 _ALIASES = {
@@ -44,10 +44,6 @@ _ALIASES = {
 
 _PAIR_RE = re.compile(r"^(?P<base>.+?)\+(?P<coeff>\d+(?:/0*[1-9]\d*)?)Q$")
 _WPS_RE = re.compile(r"^P\((\d+),(\d+),(\d+)\)$")
-
-
-def _smooth_point_graph(label: str = "E") -> GraphData:
-    return GraphData(vertices=((label, 0, -1),))
 
 
 def _dp_model(degree: int) -> SurfaceModel:
@@ -90,7 +86,7 @@ def _dp_model(degree: int) -> SurfaceModel:
             target=target, pullback=pullback,
             exceptional_label=f"E{k + 1}",
             exceptional=DivClass.of([0] * (k + 1) + [1]),
-            graph=_smooth_point_graph(f"E{k + 1}"),
+            graph=ResolutionGraph((GraphVertex(f"E{k + 1}", 0, -1),)),
         )
     return SurfaceModel(
         name=f"dP{degree}",
@@ -115,7 +111,7 @@ def _p1xp1_model() -> SurfaceModel:
                   (Fraction(0), Fraction(-1))),
         exceptional_label="L12",
         exceptional=DivClass.of([1, -1, -1]),
-        graph=_smooth_point_graph("L12"),
+        graph=ResolutionGraph((GraphVertex("L12", 0, -1),)),
     )
     return SurfaceModel(
         name="P1xP1",
@@ -137,7 +133,7 @@ def _wps11n_model(n: int) -> SurfaceModel:
         pullback=((Fraction(1, n),), (Fraction(1),)),
         exceptional_label="e",
         exceptional=DivClass.of([1, 0]),
-        graph=GraphData(vertices=(("e", 0, -n),)),
+        graph=ResolutionGraph((GraphVertex("e", 0, -n),)),
     )
     return SurfaceModel(
         name=f"P(1,1,{n})",

@@ -2,9 +2,11 @@
 
 Exit codes: 0 on success, 1 when --strict is set and the mathematical
 verdict is fail/unstable/not-pseudoeffective, 2 on usage errors (unknown
-command, surface or malformed input, or an invalid --catalog model), 3
-when the engine cannot certify an answer for the model (its cone data
-stalls the Zariski machinery or the exact LP).
+command, surface or malformed input, an unreadable input file, or an
+invalid --catalog model), 3 when the engine cannot certify an answer for
+the model (its cone data stalls the Zariski machinery or the exact LP), 4
+on an internal error (an engine fault, reported as "internal error: <type>:
+<message>").
 Reports are byte-deterministic for fixed inputs; rationals are always
 rendered exactly as "p/q".
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from . import azflag, gitcubic, localvol, positivity, valuative
 from .exactnum import rat, rat_str
-from .lattice import (SurfaceModel, catalog, catalog_names, json_objects, load_models,
+from .lattice import (JsonValue, SurfaceModel, catalog, catalog_names, load_models,
                       model_to_dict, read_json, validate_links)
 from .localvol import parse_sing
 from .parse import div_from_expr, poly_terms
@@ -152,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_extra(paths) -> dict[str, SurfaceModel]:
     extra: dict[str, SurfaceModel] = {}
     for path in paths or ():
-        for m in load_models(path, validate=False):
+        for m in load_models(path):
             extra[m.name] = m
     return extra
 
@@ -281,9 +283,9 @@ def cmd_beta(args, extra):
 
 def _file_flags(path, m):
     def load(data):
-        entries = (json_objects(data["flags"], "flags") if isinstance(data, dict) and "flags" in data
-                   else [data])
-        return [azflag.flag_from_dict(entry, m) for entry in entries]
+        entries = (JsonValue(data["flags"], "flags").items()
+                   if isinstance(data, dict) and "flags" in data else [JsonValue(data, "flag")])
+        return [azflag.flag_from_dict(e.of(dict), m) for e in entries]
 
     return read_json(path, load)
 
@@ -489,12 +491,15 @@ def run(argv) -> tuple[Report | None, int]:
         out = args.fn(args, extra)
         results, ok, inputs, provenance, *rest = out
         notes = rest[0] if rest else []
-    except (CommandError, ValueError, KeyError) as exc:
+    except (CommandError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 2
     except (positivity.ConeDataError, ArithmeticError) as exc:
         print(f"error: cannot certify: {exc}", file=sys.stderr)
         return None, 3
+    except Exception as exc:  # an engine fault, not a usage error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None, 4
     report = Report(command=list(argv), inputs=inputs, results=results,
                     provenance=provenance, notes=list(notes))
     code = 0 if (ok or not args.strict) else 1

@@ -9,12 +9,16 @@ is exact linear algebra against this data.
 
 Models are immutable once built; the catalog is static data, so any
 number of callers may share models concurrently.
+
+Models (with their blow-up and resolution links) and resolution graphs
+are also read from JSON.  Each loader reads every value through one
+``JsonValue``, which checks the JSON type it needs and names the object
+and field in an InputShapeError when the value has another type.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -22,10 +26,10 @@ from itertools import islice
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .exactnum import Rat, over_one_denominator, rat, rat_str
-from .linalg import Matrix, mat, symmetric_signature
+from .linalg import Matrix, symmetric_signature
 from .localvol import QuotientSing, parse_sing
 
 
@@ -81,50 +85,80 @@ class MissingFieldError(InputShapeError):
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-               int: "a number", float: "a number", type(None): "null"}
+               int: "an integer", float: "a float", type(None): "null"}
 
 
-def json_object(value: Any, what: str) -> Mapping:
-    """``value`` if it is a JSON object; an InputShapeError naming ``what``
-    otherwise."""
-    if not isinstance(value, Mapping):
-        raise InputShapeError(f"{what} is {_JSON_KINDS.get(type(value))}, not an object")
-    return value
+class JsonValue:
+    """A JSON input value and its place: the object it belongs to ("model 'dP7'")
+    and the path inside it ("gram[0][1]").  Each read checks the JSON type it
+    needs, and an InputShapeError names the place when the value has another."""
 
+    __slots__ = ("value", "owner", "path")
 
-def json_objects(values: Any, what: str) -> Sequence[Mapping]:
-    """``values`` if it is a JSON array of objects; an InputShapeError naming
-    ``what`` otherwise."""
-    if not isinstance(values, (list, tuple)):
-        raise InputShapeError(f"{what} is {_JSON_KINDS.get(type(values))}, not an array")
-    for v in values:
-        json_object(v, f"{what} entry")
-    return values
+    def __init__(self, value: Any, owner: str, path: str = ""):
+        self.value, self.owner, self.path = value, owner, path
 
+    def __str__(self) -> str:
+        return f"{self.owner}: {self.path}" if self.path else self.owner
 
-@contextmanager
-def missing_fields(what: str) -> Iterator[None]:
-    """Report a KeyError raised inside as a MissingFieldError that names
-    ``what`` and the missing field, and a TypeError, IndexError or
-    AttributeError (a value of the wrong type or shape) as an
-    InputShapeError that names ``what``.  Wrap only the reads of the input."""
-    try:
-        yield
-    except KeyError as exc:
-        raise MissingFieldError(f"{what} lacks field {exc.args[0]!r}") from None
-    except (TypeError, IndexError, AttributeError) as exc:
-        raise InputShapeError(f"{what} has a value of the wrong type: {exc}") from None
+    def of(self, kind: type, want: str = "") -> Any:
+        """The value, if its JSON type is ``kind`` (a boolean is not an int)."""
+        v = self.value
+        if type(v) is not kind:
+            raise InputShapeError(f"{self} is {_JSON_KINDS.get(type(v), type(v).__name__)}, "
+                                  f"not {want or _JSON_KINDS[kind]}")
+        return v
+
+    def get(self, name: str, *default: Any) -> "JsonValue":
+        """The field ``name`` of this object, or ``default`` when it is absent."""
+        obj = self.of(dict)
+        if name not in obj and not default:
+            raise MissingFieldError(f"{self} lacks field {name!r}")
+        path = f"{self.path}.{name}" if self.path else name
+        return JsonValue(obj[name] if name in obj else default[0], self.owner, path)
+
+    def named(self) -> "JsonValue":
+        """This object, owned as "<owner> '<name>'" when it has a name field."""
+        if "name" not in self.of(dict):
+            return self
+        return JsonValue(self.value, f"{self.owner} {self.get('name').of(str)!r}")
+
+    def items(self, n: int | None = None) -> list["JsonValue"]:
+        """The entries (exactly n when given); top-level ones are "<owner> entry"."""
+        arr = self.of(list)
+        if n is not None and len(arr) != n:
+            raise InputShapeError(f"{self} has {len(arr)} entries, not {n}")
+        if not self.path:
+            return [JsonValue(v, f"{self.owner} entry") for v in arr]
+        return [JsonValue(v, self.owner, f"{self.path}[{i}]") for i, v in enumerate(arr)]
+
+    def rat(self) -> Rat:
+        """A JSON integer, or a string that ``rat`` reads ("p/q")."""
+        v = self.value if type(self.value) is int else self.of(str, "a rational")
+        try:
+            return rat(v)
+        except (ValueError, ZeroDivisionError):
+            raise InputShapeError(f"{self} is {v!r}, not a rational") from None
+
+    def strs(self) -> tuple[str, ...]:
+        return tuple(x.of(str) for x in self.items())
+
+    def rats(self) -> tuple[Rat, ...]:
+        return tuple(x.rat() for x in self.items())
+
+    def rows(self) -> Matrix:
+        return tuple(x.rats() for x in self.items())
 
 
 def read_json(path: str | Path, load: Callable[[Any], Any]) -> Any:
     """load(data) for the JSON document at ``path``, with the file named in
-    an InputShapeError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    front of a ValueError raised while reading or building from it."""
     try:
-        return load(data)
-    except InputShapeError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            return load(json.load(fh))
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 @dataclass(frozen=True)
@@ -177,16 +211,85 @@ class SingularPoint:
 
 
 @dataclass(frozen=True)
-class GraphData:
-    """Raw exceptional-configuration data carried by a model link.
+class GraphVertex:
+    label: str
+    genus: int
+    self_int: int
 
-    vertices: (label, genus, self_intersection); edges: (i, j, mult).
-    The valuation module turns this into a resolution graph when it
-    needs log discrepancies.
+    def __post_init__(self):
+        if self.genus < 0:
+            raise ValueError("genus must be nonnegative")
+        if self.self_int >= 0:
+            raise ValueError("exceptional curves have negative self-intersection")
+
+
+@dataclass(frozen=True)
+class StrictTransform:
+    """Boundary component meeting the exceptional locus.
+
+    ``incidences`` pairs vertex indices with intersection multiplicities.
     """
 
-    vertices: tuple[tuple[str, int, int], ...]
+    coeff: Rat
+    incidences: tuple[tuple[int, int], ...]
+    label: str = "D"
+
+    def __post_init__(self):
+        if not 0 <= self.coeff <= 1:
+            raise ValueError("strict-transform coefficient must lie in [0, 1]")
+        for _, mult in self.incidences:
+            if mult < 0:
+                raise ValueError("incidence multiplicities must be >= 0")
+
+
+@dataclass(frozen=True)
+class ResolutionGraph:
+    """Exceptional dual graph; a model link carries the one of the divisor it
+    extracts, and discrepancies are solved from it by adjunction."""
+
+    vertices: tuple[GraphVertex, ...]
     edges: tuple[tuple[int, int, int], ...] = ()
+    strict_transforms: tuple[StrictTransform, ...] = ()
+
+    def __post_init__(self):
+        n = len(self.vertices)
+        for i, j, mult in self.edges:
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ValueError(f"bad edge ({i},{j})")
+            if mult < 0:
+                raise ValueError("edge multiplicities must be >= 0")
+        for st in self.strict_transforms:
+            for i, _ in st.incidences:
+                if not 0 <= i < n:
+                    raise ValueError("strict transform meets unknown vertex")
+
+    def intersection_matrix(self) -> list[list[int]]:
+        n = len(self.vertices)
+        mat = [[0] * n for _ in range(n)]
+        for i, v in enumerate(self.vertices):
+            mat[i][i] = v.self_int
+        for i, j, mult in self.edges:
+            mat[i][j] += mult
+            mat[j][i] += mult
+        return mat
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "ResolutionGraph":
+        r = JsonValue(data, "resolution graph")
+        return cls(
+            vertices=tuple(GraphVertex(v.get("label").of(str), v.get("genus").of(int),
+                                       v.get("self_int").of(int))
+                           for v in r.get("vertices").items()),
+            edges=_int_rows(r.get("edges", []), 3),
+            strict_transforms=tuple(
+                StrictTransform(st.get("coeff").rat(), _int_rows(st.get("incidences"), 2),
+                                st.get("label", "D").of(str))
+                for st in r.get("strict_transforms", []).items()),
+        )
+
+
+def _int_rows(r: JsonValue, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(x.of(int) for x in row.items(n)) for row in r.items())
 
 
 @dataclass(frozen=True)
@@ -203,7 +306,7 @@ class ModelLink:
     pullback: Matrix
     exceptional_label: str
     exceptional: DivClass
-    graph: GraphData
+    graph: ResolutionGraph
     boundary_mults: tuple[Rat, ...] = ()
 
     def pull(self, d: DivClass) -> DivClass:
@@ -477,7 +580,7 @@ def validate_links(m: SurfaceModel) -> list[str]:
                 if target.intersect(e, a) != 0:
                     problems.append(
                         f"{where}: exceptional class meets the pullback of {label}")
-        if link.exceptional_label not in (v[0] for v in link.graph.vertices):
+        if link.exceptional_label not in (v.label for v in link.graph.vertices):
             problems.append(
                 f"{where}: exceptional label {link.exceptional_label} is not a "
                 "vertex of its graph")
@@ -559,7 +662,7 @@ def model_to_dict(m: SurfaceModel) -> dict:
             "exceptional_label": link.exceptional_label,
             "exceptional": [rat_str(x) for x in link.exceptional.coeffs],
             "graph": {
-                "vertices": [[lab, g, e] for lab, g, e in link.graph.vertices],
+                "vertices": [[v.label, v.genus, v.self_int] for v in link.graph.vertices],
                 "edges": [list(e) for e in link.graph.edges],
             },
             "boundary_mults": [rat_str(x) for x in link.boundary_mults],
@@ -589,64 +692,54 @@ def model_to_dict(m: SurfaceModel) -> dict:
     }
 
 
-def model_from_dict(data: Mapping, validate: bool = True) -> SurfaceModel:
-    """Load a model from its declarative form; validates unless told not to."""
-    def link_from(d, kind: str) -> ModelLink | None:
-        if d is None:
-            return None
-        d = json_object(d, f"{kind} link")
-        return ModelLink(
-            target=d["target"],
-            pullback=mat(d["pullback"]),
-            exceptional_label=d["exceptional_label"],
-            exceptional=DivClass.of(d["exceptional"]),
-            graph=GraphData(
-                vertices=tuple((v[0], int(v[1]), int(v[2]))
-                               for v in json_object(d["graph"], f"{kind} graph")["vertices"]),
-                edges=tuple(tuple(int(x) for x in e) for e in d["graph"]["edges"]),
-            ),
-            boundary_mults=tuple(rat(x) for x in d.get("boundary_mults", [])),
-        )
-
-    data = json_object(data, "model")
-    what = f"model {data['name']!r}" if "name" in data else "model"
-    with missing_fields(what):
-        m = SurfaceModel(
-            name=data["name"],
-            basis_labels=tuple(data["basis"]),
-            gram=mat(data["gram"]),
-            canonical=DivClass.of(data["canonical"]),
-            neg_curves=tuple(LabeledCurve(c["label"], DivClass.of(c["coeffs"]))
-                             for c in json_objects(data["neg_curves"], f"{what}: neg_curves")),
-            boundary=tuple(BoundaryPart(b["label"], DivClass.of(b["coeffs"]), rat(b["coeff"]))
-                           for b in json_objects(data.get("boundary", []),
-                                                 f"{what}: boundary")),
-            sings=tuple(SingularPoint(parse_sing(s["sing"]), s["location"])
-                        for s in json_objects(data.get("sings", []), f"{what}: sings")),
-            named_divisors={k: DivClass.of(v)
-                            for k, v in data.get("named_divisors", {}).items()},
-            point_classes=tuple(data.get("point_classes", ["generic"])),
-            del_pezzo=bool(data.get("del_pezzo", False)),
-            blowup=link_from(data.get("blowup"), f"{what}: blowup"),
-            resolution=link_from(data.get("resolution"), f"{what}: resolution"),
-            beta_candidates=tuple(data.get("beta_candidates", [])),
-        )
-    if validate:
-        m.validate_strict()
-    return m
+def _link_from(r: JsonValue) -> ModelLink | None:
+    if r.value is None:
+        return None
+    g = r.get("graph")
+    vertices = tuple(GraphVertex(*(x.of(kind) for x, kind in zip(v.items(3), (str, int, int))))
+                     for v in g.get("vertices").items())
+    return ModelLink(
+        target=r.get("target").of(str),
+        pullback=r.get("pullback").rows(),
+        exceptional_label=r.get("exceptional_label").of(str),
+        exceptional=DivClass(r.get("exceptional").rats()),
+        graph=ResolutionGraph(vertices, _int_rows(g.get("edges"), 3)),
+        boundary_mults=r.get("boundary_mults", []).rats(),
+    )
 
 
-def load_models(path: str | Path, validate: bool = True) -> list[SurfaceModel]:
-    """Read one model or a {"models": [...]} collection from a JSON file."""
+def model_from_dict(data: Any) -> SurfaceModel:
+    """Load a model from its declarative form.  It is not validated: check it
+    with ``validate_strict`` (and its links with ``validate_links``)."""
+    r = JsonValue(data, "model").named()
+    named = r.get("named_divisors", {})
+    return SurfaceModel(
+        name=r.get("name").of(str),
+        basis_labels=r.get("basis").strs(),
+        gram=r.get("gram").rows(),
+        canonical=DivClass(r.get("canonical").rats()),
+        neg_curves=tuple(LabeledCurve(c.get("label").of(str), DivClass(c.get("coeffs").rats()))
+                         for c in r.get("neg_curves").items()),
+        boundary=tuple(BoundaryPart(b.get("label").of(str), DivClass(b.get("coeffs").rats()),
+                                    b.get("coeff").rat())
+                       for b in r.get("boundary", []).items()),
+        sings=tuple(SingularPoint(parse_sing(s.get("sing").of(str)), s.get("location").of(str))
+                    for s in r.get("sings", []).items()),
+        named_divisors={k: DivClass(named.get(k).rats()) for k in named.of(dict)},
+        point_classes=r.get("point_classes", ["generic"]).strs(),
+        del_pezzo=r.get("del_pezzo", False).of(bool),
+        blowup=_link_from(r.get("blowup", None)),
+        resolution=_link_from(r.get("resolution", None)),
+        beta_candidates=r.get("beta_candidates", []).strs(),
+    )
+
+
+def load_models(path: str | Path) -> list[SurfaceModel]:
+    """Read one model, a list or a {"models": [...]} collection, unvalidated."""
     def load(data) -> list[SurfaceModel]:
-        if isinstance(data, dict) and "models" in data:
-            entries = data["models"]
-        elif isinstance(data, dict):
-            entries = [data]
-        else:
-            entries = data
-        return [model_from_dict(e, validate=validate)
-                for e in json_objects(entries, "model list")]
+        if isinstance(data, dict):
+            data = data.get("models", [data])
+        return [model_from_dict(e.of(dict)) for e in JsonValue(data, "model list").items()]
 
     return read_json(path, load)
 

@@ -26,10 +26,6 @@ class SingularMatrixError(ValueError):
     """Raised when a linear solve meets a singular matrix."""
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(rat(x) for x in row) for row in rows)
-
-
 def solve(m: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> list[Rat]:
     """Solve m x = b exactly; raises SingularMatrixError if singular."""
     n = len(m)

@@ -27,95 +27,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import Rat, over_one_denominator, rat
-from .lattice import (DivClass, GraphData, ModelLink, SurfaceModel, catalog, json_object,
-                      json_objects, missing_fields)
+from .lattice import (DivClass, GraphVertex, ModelLink, ResolutionGraph, StrictTransform,
+                      SurfaceModel, catalog)
 from .linalg import bareiss, sylvester_negative_definite
 from .positivity import VolumeProfile, volume_profile
-
-
-@dataclass(frozen=True)
-class GraphVertex:
-    label: str
-    genus: int
-    self_int: int
-
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
-        if self.self_int >= 0:
-            raise ValueError("exceptional curves have negative self-intersection")
-
-
-@dataclass(frozen=True)
-class StrictTransform:
-    """Boundary component meeting the exceptional locus.
-
-    ``incidences`` pairs vertex indices with intersection multiplicities.
-    """
-
-    coeff: Rat
-    incidences: tuple[tuple[int, int], ...]
-    label: str = "D"
-
-    def __post_init__(self):
-        if not 0 <= self.coeff <= 1:
-            raise ValueError("strict-transform coefficient must lie in [0, 1]")
-        for _, mult in self.incidences:
-            if mult < 0:
-                raise ValueError("incidence multiplicities must be >= 0")
-
-
-@dataclass(frozen=True)
-class ResolutionGraph:
-    vertices: tuple[GraphVertex, ...]
-    edges: tuple[tuple[int, int, int], ...] = ()
-    strict_transforms: tuple[StrictTransform, ...] = ()
-
-    def __post_init__(self):
-        n = len(self.vertices)
-        for i, j, mult in self.edges:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"bad edge ({i},{j})")
-            if mult < 0:
-                raise ValueError("edge multiplicities must be >= 0")
-        for st in self.strict_transforms:
-            for i, _ in st.incidences:
-                if not 0 <= i < n:
-                    raise ValueError("strict transform meets unknown vertex")
-
-    def intersection_matrix(self) -> list[list[int]]:
-        n = len(self.vertices)
-        mat = [[0] * n for _ in range(n)]
-        for i, v in enumerate(self.vertices):
-            mat[i][i] = v.self_int
-        for i, j, mult in self.edges:
-            mat[i][j] += mult
-            mat[j][i] += mult
-        return mat
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ResolutionGraph":
-        data = json_object(data, "resolution graph")
-        with missing_fields("resolution graph"):
-            return cls(
-                vertices=tuple(GraphVertex(v["label"], int(v["genus"]), int(v["self_int"]))
-                               for v in json_objects(data["vertices"],
-                                                     "resolution graph: vertices")),
-                edges=tuple(tuple(int(x) for x in e) for e in data.get("edges", [])),
-                strict_transforms=tuple(
-                    StrictTransform(rat(st["coeff"]),
-                                    tuple((int(i), int(m)) for i, m in st["incidences"]),
-                                    st.get("label", "D"))
-                    for st in json_objects(data.get("strict_transforms", []),
-                                           "resolution graph: strict_transforms")),
-            )
-
-    @classmethod
-    def from_graph_data(cls, g: GraphData) -> "ResolutionGraph":
-        return cls(
-            vertices=tuple(GraphVertex(lab, genus, e) for lab, genus, e in g.vertices),
-            edges=g.edges,
-        )
 
 
 def discrepancies(g: ResolutionGraph) -> list[Rat]:
@@ -320,9 +235,8 @@ class ResolvedDivisor:
 
 
 def _link_log_discrepancy(m: SurfaceModel, link: ModelLink) -> Rat:
-    g = ResolutionGraph.from_graph_data(link.graph)
-    a = discrepancies(g)
-    idx = next(i for i, v in enumerate(g.vertices) if v.label == link.exceptional_label)
+    a = discrepancies(link.graph)
+    idx = next(i for i, v in enumerate(link.graph.vertices) if v.label == link.exceptional_label)
     val = Fraction(1) + a[idx]
     for part, mult in zip(m.boundary, link.boundary_mults):
         val -= part.coeff * mult

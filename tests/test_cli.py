@@ -1,9 +1,11 @@
+import copy
 import json
 import shlex
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delpezzo.cli import run
 from delpezzo.lattice import catalog, model_to_dict
@@ -331,8 +333,7 @@ def _wrong_typed_graph_edge(tmp_path):
     path.write_text(json.dumps({"vertices": [{"label": "E", "genus": 0, "self_int": -2}],
                                 "edges": [5]}))
     return (["discrep", "--graph", str(path)],
-            f"{path}: resolution graph has a value of the wrong type: "
-            "'int' object is not iterable")
+            f"{path}: resolution graph: edges[0] is an integer, not an array")
 
 
 def _wrong_typed_gram_entry(tmp_path):
@@ -340,17 +341,201 @@ def _wrong_typed_gram_entry(tmp_path):
     path = tmp_path / "models.json"
     path.write_text(json.dumps({"models": [model]}))
     return (["--catalog", str(path), "catalog", "list"],
-            f"{path}: model 'dP7-bad-gram' has a value of the wrong type: "
-            "cannot interpret {} as a rational number")
+            f"{path}: model 'dP7-bad-gram': gram[0][0] is an object, not a rational")
 
 
-@pytest.mark.parametrize("make", [_wrong_typed_graph_edge, _wrong_typed_gram_entry],
-                         ids=["graph-edge", "gram-entry"])
+def _model_file(tmp_path, edit):
+    model = {**model_to_dict(catalog("dP7")), "name": "dP7x"}
+    edit(model)
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps({"models": [model]}))
+    return path
+
+
+def _flag_file(tmp_path, **fields):
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps({"flags": [{
+        "name": "u", "divisor_spec": "anticanonical-curve",
+        "points": [{"label": "generic"}], "covers": ["generic"], **fields}]}))
+    return path
+
+
+def _graph_file(tmp_path, vertex, edges=()):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": [{"label": "E", "genus": 0, "self_int": -2,
+                                              **vertex}], "edges": list(edges)}))
+    return path
+
+
+def _catalog_leaf(argv, edit, read):
+    def make(tmp_path):
+        path = _model_file(tmp_path, edit)
+        return ["--catalog", str(path), *argv], f"{path}: {read}"
+    return make
+
+
+def _graph_vertex(vertex, read):
+    def make(tmp_path):
+        path = _graph_file(tmp_path, vertex)
+        return ["discrep", "--graph", str(path)], f"{path}: resolution graph: {read}"
+    return make
+
+
+def _string_asserted_plt(tmp_path):
+    # "false" used to read as True: "K-semistable (certified by flags)"
+    # without the note that the bound rests on the caller's assertion.
+    path = _flag_file(tmp_path, asserted_plt="false")
+    return (["semistable", "--surface", "dP3", "--flag-file", str(path)],
+            f"{path}: flag 'u': asserted_plt is a string, not a boolean")
+
+
+# Apart from the first two, each of these used to end in a traceback, or to be
+# accepted (exit 0) with a wrong reading of the value: "false" read as True,
+# -2.5 truncated to -2.
+@pytest.mark.parametrize("make", [
+    _wrong_typed_graph_edge,
+    _wrong_typed_gram_entry,
+    _catalog_leaf(["catalog", "list"], lambda m: m.update(name=["x"]),
+                  "model: name is an array, not a string"),
+    _catalog_leaf(["catalog", "show", "dP7x"], lambda m: m["blowup"].update(target=6),
+                  "model 'dP7x': blowup.target is an integer, not a string"),
+    _catalog_leaf(["beta", "--surface", "dP7x", "--divisor-spec", "E1"],
+                  lambda m: m["neg_curves"][0].update(label=["E1"]),
+                  "model 'dP7x': neg_curves[0].label is an array, not a string"),
+    _catalog_leaf(["catalog", "show", "dP7x"], lambda m: m.update(basis=[["H"], "E1", "E2"]),
+                  "model 'dP7x': basis[0] is an array, not a string"),
+    _catalog_leaf(["catalog", "show", "dP7x"], lambda m: m.update(del_pezzo="false"),
+                  "model 'dP7x': del_pezzo is a string, not a boolean"),
+    _catalog_leaf(["beta", "--surface", "dP7x", "--divisor-spec", "exceptional:pt"],
+                  lambda m: m["blowup"]["graph"]["vertices"][0].__setitem__(2, -1.5),
+                  "model 'dP7x': blowup.graph.vertices[0][2] is a float, not an integer"),
+    _catalog_leaf(["catalog", "show", "dP7x"],
+                  lambda m: m["blowup"]["graph"]["vertices"][0].__setitem__(1, 0.0),
+                  "model 'dP7x': blowup.graph.vertices[0][1] is a float, not an integer"),
+    _string_asserted_plt,
+    _graph_vertex({"self_int": -2.5}, "vertices[0].self_int is a float, not an integer"),
+    _graph_vertex({"genus": 0.5}, "vertices[0].genus is a float, not an integer"),
+    _graph_vertex({"genus": "1"}, "vertices[0].genus is a string, not an integer"),
+], ids=["graph-edge", "gram-entry", "list-name", "number-target", "list-curve-label",
+        "list-basis-label", "string-del-pezzo", "float-link-self-int", "float-link-genus",
+        "string-asserted-plt", "float-self-int", "float-genus", "string-genus"])
 def test_json_input_with_a_wrong_typed_value_names_file_and_object(tmp_path, capsys, make):
     argv, message = make(tmp_path)
     report, code = run(argv)
     assert report is None and code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: ["discrep", "--graph", str(_graph_file(tmp, {"self_int": 0}))],
+     "exceptional curves have negative self-intersection"),
+    (lambda tmp: ["discrep", "--graph", str(_graph_file(tmp, {}, [[0, 3, 1]]))],
+     "bad edge (0,3)"),
+    (lambda tmp: ["semistable", "--surface", "dP3", "--flag-file",
+                  str(_flag_file(tmp, divisor_spec="nosuch"))],
+     "unknown divisor label 'nosuch' on dP3 (column 1)"),
+], ids=["graph-self-int", "graph-edge", "flag-divisor-spec"])
+def test_refused_json_input_names_its_file(tmp_path, capsys, make, message):
+    argv = make(tmp_path)
+    report, code = run(argv)
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: {argv[-1]}: {message}\n"
+
+
+def test_missing_input_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "nosuch.json"
+    report, code = run(["discrep", "--graph", str(path)])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == \
+        f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_engine_fault_while_a_model_loads_is_an_internal_error(tmp_path, capsys,
+                                                                monkeypatch):
+    from delpezzo import lattice
+
+    def broken(text):
+        raise TypeError("broken parse_sing")
+
+    monkeypatch.setattr(lattice, "parse_sing", broken)
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(model_to_dict(catalog("P(1,1,2)"))))
+    report, code = run(["--catalog", str(path), "catalog", "list"])
+    assert report is None and code == 4
+    assert capsys.readouterr().err == "internal error: TypeError: broken parse_sing\n"
+
+
+def test_engine_fault_under_beta_is_an_internal_error(capsys, monkeypatch):
+    from delpezzo import valuative
+
+    def broken(m, spec):
+        raise IndexError("broken invariants")
+
+    monkeypatch.setattr(valuative, "invariants", broken)
+    report, code = run(["beta", "--surface", "dP7", "--divisor-spec", "E1"])
+    assert report is None and code == 4
+    assert capsys.readouterr().err == "internal error: IndexError: broken invariants\n"
+
+
+_FUZZ_VALUES = [None, True, False, 0, -1, 1, 2, 2.5, "", "x", "1/0", "-1",
+                [], [[]], {}, {"x": 1}]
+
+
+def _leaf_paths(doc, path=()):
+    """Paths to the scalars and empty containers of a JSON document."""
+    if isinstance(doc, (dict, list)) and doc:
+        for k, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaf_paths(v, path + (k,))
+    else:
+        yield path
+
+
+def _with_leaf(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for k in path[:-1]:
+        target = target[k]
+    target[path[-1]] = value
+    return doc
+
+
+_FUZZ_MODEL = {**model_to_dict(catalog("dP7")), "name": "dP7x"}
+_FUZZ_FLAG = {"name": "u", "divisor_spec": "anticanonical-curve",
+              "points": [{"label": "generic", "diff_coeff": "1/2", "under_n": False,
+                          "deg_corrections": [[0, 0]]}],
+              "covers": ["generic"], "asserted_plt": False}
+_FUZZ_GRAPH = {"vertices": [{"label": "E1", "genus": 0, "self_int": -2},
+                            {"label": "E2", "genus": 0, "self_int": -3}],
+               "edges": [[0, 1, 1]],
+               "strict_transforms": [{"coeff": "1/2", "incidences": [[0, 1]],
+                                      "label": "D"}]}
+_FUZZ_CASES = {
+    "catalog": (_FUZZ_MODEL, [["--catalog", "{path}", "catalog", "show", "dP7x"],
+                              ["--catalog", "{path}", "beta", "--surface", "dP7x",
+                               "--divisor-spec", "E1"]], 80),
+    "flag-file": (_FUZZ_FLAG, [["semistable", "--surface", "dP3", "--flag-file",
+                                "{path}"]], 60),
+    "graph": (_FUZZ_GRAPH, [["discrep", "--graph", "{path}"]], 80),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FUZZ_CASES))
+def test_one_wrong_leaf_never_reaches_the_internal_error_handler(tmp_path, kind):
+    doc, commands, examples = _FUZZ_CASES[kind]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    for argv in commands:  # the unedited document is accepted
+        assert run([a.format(path=path) for a in argv])[1] == 0
+
+    @settings(max_examples=examples, deadline=None, database=None)
+    @given(st.sampled_from(list(_leaf_paths(doc))), st.sampled_from(_FUZZ_VALUES))
+    def check(leaf, value):
+        path.write_text(json.dumps(_with_leaf(doc, leaf, value)))
+        for argv in commands:
+            _, code = run([a.format(path=path) for a in argv])
+            assert code in (0, 1, 2, 3), (leaf, value, argv)
+
+    check()
 
 
 def test_corrupt_lp_solution_is_not_printed_as_semistable(monkeypatch, capsys):

@@ -189,7 +189,7 @@ def test_builtin_pairs_are_built_once(monkeypatch):
     assert catalog("P(1,1,2)+2/4Q") is first
     assert calls == ["P(1,1,2)+1/2Q"]
     # a pair over a --catalog base is built and validated on every lookup
-    base = model_from_dict(model_to_dict(catalog("P(1,1,2)")), validate=False)
+    base = model_from_dict(model_to_dict(catalog("P(1,1,2)")))
     extra = {"P(1,1,2)": base}
     calls.clear()
     pair = catalog("P(1,1,2)+1/2Q", extra=extra)
@@ -278,16 +278,16 @@ def test_builtin_catalog_digest_is_pinned():
 def test_incomplete_del_pezzo_model_is_invalid():
     data = model_to_dict(catalog("dP7"))
     data["neg_curves"] = [c for c in data["neg_curves"] if c["label"] != "E2"]
-    m = model_from_dict(data, validate=False)
+    m = model_from_dict(data)
     assert any("2 (-1)-curves" in p for p in m.validate())
     with pytest.raises(ModelInvariantError):
-        model_from_dict(data)
+        model_from_dict(data).validate_strict()
 
 
 def test_model_round_trip_through_dict():
     for name in ("dP7", "P(1,1,2)", "F2~P(1,1,2)"):
         m = catalog(name)
-        again = model_from_dict(model_to_dict(m))
+        again = model_from_dict(model_to_dict(m)).validate_strict()
         assert model_to_dict(again) == model_to_dict(m)
 
 
@@ -295,7 +295,7 @@ def test_load_models_external_file(tmp_path):
     m = catalog("dP7")
     path = tmp_path / "one.json"
     path.write_text(json.dumps(model_to_dict(m)))
-    loaded = load_models(path)
+    loaded = [m.validate_strict() for m in load_models(path)]
     assert len(loaded) == 1 and loaded[0].name == "dP7"
 
 
@@ -303,15 +303,15 @@ def test_invalid_gram_rejected():
     data = model_to_dict(catalog("dP7"))
     data["gram"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
     with pytest.raises(ModelInvariantError):
-        model_from_dict(data)
-    m = model_from_dict(data, validate=False)
+        model_from_dict(data).validate_strict()
+    m = model_from_dict(data)
     assert any("signature" in p for p in m.validate())
     # Not symmetric, and with a zero pair pivot a[0][1] + a[1][0] that a
     # congruence elimination would divide by: reported, never raised.
     data["gram"] = [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "-1"]]
     with pytest.raises(ModelInvariantError):
-        model_from_dict(data)
-    problems = model_from_dict(data, validate=False).validate()
+        model_from_dict(data).validate_strict()
+    problems = model_from_dict(data).validate()
     # one asymmetric pair, reported once
     assert [p for p in problems if "not symmetric" in p] == \
         ["dP7: gram not symmetric at (0,1)"]
@@ -323,7 +323,7 @@ _ORACLE_MODELS = builtin_names() + ["P(1,1,2)+1/2Q", "P(1,2,3)"]
 @pytest.mark.parametrize("name", _ORACLE_MODELS)
 def test_curve_vectors_match_the_fraction_construction(name):
     m = catalog(name)
-    fresh = model_from_dict(model_to_dict(m), validate=False)
+    fresh = model_from_dict(model_to_dict(m))
     assert fresh._curve_vectors == validate_oracle.curve_vectors(m)
 
 
@@ -359,7 +359,7 @@ def _without_curve(label):
 def test_validate_matches_the_fraction_oracle_on_corrupt_models(corrupt, problem):
     data = model_to_dict(catalog("dP7"))
     corrupt(data)
-    m = model_from_dict(data, validate=False)
+    m = model_from_dict(data)
     problems = m.validate()
     assert problem in problems
     assert problems == validate_oracle.validate(m)
@@ -369,7 +369,7 @@ def test_validate_builds_no_fraction_per_pairing():
     """dP1's 240 rows of up to 240 pairings are checked as integers: the
     Fractions that validate builds itself (-K and its square) do not grow
     with the number of generators; the oracle builds one per pairing."""
-    m = model_from_dict(model_to_dict(catalog("dP1")), validate=False)
+    m = model_from_dict(model_to_dict(catalog("dP1")))
     lattice_file = sys.modules[SurfaceModel.__module__].__file__
     built = []
 

@@ -8,13 +8,17 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 from delpezzo import lp
-from delpezzo.linalg import (SingularMatrixError, bareiss, is_negative_definite, mat, solve,
+from delpezzo.linalg import (SingularMatrixError, bareiss, is_negative_definite, solve,
                              sylvester_negative_definite, symmetric_signature)
 from delpezzo.lattice import catalog
 from delpezzo.lp import eq_feasibility, in_cone
 
 import simplex_oracle
 import solve_oracle
+
+
+def mat(rows):
+    return tuple(tuple(F(x) for x in row) for row in rows)
 
 
 def test_solve_and_det():

@@ -2,11 +2,11 @@
 
 Exit codes: 0 on success, 1 when --strict is set and the mathematical
 verdict is fail/unstable/not-pseudoeffective, 2 on usage errors (unknown
-command, surface or malformed input, an unreadable input file, or an
-invalid --catalog model), 3 when the engine cannot certify an answer for
-the model (its cone data stalls the Zariski machinery or the exact LP), 4
-on an internal error (an engine fault, reported as "internal error: <type>:
-<message>").
+command, surface or malformed input, an unreadable input file, an invalid
+--catalog model, or an exact result too long to print), 3 when the engine
+cannot certify an answer for the model (its cone data stalls the Zariski
+machinery or the exact LP), 4 on an internal error (an engine fault,
+reported as "internal error: <type>: <message>").
 Reports are byte-deterministic for fixed inputs; rationals are always
 rendered exactly as "p/q".
 """
@@ -511,7 +511,11 @@ def main(argv=None) -> int:
     report, code = run(argv)
     if report is not None:
         args = _parse(tuple(argv))
-        sys.stdout.write(report.render(args.format, args.decimal))
+        try:  # an exact value may have more digits than Python prints
+            sys.stdout.write(report.render(args.format, args.decimal))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

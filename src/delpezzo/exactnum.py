@@ -29,13 +29,20 @@ class DomainError(ValueError):
 
 
 def rat(x: RatLike) -> Rat:
-    """Coerce an int, Fraction or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction or "p/q" string to an exact rational.  A string
+    is only a sign, digits and a nonzero "/" denominator: no exponent, no
+    decimal point."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        num, slash, den = x.strip().partition("/")
+        digits = num[1:] if num.startswith(("+", "-")) else num
+        if not (digits.isascii() and digits.isdigit()
+                and (not slash or den.isascii() and den.isdigit() and den.strip("0"))):
+            raise ValueError(f"{x!r} is not a rational p/q with a nonzero denominator q")
+        return Fraction(int(num), int(den) if slash else 1)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 

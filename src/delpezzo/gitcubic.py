@@ -30,8 +30,8 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from . import lp
-from .exactnum import Rat, poly_mul, rat, rat_str
-from .linalg import SingularMatrixError, solve
+from .exactnum import Rat, over_one_denominator, poly_mul, rat, rat_str
+from .linalg import bareiss
 
 VARS = ("x", "y", "z", "w")
 WEIGHT_BOUND = 9
@@ -164,10 +164,9 @@ def apply_coordinate_change(f: CubicForm, matrix: Sequence[Sequence[Rat]]) -> Cu
     m = [[rat(x) for x in row] for row in matrix]
     if len(m) != 4 or any(len(row) != 4 for row in m):
         raise ValueError("need a 4x4 matrix")
-    try:
-        solve(m, [0] * 4)
-    except SingularMatrixError:
-        raise ValueError("coordinate change must be invertible") from None
+    _, det, _ = bareiss([over_one_denominator(row)[1] for row in m], [])
+    if det == 0:
+        raise ValueError("coordinate change must be invertible")
 
     unit = {(0, 0, 0, 0): Fraction(1)}
 

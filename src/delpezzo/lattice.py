@@ -61,13 +61,6 @@ def _pair_numerators(d: DivClass, q: int, vectors: Sequence[Sequence[int]],
     return q * den, acc
 
 
-def _pair_columns(d: DivClass, q: int,
-                  vectors: Sequence[Sequence[int]]) -> tuple[Rat, ...]:
-    """d . C for each column k of ``vectors``, where (G.C)_i = vectors[i][k] / q."""
-    r, acc = _pair_numerators(d, q, vectors)
-    return tuple(Fraction(s, r) for s in acc)
-
-
 class UnknownSurfaceError(KeyError):
     """Requested catalog name is not known."""
 
@@ -137,7 +130,7 @@ class JsonValue:
         v = self.value if type(self.value) is int else self.of(str, "a rational")
         try:
             return rat(v)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise InputShapeError(f"{self} is {v!r}, not a rational") from None
 
     def strs(self) -> tuple[str, ...]:
@@ -390,10 +383,6 @@ class SurfaceModel:
         columns = [[x * (q // d) for x in col] for col, d in zip(columns, dens)]
         return q, tuple(tuple(col[i] for col in columns) for i in range(len(gram)))
 
-    @cached_property
-    def _curve_index(self) -> dict[LabeledCurve, int]:
-        return {c: k for k, c in enumerate(self.neg_curves)}
-
     def curve_pairings(self, d: DivClass) -> tuple[Rat, ...]:
         """d . C for every catalogued curve C, in ``neg_curves`` order.
 
@@ -403,17 +392,8 @@ class SurfaceModel:
         denominator, so the pairings are integer sums and one Fraction
         each.
         """
-        return _pair_columns(d, *self._curve_vectors)
-
-    def _pair_numerators_with(self, curves: Sequence[LabeledCurve],
-                              classes: Sequence[DivClass]) -> list[tuple[int, list[int]]]:
-        """For each d in ``classes``, (r, n) with d . C = n[i] / r for the
-        i-th curve C of ``curves``, which must be catalogued curves; read
-        from the columns of the curve vectors that belong to ``curves``."""
-        q, vectors = self._curve_vectors
-        ks = [self._curve_index[c] for c in curves]
-        columns = [[row[k] for k in ks] for row in vectors]
-        return [_pair_numerators(d, q, columns) for d in classes]
+        r, nums = _pair_numerators(d, *self._curve_vectors)
+        return tuple(Fraction(s, r) for s in nums)
 
     def minus_k(self) -> DivClass:
         return -self.canonical
@@ -483,6 +463,19 @@ class SurfaceModel:
             problems.append(f"{self.name}: canonical class has wrong length")
         if not self.neg_curves:
             problems.append(f"{self.name}: no effective-cone generators listed")
+        # a class is keyed by its (numerator, denominator) pairs: a Fraction hashes slowly
+        keys = [tuple([(x.numerator, x.denominator) for x in c.cls.coeffs])
+                for c in self.neg_curves]
+        labels: set[str] = set()
+        classes: dict[tuple, str] = {}
+        for c, key in zip(self.neg_curves, keys):
+            if c.label in labels:
+                problems.append(f"{self.name}: generator label {c.label} is listed twice")
+            labels.add(c.label)
+            if key in classes:
+                problems.append(f"{self.name}: generators {classes[key]} and "
+                                f"{c.label} have the same class")
+            classes.setdefault(key, c.label)
         short = [c.label for c in self.neg_curves if len(c.cls) != n]
         problems += [f"{self.name}: curve {label} has wrong length" for label in short]
         # The pairings need every class at full length.  They are read one row
@@ -495,7 +488,7 @@ class SurfaceModel:
         q, vectors = (1, ()) if short else self._curve_vectors
         if mk is not None:
             mk_den, mk_dot = _pair_numerators(mk, q, vectors)
-        lines: set[DivClass] = set()
+        lines: set[tuple] = set()
         for i, c in enumerate(curves):
             den, row = _pair_numerators(c.cls, q, vectors, i)
             sq = row[0]
@@ -508,7 +501,7 @@ class SurfaceModel:
                     problems.append(
                         f"{self.name}: (-1)-curve {c.label} has -K.C != 1")
                 else:
-                    lines.add(c.cls)
+                    lines.add(keys[i])
             # two distinct irreducible curves meet non-negatively
             for other, v in zip(curves[i + 1:], row[1:]):
                 if v < 0 and other.cls != c.cls:

@@ -1,4 +1,4 @@
-"""Input grammars: polynomial expressions and divisor-class expressions.
+"""Input grammar: polynomial expressions, read also as divisor expressions.
 
 The polynomial grammar covers the caller's variables (x, y, z, w by
 default), integer and "p/q" literals ("3", "5/6"; no decimals), +, -, explicit
@@ -9,6 +9,10 @@ non-polynomial.  The parser evaluates as it reads, so a polynomial goes
 straight to its exponent-tuple -> coefficient map with no syntax tree in
 between.  Errors carry the 1-based column of the offending token; the
 first syntax error is reported before any unknown variable.
+
+A divisor expression ("3H - E1 - 1/2 Q", "2(H - E1)") is read by the same
+grammar over the surface's labels, as a polynomial of degree one with no
+constant term.
 """
 
 from __future__ import annotations
@@ -82,12 +86,14 @@ class _Parser:
     Syntax errors are raised where they are read.  The first unknown
     variable in reading order is only recorded, and raised once the whole
     input has parsed, so a syntax error anywhere takes precedence.
+    ``wording`` gives that error's text for the unknown name.
     """
 
-    def __init__(self, src: str, variables: Sequence[str]):
+    def __init__(self, src: str, variables: Sequence[str], wording):
         self.toks = _tokenize(src)
         self.i = 0
         self.variables = variables
+        self.wording = wording
         self.index = {v: i for i, v in enumerate(variables)}
         self.zero = (0,) * len(variables)
         self.unknown: ParseError | None = None
@@ -191,9 +197,7 @@ class _Parser:
         letters = [tok.text] if tok.text in self.index else list(tok.text)
         if any(letter not in self.index for letter in letters):
             if self.unknown is None:
-                self.unknown = ParseError(
-                    f"unknown variable {tok.text!r} (allowed: {', '.join(self.variables)})",
-                    tok.pos)
+                self.unknown = ParseError(self.wording(tok.text), tok.pos)
             return {}
         exps = [0] * len(self.variables)
         for letter in letters:
@@ -203,60 +207,24 @@ class _Parser:
 
 def poly_terms(src: str, variables: Sequence[str] = POLY_VARS) -> dict[tuple[int, ...], Rat]:
     """The exponent-tuple -> coefficient map of a polynomial expression."""
-    return _Parser(src, variables).parse()
-
-
-def parse_div_expr(src: str, resolve: "callable") -> "list[tuple[Rat, str]]":
-    """Parse a divisor expression like "3H - E1 - 1/2Q" into (coeff, label) terms.
-
-    ``resolve`` is called with each label and its 0-based column purely to
-    validate it early and raise a helpful, positioned error; the returned
-    terms keep the label text.
-    """
-    toks = _tokenize(src)
-    terms: list[tuple[Rat, str]] = []
-    i = 0
-    first = True
-    while toks[i].kind != "end":
-        sign = Fraction(1)
-        tok = toks[i]
-        if tok.kind == "op" and tok.text in "+-":
-            sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-            i += 1
-        elif not first:
-            raise ParseError("expected '+' or '-' between divisor terms", tok.pos)
-        coeff = Fraction(1)
-        tok = toks[i]
-        if tok.kind == "num":
-            coeff = tok.value
-            i += 1
-            if toks[i].kind == "op" and toks[i].text == "/":
-                den = toks[i + 1]
-                if den.kind != "num" or den.value == 0:
-                    raise ParseError("expected nonzero integer denominator", toks[i].pos)
-                coeff = coeff / den.value
-                i += 2
-            if toks[i].kind == "op" and toks[i].text == "*":
-                i += 1
-        tok = toks[i]
-        if tok.kind != "name":
-            raise ParseError("expected a divisor label", tok.pos)
-        resolve(tok.text, tok.pos)
-        terms.append((sign * coeff, tok.text))
-        i += 1
-        first = False
-    if not terms:
-        raise ParseError("empty divisor expression", 0)
-    return terms
+    return _Parser(src, variables, lambda name: (
+        f"unknown variable {name!r} (allowed: {', '.join(variables)})")).parse()
 
 
 def div_from_expr(m: SurfaceModel, src: str) -> DivClass:
-    """The class on ``m`` of a divisor expression over its labels; an unknown
-    label is a ParseError at the label's column."""
-    def check(label, pos):
-        if m.named(label) is None:
-            raise ParseError(f"unknown divisor label {label!r} on {m.name}", pos)
+    """The class on ``m`` of a divisor expression, whose variables are the
+    names in ``src`` that ``m`` resolves; an unknown label is a ParseError
+    at the label's column."""
+    if not src.strip():
+        raise ParseError("empty divisor expression", 0)
+    labels = tuple(dict.fromkeys(tok.text for tok in _tokenize(src)
+                                 if tok.kind == "name" and m.named(tok.text) is not None))
+    terms = _Parser(src, labels,
+                    lambda name: f"unknown divisor label {name!r} on {m.name}").parse()
     total = DivClass((Fraction(0),) * m.rank)
-    for coeff, label in parse_div_expr(src, check):
-        total = total + m.named(label).scale(coeff)
+    for exps, coeff in terms.items():
+        if sum(exps) != 1:
+            raise ParseError("divisor expression has a constant term" if sum(exps) == 0
+                             else "divisor expression multiplies labels", 0)
+        total = total + m.named(labels[exps.index(1)]).scale(coeff)
     return total

@@ -16,11 +16,12 @@ linear wall functions (never by numeric sampling).
 Both the decomposition and the walk solve their support systems with one
 integer kernel, ``_solve_support``: a fraction-free Bareiss elimination of
 the integer support Gram whose leading principal minors certify it
-negative definite.  The walk runs on integers throughout.  It reads L . C
-and E . C once per walk as integer numerators, gets P(t) . C by linearity
-from the support rows, tests entry by cross-multiplication and picks the
-next wall as one integer (num, den) minimum.  Fractions are built only
-for the values its Chamber records hold.
+negative definite.  It also returns P . C for every catalogued curve C,
+by linearity from the support rows, and both loops read P . C from it:
+the Zariski loop builds P once, for the decomposition it returns, and the
+walk runs on integers throughout, testing entry by cross-multiplication
+and picking the next wall as one integer (num, den) minimum.  Fractions
+are built only for the values its Chamber records hold.
 """
 
 from __future__ import annotations
@@ -126,34 +127,45 @@ class ZariskiDecomp:
         return problems
 
 
-def _solve_support(m: SurfaceModel, support: Sequence[LabeledCurve],
-                   classes: Sequence[DivClass]
-                   ) -> tuple[int, tuple[tuple[int, ...], ...], list[tuple[int, list[int]]]]:
-    """(w, gram, sols): the support's Gram matrix C_i . C_j = gram[i][j] / w
-    in integers, certified negative definite, and for each class d its
-    (r, X), r > 0, with (d - sum x_i C_i) . C_j = 0 on the support for
-    x_i = X[i] / r.
+def _solve_support(m: SurfaceModel, support: Sequence[int],
+                   classes: Sequence[tuple[int, Sequence[int]]]
+                   ) -> tuple[int, tuple[tuple[int, ...], ...],
+                              list[tuple[int, list[int], int, list[int]]]]:
+    """(w, gram, sols) for the support curves C_i = neg_curves[support[i]]:
+    their Gram matrix C_i . C_j = gram[i][j] / w in integers, certified
+    negative definite, and for each class d, given by its pairings (r, n)
+    with d . C_k = n[k] / r for every catalogued curve C_k, its (s, X, t, p):
+    P = d - sum x_i C_i with x_i = X[i] / s, s > 0, is orthogonal to the
+    support, and P . C_k = p[k] / t, t > 0, for every catalogued curve.
 
-    The pairings are integer numerators read from the model's cached curve
-    vectors.  One Bareiss elimination of the integer Gram, carried along
-    every right-hand side, gives the leading principal minors, whose signs
-    certify the Gram negative definite (Sylvester's criterion), and the
-    solutions over the determinant."""
-    if not support:
-        return 1, (), [(1, []) for _ in classes]
-    n = len(support)
-    rows = m._pair_numerators_with(support, [c.cls for c in support] + list(classes))
-    w = lcm(*(r for r, _ in rows[:n]))
-    gram = tuple(tuple(x * (w // r) for x in nums) for r, nums in rows[:n])
-    # sum_i x_i gram[j][i] / w = d . C_j = nums[j] / r, so gram (r x) = w nums
-    minors, det, xs = bareiss(gram, [[w * v for v in nums] for _, nums in rows[n:]])
-    if not sylvester_negative_definite(minors, n):
+    The support curves' rows of pairings are integer numerators read from
+    the model's cached curve vectors.  One Bareiss elimination of the
+    integer Gram, carried along every right-hand side, gives the leading
+    principal minors, whose signs certify the Gram negative definite
+    (Sylvester's criterion), and the solutions over the determinant.  P . C_k
+    follows by linearity from the support rows, over one denominator."""
+    if not support:  # P = d
+        return 1, (), [(r, [], r, n) for r, n in classes]
+    q, vectors = m._curve_vectors
+    rows = [_pair_numerators(m.neg_curves[k].cls, q, vectors) for k in support]
+    w = lcm(*(r for r, _ in rows))
+    gram = tuple(tuple(row[k] * (w // r) for k in support) for r, row in rows)
+    # sum_i x_i gram[j][i] / w = d . C_j = n[j] / r, so gram (r x) = w n
+    minors, det, xs = bareiss(gram, [[w * n[k] for k in support] for _, n in classes])
+    if not sylvester_negative_definite(minors, len(support)):
         raise ConeDataError(
-            f"support {{{', '.join(c.label for c in support)}}} on {m.name} is not "
-            "negative definite; cone data possibly incomplete")
-    sign = 1 if det > 0 else -1
-    return w, gram, [(sign * det * r, [sign * x for x in xv])
-                     for (r, _), xv in zip(rows[n:], xs)]
+            f"support {{{', '.join(m.neg_curves[k].label for k in support)}}} on "
+            f"{m.name} is not negative definite; cone data possibly incomplete")
+    sign, det = (1, det) if det > 0 else (-1, -det)
+    sols = []
+    for (r, n), xv in zip(classes, xs):
+        xv = [sign * x for x in xv]  # x_i = xv[i] / (det r)
+        p = [v * det * w for v in n]  # P . C_k = n[k] / r - sum_i x_i row_i[k] / r_i
+        for x, (ri, row) in zip(xv, rows):
+            if f := x * (w // ri):
+                p = [s - f * v for s, v in zip(p, row)]
+        sols.append((det * r, xv, det * r * w, p))
+    return w, gram, sols
 
 
 def _minus_combination(d: DivClass, xs: Sequence[int], r: int,
@@ -174,19 +186,21 @@ def _minus_combination(d: DivClass, xs: Sequence[int], r: int,
 
 def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
     """Iterative decomposition: grow the support of curves P pairs negatively
-    with, solving the Gram system for the orthogonalizing coefficients."""
+    with, solving the Gram system for the orthogonalizing coefficients.  P . C
+    comes from the support kernel; P itself is built once, at the end."""
     ok, cert = pseff_certificate(m, d)
     if not ok:
         raise NotPseudoeffectiveError(m, d, cert, m.intersect(cert, d))
-    support: list[LabeledCurve] = []
+    pairings = _pair_numerators(d, *m._curve_vectors)
+    support: list[int] = []  # indices into neg_curves
     for _ in range(len(m.neg_curves) + 1):
-        w, gram, ((r, xs),) = _solve_support(m, support, [d])
-        p = _minus_combination(d, xs, r, support)
-        violating = [c for c, v in zip(m.neg_curves, m.curve_pairings(p))
-                     if v < 0 and c not in support]
+        w, gram, ((r, xs, _, p_dot),) = _solve_support(m, support, [pairings])
+        violating = [k for k, v in enumerate(p_dot) if v < 0 and k not in support]
         if not violating:
+            curves = [m.neg_curves[k] for k in support]
             dec = ZariskiDecomp(
-                p, tuple((c.label, Fraction(x, r)) for c, x in zip(support, xs)),
+                _minus_combination(d, xs, r, curves),
+                tuple((c.label, Fraction(x, r)) for c, x in zip(curves, xs)),
                 tuple(tuple(Fraction(g, w) for g in row) for row in gram))
             problems = dec.verify(m, d)
             if problems:
@@ -288,8 +302,8 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
 
     The walk runs on integers.  L . C_k and E . C_k are read once per walk
     as integer numerators from the cached curve vectors.  In a chamber with
-    support S and coefficients x_i = a_i + b_i t from the one support
-    kernel, P_const . C_k = L . C_k - sum a_i C_i . C_k and P_slope . C_k =
+    support S, the one support kernel gives the coefficients x_i = a_i + b_i t
+    and P_const . C_k = L . C_k - sum a_i C_i . C_k and P_slope . C_k =
     -E . C_k - sum b_i C_i . C_k, each over one denominator.  Entry at the
     current t is tested by cross-multiplying, and the next wall is one
     integer (num, den) minimum, ties kept in ``neg_curves`` order.  As
@@ -313,10 +327,9 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     neg_e = -E
 
     curves = m.neg_curves
-    q, vectors = m._curve_vectors
-    l_den, l_dot = _pair_numerators(L, q, vectors)  # L . C_k = l_dot[k] / l_den
-    e_den, e_dot = _pair_numerators(E, q, vectors)  # E . C_k = e_dot[k] / e_den
-    rows: dict[int, tuple[int, list[int]]] = {}     # C_i . C_k = row[k] / r
+    l_den, l_dot = _pair_numerators(L, *m._curve_vectors)  # L . C_k = l_dot[k] / l_den
+    e_den, e_dot = _pair_numerators(E, *m._curve_vectors)  # E . C_k = e_dot[k] / e_den
+    pairings = [(l_den, l_dot), (e_den, [-v for v in e_dot])]  # of L and -E
 
     support: list[int] = []  # indices into neg_curves, in entry order
     t_cur = Fraction(0)
@@ -327,23 +340,9 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     for _ in range(2 * len(curves) + 6):
         in_support = set(support)
         s_curves = [curves[k] for k in support]
-        _, _, ((r0, x0), (r1, x1)) = _solve_support(m, s_curves, [L, neg_e])
         # a_i = x0[i] / r0 and b_i = x1[i] / r1; P_const . C_k = pc[k] / dc and
-        # P_slope . C_k = ps[k] / ds, summed over one denominator rw for the rows
-        for k in support:
-            if k not in rows:
-                rows[k] = _pair_numerators(curves[k].cls, q, vectors)
-        rw = lcm(*(rows[k][0] for k in support))
-        pc = [v * r0 * rw for v in l_dot]
-        ps = [-v * r1 * rw for v in e_dot]
-        for k, a, b in zip(support, x0, x1):
-            r, row = rows[k]
-            fa, fb = l_den * a * (rw // r), e_den * b * (rw // r)
-            if fa:
-                pc = [s - fa * x for s, x in zip(pc, row)]
-            if fb:
-                ps = [s - fb * x for s, x in zip(ps, row)]
-        dc, ds = l_den * r0 * rw, e_den * r1 * rw
+        # P_slope . C_k = ps[k] / ds
+        _, _, ((r0, x0, dc, pc), (r1, x1, ds, ps)) = _solve_support(m, support, pairings)
 
         # A value negative just after t_cur = tn/td (negative, or zero and
         # falling) means a curve enters, or a support curve leaves, right here.

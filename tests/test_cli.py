@@ -1,13 +1,14 @@
 import copy
 import json
 import shlex
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delpezzo.cli import run
+from delpezzo.cli import main, run
 from delpezzo.lattice import catalog, model_to_dict
 
 
@@ -159,6 +160,33 @@ def test_nvol_budget_localglobal():
     assert code == 1
     payload, _ = _json_run(["local-global", "--vol", "3", "--sing", "A2"])
     assert payload["results"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["nvol", "--monomial", "1e400000,1"], "1e400000"),
+    (["nvol", "--monomial", "1/0,1"], "1/0"),
+    (["nvol", "--monomial", "0.5,1"], "0.5"),
+    (["local-global", "--vol", "1/0"], "1/0"),
+])
+def test_malformed_rational_is_a_usage_error(capsys, argv, text):
+    # An exponent used to be expanded for seconds and end in a traceback, and
+    # a zero denominator was reported as "cannot certify" (exit 3).
+    start = time.perf_counter()
+    report, code = run(argv)
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        f"error: {text!r} is not a rational p/q with a nonzero denominator q\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_result_too_long_to_print_is_a_usage_error(capsys):
+    # nvol of (1, 1/q) has about twice as many digits as q: more than Python
+    # prints, so rendering the report used to end in a traceback (exit 1).
+    for fmt in ("table", "json"):
+        code = main(["--format", fmt, "nvol", "--monomial", f"1/{'9' * 4000},1"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: Exceeds the limit (4300 digits)")
 
 
 def test_git_subcommands():
@@ -611,6 +639,37 @@ def test_uncertifiable_catalog_model_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot certify: support {E1, E2} on dP7 ")
     assert "Traceback" not in err
+
+
+def _repeat_e1(model):
+    model["neg_curves"].append(dict(model["neg_curves"][0]))
+
+
+def _relabel_l12_as_e1(model):
+    for c in model["neg_curves"]:
+        if c["label"] == "L12":
+            c["label"] = "E1"
+
+
+@pytest.mark.parametrize("edit, argvs, problems", [
+    (_repeat_e1, [["beta", "--surface", "dP7dup", "--divisor-spec", "L12"],
+                  ["zariski", "--surface", "dP7dup", "--div", "-K - 2L12"]],
+     "dP7dup: generator label E1 is listed twice; "
+     "dP7dup: generators E1 and E1 have the same class"),
+    (_relabel_l12_as_e1, [["zariski", "--surface", "dP7dup", "--div", "3H - 2E1 - 2E2"]],
+     "dP7dup: generator label E1 is listed twice"),
+], ids=["repeated-curve", "repeated-label"])
+def test_catalog_model_that_repeats_a_generator_is_refused(tmp_path, capsys, edit, argvs,
+                                                           problems):
+    # Each command used to exit 3, "cannot certify", on the repeated generator.
+    model = {**model_to_dict(catalog("dP7")), "name": "dP7dup"}
+    edit(model)
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(model))
+    for argv in argvs:
+        report, code = run(["--catalog", str(path)] + argv)
+        assert report is None and code == 2
+        assert capsys.readouterr().err == f"error: invalid --catalog model: {problems}\n"
 
 
 def test_discontinuous_profile_exits_3(monkeypatch, capsys):

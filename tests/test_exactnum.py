@@ -19,6 +19,23 @@ def test_rat_parsing_and_rendering():
     assert rat_str(F(-8, 2)) == "-4"
 
 
+@pytest.mark.parametrize("text, value", [
+    ("25/3", F(25, 3)), (" -4/6 ", F(-2, 3)), ("+7", F(7)), ("007/010", F(7, 10)), ("0", F(0)),
+])
+def test_rat_reads_sign_digits_and_a_denominator(text, value):
+    assert rat(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e400000", "1E5", "0.5", ".5", "1/0", "3/00", "1/-2", "1_000", "3 /4", "", "-",
+    "/2", "2/", "1/2/3", "inf", "nan", "\u00b2", "\u0663",
+])
+def test_rat_refuses_every_other_string(text):
+    with pytest.raises(ValueError) as err:
+        rat(text)
+    assert str(err.value) == f"{text!r} is not a rational p/q with a nonzero denominator q"
+
+
 def test_integrate_headline_values():
     assert Poly([9, 0, -1]).integrate(0, 3) == 18
     assert Poly([]).integrate(F(-5, 2), 7) == 0

@@ -194,6 +194,13 @@ def test_apply_coordinate_change_rejects_singular():
     sing = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(ValueError):
         apply_coordinate_change(FERMAT, sing)
+    # rational rows, the third the sum of the first two halved
+    sing = [[0, "1/2", 1, 0], [2, 0, "1/3", 0], [1, "1/4", "2/3", 0], [0, 0, 0, 5]]
+    with pytest.raises(ValueError, match="coordinate change must be invertible"):
+        apply_coordinate_change(FERMAT, sing)
+    # a zero leading entry needs a row exchange, not a refusal
+    swap = [[0, "1/2", 0, 0], ["2/3", 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    assert dict(apply_coordinate_change(FERMAT, swap).terms) == _sympy_substitute(FERMAT, swap)
 
 
 def test_catalog_verdicts_recomputed():

@@ -354,8 +354,10 @@ def _without_curve(label):
     (_without_curve("E2"),
      "dP7: 2 (-1)-curves listed, a del Pezzo surface of degree 7 has 3"),
     (_with_curve("S", ["1", "0"]), "dP7: curve S has wrong length"),
+    (_with_curve("E1", ["1", "-1", "0"]), "dP7: generator label E1 is listed twice"),
+    (_with_curve("X", ["0", "1", "0"]), "dP7: generators E1 and X have the same class"),
 ], ids=["positive-square", "minus-K-degree", "negative-pair", "missing-line",
-        "wrong-length"])
+        "wrong-length", "repeated-label", "repeated-class"])
 def test_validate_matches_the_fraction_oracle_on_corrupt_models(corrupt, problem):
     data = model_to_dict(catalog("dP7"))
     corrupt(data)

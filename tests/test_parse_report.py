@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import div_expr_oracle
 import poly_parse_oracle
-from delpezzo.parse import (MAX_EXPONENT, POLY_VARS, ParseError, parse_div_expr,
-                            poly_terms)
+from delpezzo.lattice import catalog, model_from_dict, model_to_dict
+from delpezzo.parse import MAX_EXPONENT, POLY_VARS, ParseError, div_from_expr, poly_terms
 from delpezzo.report import Report
 
 
@@ -117,16 +118,77 @@ def test_first_syntax_error_wins_over_an_unknown_variable():
 
 
 def test_parse_div_expr():
-    terms = parse_div_expr("3H - E1 - 1/2 Q", lambda label, pos: None)
-    assert terms == [(3, "H"), (-1, "E1"), (F(-1, 2), "Q")]
-    assert parse_div_expr("-K", lambda label, pos: None) == [(-1, "K")]
-    assert parse_div_expr("2*H + E2", lambda label, pos: None) == [(2, "H"), (1, "E2")]
+    data = model_to_dict(catalog("dP7"))
+    data["named_divisors"]["Q"] = ["0", "0", "1"]
+    m = model_from_dict(data)
+    h, e1, e2 = (m.named(label) for label in ("H", "E1", "E2"))
+    assert div_from_expr(m, "3H - E1 - 1/2 Q") == h.scale(3) - e1 - e2.scale(F(1, 2))
+    assert div_from_expr(m, "-K") == m.minus_k()
+    assert div_from_expr(m, "2*H + E2") == h.scale(2) + e2
     with pytest.raises(ParseError):
-        parse_div_expr("H E1", lambda label, pos: None)   # missing sign
+        div_from_expr(m, "H E1")   # a product of labels
     with pytest.raises(ParseError):
-        parse_div_expr("", lambda label, pos: None)
+        div_from_expr(m, "")
     with pytest.raises(ParseError):
-        parse_div_expr("3 +", lambda label, pos: None)
+        div_from_expr(m, "3 +")
+
+
+@pytest.mark.parametrize("src, want", [
+    ("E1 - E1", "0"), ("0H", "0"), ("2(H - E1)", "2*H - 2*E1"), ("E1 3", "3*E1"),
+    ("H E1", "divisor expression multiplies labels (column 1)"),
+    ("3", "divisor expression has a constant term (column 1)"),
+    ("  ", "empty divisor expression (column 1)"),
+    ("-K - 2Q", "unknown divisor label 'Q' on dP7 (column 7)"),
+])
+def test_divisor_expression_is_a_linear_polynomial_in_the_labels(src, want):
+    m = catalog("dP7")
+    try:
+        got = m.render(div_from_expr(m, src))
+    except ParseError as exc:
+        got = str(exc)
+    assert got == want
+
+
+_DIV_EXPR_MODELS = ["dP7", "dP3", "P(1,1,2)+1/2Q", "F2~P(1,1,2)"]
+
+
+def _labels(m):
+    return sorted({*m.named_divisors, *m.basis_labels, *m.curve_labels(),
+                   *(b.label for b in m.boundary), "K"})
+
+
+@st.composite
+def _div_exprs(draw):
+    """A model name and a string over its labels: either a sum of terms in
+    the old grammar's shape, or any sequence of labels, digits, operators,
+    parentheses and spaces."""
+    name = draw(st.sampled_from(_DIV_EXPR_MODELS))
+    labels = _labels(catalog(name))
+    if draw(st.booleans()):
+        coeff = st.sampled_from(["", "2", "0", "3/4", "1/2*", "5 ", "0/7"])
+        term = st.tuples(st.sampled_from(["", "+", "-", "+ ", "- "]), coeff,
+                         st.sampled_from(labels))
+        parts = draw(st.lists(term, min_size=1, max_size=4))
+        return name, " ".join(sign + c + label for sign, c, label in parts)
+    piece = st.sampled_from(labels + list("0123456789+-*/()^ "))
+    return name, "".join(draw(st.lists(piece, max_size=10)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_div_exprs())
+def test_divisor_expression_matches_the_old_grammar_where_it_accepts(case):
+    name, src = case
+    m = catalog(name)
+    try:
+        want = div_expr_oracle.div_from_expr(m, src)
+    except ParseError:
+        want = None
+    try:
+        got = div_from_expr(m, src)
+    except ParseError:
+        got = None
+    if want is not None:
+        assert got == want
 
 
 def test_report_json_and_table_render_same_values():

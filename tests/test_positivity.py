@@ -9,6 +9,7 @@ import intersect_oracle
 import simplex_oracle
 import solve_oracle
 import walk_oracle
+import zariski_oracle
 from delpezzo import lp, positivity
 from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import Poly
@@ -295,6 +296,82 @@ def test_zariski_fuzz_random_classes():
                 assert dec.verify(m, d) == []
 
 
+def _zariski_outcome(decompose, m, d):
+    """The ZariskiDecomp, or the type and text of the refusal."""
+    try:
+        return decompose(m, d)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_zariski_matches_the_oracle(m, d):
+    got = _zariski_outcome(zariski, m, d)
+    assert got == _zariski_outcome(zariski_oracle.zariski, m, d)
+    return got
+
+
+def _threshold(m, c):
+    """The threshold of -K - tC, or 2 where -K is not nef."""
+    try:
+        return pseff_threshold(m, m.minus_k(), c)
+    except ValueError:
+        return F(2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(builtin_names()), st.integers(0, 300),
+       st.sampled_from([F(0), F(1, 2), F(1), F(3, 2), F(2)]), st.sampled_from([F(0), F(1, 3)]))
+def test_zariski_matches_the_fraction_oracle_on_minus_k_minus_t_c(name, i, scale, shift):
+    """-K - tC for a catalogued curve C, with t below, at and above the
+    threshold tau: t = scale * tau + shift."""
+    m = catalog(name)
+    c = m.neg_curves[i % len(m.neg_curves)].cls
+    t = scale * _threshold(m, c) + shift
+    _assert_zariski_matches_the_oracle(m, m.minus_k() - c.scale(t))
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if n != "dP1"])
+def test_zariski_matches_the_fraction_oracle_on_every_curve(name):
+    """-K - tC for every catalogued curve C, at t = tau / 2 (a decomposition
+    or nef) and t = tau + 1 (a refusal).  dP1, whose 240 LPs take about 15 s
+    here, is left to the drawn cases above."""
+    m = catalog(name)
+    outcomes = set()
+    for c in m.neg_curves:
+        tau = _threshold(m, c.cls)
+        for t in (tau / 2, tau + 1):
+            got = _assert_zariski_matches_the_oracle(m, m.minus_k() - c.cls.scale(t))
+            outcomes.add(type(got) is tuple)
+    assert outcomes == {False, True}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(builtin_names()), st.integers(0, 300), st.integers(0, 300),
+       st.sampled_from([F(1), F(1, 2), F(3)]))
+def test_zariski_matches_the_fraction_oracle_on_curve_sums(name, i, j, scale):
+    m = catalog(name)
+    curves = m.neg_curves
+    d = curves[i % len(curves)].cls + curves[j % len(curves)].cls.scale(scale)
+    _assert_zariski_matches_the_oracle(m, d)
+
+
+def test_zariski_builds_p_once(monkeypatch):
+    """The loop reads P . C from the support kernel and builds P as a class
+    once, for the decomposition it returns."""
+    built = []
+    original = positivity._minus_combination
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(positivity, "_minus_combination", counted)
+    m = catalog("dP7")
+    dec = zariski(m, m.minus_k() - m.named("Ltilde").scale(2))
+    assert [label for label, _ in dec.negative] == ["E1", "E2"]
+    assert len(built) == 1
+
+
 def _recorded_support_solves(monkeypatch) -> list:
     """Record (model, support, classes, result) of every support solve."""
     calls = []
@@ -310,28 +387,41 @@ def _recorded_support_solves(monkeypatch) -> list:
 
 
 def test_support_solves_match_the_dense_oracle(monkeypatch):
-    """The Gram matrix and coefficients of every support solve met by the
-    dP3 and dP2 walks of -K - tE, for E a curve or a sum of two curves, equal
-    those built with the dense pairing."""
+    """The Gram matrix, the coefficients and P . C for every catalogued
+    curve C of every support solve met by the dP3 and dP2 walks of -K - tE,
+    for E a curve or a sum of two curves, equal those built with the dense
+    pairing.  The walk solves for L = -K and for -E."""
     calls = _recorded_support_solves(monkeypatch)
+    solved = []
     for name in ("dP3", "dP2"):
         m = catalog(name)
         curves = m.neg_curves
-        for e in [c.cls for c in curves] + [a.cls + b.cls for a, b in
-                                             zip(curves[::3], curves[1::3])]:
+        table = [[intersect_oracle.intersect(m, a.cls, b.cls) for b in curves] for a in curves]
+        minus_k = [intersect_oracle.intersect(m, m.minus_k(), c.cls) for c in curves]
+        n = len(curves)
+        for parts in [[i] for i in range(n)] + [[i, i + 1] for i in range(0, n - 1, 3)]:
+            e = curves[parts[0]].cls
+            for i in parts[1:]:
+                e = e + curves[i].cls
             volume_profile(m, m.minus_k(), e)
-    solved = [call for call in calls if call[1]]
-    assert len({(m.name, tuple(c.label for c in support))
-                for m, support, _, _ in solved}) == 75
-    for m, support, classes, (w, int_gram, sols) in solved:
+            # the pairings of L = -K and of -E, by linearity from the table
+            dots = [minus_k, [-sum(table[i][k] for i in parts) for k in range(n)]]
+            solved += [(m, table, support, dots, pairings, res)
+                       for _, support, pairings, res in calls if support]
+            calls.clear()
+    assert len({(m.name, tuple(m.neg_curves[k].label for k in support))
+                for m, _, support, _, _, _ in solved}) == 75
+    for m, table, support, dots, pairings, (w, int_gram, sols) in solved:
+        assert [[F(v, r) for v in n] for r, n in pairings] == dots
         gram = tuple(tuple(F(g, w) for g in row) for row in int_gram)
-        coeffs = [[F(x, r) for x in xs] for r, xs in sols]
-        want = tuple(tuple(intersect_oracle.intersect(m, a.cls, b.cls) for b in support)
-                     for a in support)
+        coeffs = [[F(x, r) for x in xs] for r, xs, _, _ in sols]
+        want = tuple(tuple(table[i][j] for j in support) for i in support)
         assert gram == want
-        assert coeffs == [
-            solve_oracle.solve(want, [intersect_oracle.intersect(m, d, c.cls) for c in support])
-            for d in classes]
+        assert coeffs == [solve_oracle.solve(want, [dot[i] for i in support]) for dot in dots]
+        for dot, xs, (_, _, t, p_dot) in zip(dots, coeffs, sols):
+            assert [F(v, t) for v in p_dot] == [
+                dot[k] - sum(x * table[i][k] for x, i in zip(xs, support))
+                for k in range(len(dot))]
 
 
 def test_support_solves_make_no_intersect_calls(monkeypatch):

@@ -42,6 +42,12 @@ def validate(m) -> list[str]:
         problems.append(f"{m.name}: canonical class has wrong length")
     if not m.neg_curves:
         problems.append(f"{m.name}: no effective-cone generators listed")
+    for i, c in enumerate(m.neg_curves):
+        if any(other.label == c.label for other in m.neg_curves[:i]):
+            problems.append(f"{m.name}: generator label {c.label} is listed twice")
+        same = [other.label for other in m.neg_curves[:i] if other.cls == c.cls]
+        if same:
+            problems.append(f"{m.name}: generators {same[0]} and {c.label} have the same class")
     short = [c.label for c in m.neg_curves if len(c.cls) != n]
     problems += [f"{m.name}: curve {label} has wrong length" for label in short]
     curves = () if short else m.neg_curves

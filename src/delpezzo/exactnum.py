@@ -12,6 +12,7 @@ a pure function, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import add
@@ -31,7 +32,8 @@ class DomainError(ValueError):
 def rat(x: RatLike) -> Rat:
     """Coerce an int, Fraction or "p/q" string to an exact rational.  A string
     is only a sign, digits and a nonzero "/" denominator: no exponent, no
-    decimal point."""
+    decimal point, and neither p nor q longer than Python's limit on integer
+    strings (``sys.get_int_max_str_digits()``)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -42,6 +44,12 @@ def rat(x: RatLike) -> Rat:
         if not (digits.isascii() and digits.isdigit()
                 and (not slash or den.isascii() and den.isdigit() and den.strip("0"))):
             raise ValueError(f"{x!r} is not a rational p/q with a nonzero denominator q")
+        # 0 means no limit, as on Python < 3.10.7, which has none
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        longest = max(len(digits), len(den))
+        if limit and longest > limit:
+            raise ValueError(f"a rational p/q whose p or q has {longest} digits is longer "
+                             f"than the limit of {limit} digits")
         return Fraction(int(num), int(den) if slash else 1)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 

@@ -2,10 +2,14 @@
 
 A pseudoeffective class D on a catalogued surface splits as D = P + N
 with P nef, N supported on a negative-definite set of catalogued curves
-and P orthogonal to N; then vol(D) = P^2.  Pseudoeffectivity itself is
-decided by exact LP membership in the cone of catalogued generators, so
-failures come with a checkable certificate: a nef class pairing
-negatively with D.
+and P orthogonal to N; then vol(D) = P^2.  ``zariski`` runs the
+support-growing loop first and returns its decomposition when it passes
+``ZariskiDecomp.verify`` and P lies in the closed positive cone (H^2 > 0,
+P^2 >= 0 and P . H >= 0 for the polarization H): the Gram has signature
+(1, rank - 1), so by the Hodge index theorem no nef class pairs negatively
+with such a D.  Elsewhere pseudoeffectivity is decided by exact LP
+membership in the cone of catalogued generators, so failures come with a
+checkable certificate: a nef class pairing negatively with D.
 
 The profile t -> vol(L - tE) is computed by an exact chamber walk:
 inside a chamber the negative-part support is constant and the
@@ -16,12 +20,14 @@ linear wall functions (never by numeric sampling).
 Both the decomposition and the walk solve their support systems with one
 integer kernel, ``_solve_support``: a fraction-free Bareiss elimination of
 the integer support Gram whose leading principal minors certify it
-negative definite.  It also returns P . C for every catalogued curve C,
-by linearity from the support rows, and both loops read P . C from it:
-the Zariski loop builds P once, for the decomposition it returns, and the
-walk runs on integers throughout, testing entry by cross-multiplication
-and picking the next wall as one integer (num, den) minimum.  Fractions
-are built only for the values its Chamber records hold.
+negative definite.  A support of rank or more curves is refused before
+any row is read, as the Hodge index theorem allows fewer.  The kernel
+also returns P . C for every catalogued curve C, by linearity from the
+support rows, and both loops read P . C from it: the Zariski loop builds
+P once, for the decomposition it returns, and the walk runs on integers
+throughout, testing entry by cross-multiplication and picking the next
+wall as one integer (num, den) minimum.  Fractions are built only for
+the values its Chamber records hold.
 """
 
 from __future__ import annotations
@@ -127,6 +133,12 @@ class ZariskiDecomp:
         return problems
 
 
+def _not_negative_definite(m: SurfaceModel, support: Sequence[int]) -> ConeDataError:
+    return ConeDataError(
+        f"support {{{', '.join(m.neg_curves[k].label for k in support)}}} on "
+        f"{m.name} is not negative definite; cone data possibly incomplete")
+
+
 def _solve_support(m: SurfaceModel, support: Sequence[int],
                    classes: Sequence[tuple[int, Sequence[int]]]
                    ) -> tuple[int, tuple[tuple[int, ...], ...],
@@ -146,6 +158,8 @@ def _solve_support(m: SurfaceModel, support: Sequence[int],
     follows by linearity from the support rows, over one denominator."""
     if not support:  # P = d
         return 1, (), [(r, [], r, n) for r, n in classes]
+    if len(support) >= m.rank:  # Hodge index: a negative-definite set has < rank members
+        raise _not_negative_definite(m, support)
     q, vectors = m._curve_vectors
     rows = [_pair_numerators(m.neg_curves[k].cls, q, vectors) for k in support]
     w = lcm(*(r for r, _ in rows))
@@ -153,9 +167,7 @@ def _solve_support(m: SurfaceModel, support: Sequence[int],
     # sum_i x_i gram[j][i] / w = d . C_j = n[j] / r, so gram (r x) = w n
     minors, det, xs = bareiss(gram, [[w * n[k] for k in support] for _, n in classes])
     if not sylvester_negative_definite(minors, len(support)):
-        raise ConeDataError(
-            f"support {{{', '.join(m.neg_curves[k].label for k in support)}}} on "
-            f"{m.name} is not negative definite; cone data possibly incomplete")
+        raise _not_negative_definite(m, support)
     sign, det = (1, det) if det > 0 else (-1, -det)
     sols = []
     for (r, n), xv in zip(classes, xs):
@@ -185,12 +197,40 @@ def _minus_combination(d: DivClass, xs: Sequence[int], r: int,
 
 
 def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
-    """Iterative decomposition: grow the support of curves P pairs negatively
-    with, solving the Gram system for the orthogonalizing coefficients.  P . C
-    comes from the support kernel; P itself is built once, at the end."""
+    """The Zariski decomposition of d, or NotPseudoeffectiveError with a nef
+    certificate.
+
+    The support-growing loop runs first.  Its decomposition is returned
+    without an LP when it passes ``verify`` and P lies in the closed positive
+    cone: with H the polarization, H^2 > 0, P^2 >= 0 and P . H >= 0.  The
+    Gram has signature (1, rank - 1), so P pairs >= 0 with every class W
+    with W^2 >= 0 and W . H >= 0, and N >= 0 pairs >= 0 with every nef W:
+    no Farkas class W with W . d < 0 passes the re-check of
+    ``pseff_certificate``, and the LP could not refuse d.
+    Otherwise the LP decides: an infeasible LP raises
+    NotPseudoeffectiveError, and a feasible one returns the loop's
+    decomposition or re-raises the ConeDataError the loop raised."""
+    try:
+        dec = _zariski_loop(m, d)
+    except ConeDataError as exc:
+        dec, failure = None, exc
+    else:
+        h = m.polarization()
+        p = dec.positive
+        if m.intersect(h, h) > 0 and m.intersect(p, p) >= 0 and m.intersect(p, h) >= 0:
+            return dec
     ok, cert = pseff_certificate(m, d)
     if not ok:
         raise NotPseudoeffectiveError(m, d, cert, m.intersect(cert, d))
+    if dec is None:
+        raise failure
+    return dec
+
+
+def _zariski_loop(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
+    """Iterative decomposition: grow the support of curves P pairs negatively
+    with, solving the Gram system for the orthogonalizing coefficients.  P . C
+    comes from the support kernel; P itself is built once, at the end."""
     pairings = _pair_numerators(d, *m._curve_vectors)
     support: list[int] = []  # indices into neg_curves
     for _ in range(len(m.neg_curves) + 1):

@@ -1,6 +1,7 @@
 import copy
 import json
 import shlex
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -72,7 +73,9 @@ def test_unverified_nef_certificate_exits_3(monkeypatch, capsys, y, failure):
     m = catalog("dP7")
     with pytest.raises(positivity.ConeDataError):
         positivity.pseff_certificate(m, m.minus_k())
-    report, code = run(["zariski", "--surface", "dP7", "--div=-K"])
+    # the LP runs only where the loop does not decide: a class that is not
+    # pseudoeffective, 3H - 4E1 - E2, which the line class pairs to 3 > 0 with
+    report, code = run(["zariski", "--surface", "dP7", "--div=-K - 3E1"])
     assert report is None and code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: cannot certify: nef certificate W = ")
@@ -177,6 +180,17 @@ def test_malformed_rational_is_a_usage_error(capsys, argv, text):
     assert capsys.readouterr().err == (
         f"error: {text!r} is not a rational p/q with a nonzero denominator q\n")
     assert time.perf_counter() - start < 1
+
+
+def test_rational_longer_than_python_converts_is_a_usage_error(capsys):
+    # Python's own refusal used to reach the user, with advice to call
+    # sys.set_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    report, code = run(["nvol", "--monomial", f"{'9' * 5000},1"])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        f"error: a rational p/q whose p or q has 5000 digits is longer than the limit "
+        f"of {limit} digits\n")
 
 
 def test_result_too_long_to_print_is_a_usage_error(capsys):

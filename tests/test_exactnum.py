@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,17 @@ def test_rat_refuses_every_other_string(text):
     with pytest.raises(ValueError) as err:
         rat(text)
     assert str(err.value) == f"{text!r} is not a rational p/q with a nonzero denominator q"
+
+
+def test_rat_refuses_more_digits_than_python_converts():
+    limit = sys.get_int_max_str_digits()
+    assert rat("9" * limit) == 10 ** limit - 1
+    assert rat(f"-1/{'9' * limit}") == F(-1, 10 ** limit - 1)
+    for text, n in (("9" * 5000, 5000), (f"+1/{'9' * 5000}", 5000), ("0" * limit + "1", limit + 1)):
+        with pytest.raises(ValueError) as err:
+            rat(text)
+        assert str(err.value) == (f"a rational p/q whose p or q has {n} digits is longer "
+                                  f"than the limit of {limit} digits")
 
 
 def test_integrate_headline_values():

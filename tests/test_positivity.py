@@ -13,7 +13,7 @@ import zariski_oracle
 from delpezzo import lp, positivity
 from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import Poly
-from delpezzo.lattice import DivClass, SurfaceModel, catalog
+from delpezzo.lattice import DivClass, SurfaceModel, catalog, is_nef
 from delpezzo.positivity import (NotPseudoeffectiveError, pseff_certificate,
                                  pseff_threshold, volume, volume_profile, zariski)
 from delpezzo.valuative import profile_for, resolve_divisor_spec
@@ -93,22 +93,29 @@ def test_volume_examples():
     assert volume(p112, DivClass.of([-1])) == 0
 
 
-def test_volume_runs_the_lp_once(monkeypatch):
-    from delpezzo import positivity
+def _recorded_lp_calls(monkeypatch) -> list:
+    """Record the class of every pseff_certificate call."""
     calls = []
     original = positivity.pseff_certificate
 
-    def counted(m, d):
+    def recorded(m, d):
         calls.append(d)
         return original(m, d)
 
-    monkeypatch.setattr(positivity, "pseff_certificate", counted)
+    monkeypatch.setattr(positivity, "pseff_certificate", recorded)
+    return calls
+
+
+def test_volume_runs_the_lp_only_where_the_loop_does_not_decide(monkeypatch):
+    calls = _recorded_lp_calls(monkeypatch)
     dp7 = catalog("dP7")
-    # pseudoeffective but not nef, then not pseudoeffective (and not nef)
-    for d, vol in ((DivClass.of([1, 1, 1]), 1), (DivClass.of([-1, 0, 0]), 0)):
+    # pseudoeffective but not nef: the loop decides; not pseudoeffective
+    # (and not nef): one LP
+    for d, vol, lps in ((DivClass.of([1, 1, 1]), 1, []),
+                        (DivClass.of([-1, 0, 0]), 0, [DivClass.of([-1, 0, 0])])):
         calls.clear()
         assert volume(dp7, d) == vol
-        assert calls == [d]
+        assert calls == lps
 
 
 def test_pseff_threshold_does_not_integrate(monkeypatch):
@@ -343,6 +350,73 @@ def test_zariski_matches_the_fraction_oracle_on_every_curve(name):
             got = _assert_zariski_matches_the_oracle(m, m.minus_k() - c.cls.scale(t))
             outcomes.add(type(got) is tuple)
     assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("u", [F(1, 2), F(5, 4), F(3, 2), F(3)])
+def test_zariski_matches_the_fraction_oracle_on_dp1_c120(u):
+    """-K - t C120 on dP1 at t = u * tau: a decomposition, then refusals
+    whose loops fail on supports of 57 and 183 curves."""
+    m = catalog("dP1")
+    c = m.curve("C120")
+    _assert_zariski_matches_the_oracle(m, m.minus_k() - c.scale(u * _threshold(m, c)))
+
+
+def test_zariski_runs_the_lp_only_above_the_threshold(monkeypatch):
+    """-K - tC for every catalogued curve C: at t = tau / 2 the loop decides
+    with no LP, at t = 3 tau / 2 one LP refuses.  dP1 is left to the drawn
+    cases above, and the Fn~P(1,1,n) with n >= 3, whose -K is not nef, have
+    no threshold to scale."""
+    calls = _recorded_lp_calls(monkeypatch)
+    curves = 0
+    for name in builtin_names():
+        m = catalog(name)
+        if name == "dP1" or not is_nef(m, m.minus_k()):
+            continue
+        for c in m.neg_curves:
+            tau = _threshold(m, c.cls)
+            zariski(m, m.minus_k() - c.cls.scale(tau / 2))
+            assert calls == []
+            above = m.minus_k() - c.cls.scale(3 * tau / 2)
+            with pytest.raises(NotPseudoeffectiveError):
+                zariski(m, above)
+            assert calls == [above]
+            calls.clear()
+            curves += 1
+    assert curves == 130
+
+
+def test_support_of_rank_curves_is_refused_before_its_rows_are_read(monkeypatch):
+    """Hodge index: a negative-definite set of curves has fewer than rank
+    members, so a support of rank curves is refused with the text of the
+    Sylvester test, and of the signature oracle, without reading a row."""
+    m = catalog("dP7")
+    support = list(range(m.rank))
+    with pytest.raises(positivity.ConeDataError) as want:
+        walk_oracle._solve_support(m, [m.neg_curves[k] for k in support], [])
+    read = []
+    monkeypatch.setattr(positivity, "_pair_numerators", lambda *args: read.append(args))
+    with pytest.raises(positivity.ConeDataError) as err:
+        positivity._solve_support(m, support, [])
+    assert str(err.value) == str(want.value) == (
+        "support {E1, E2, L12} on dP7 is not negative definite; "
+        "cone data possibly incomplete")
+    assert read == []
+
+
+def test_zariski_falls_back_to_the_lp_outside_the_positive_cone(monkeypatch):
+    """With a polarization H of square <= 0, or one that P pairs negatively
+    with, the loop's decomposition is not accepted alone: one LP runs, and
+    the same decomposition is returned."""
+    m = catalog("dP7")
+    d = DivClass.of([1, 1, 1])
+    want = zariski(m, d)
+    calls = _recorded_lp_calls(monkeypatch)
+    # H^2 = 0; H^2 = -1; H = K, with H^2 = 7 > 0 but P . H = -3 (P is the line class)
+    for h in (DivClass.of([0, 0, 0]), DivClass.of([0, 1, 0]), -m.minus_k()):
+        monkeypatch.setattr(SurfaceModel, "polarization", lambda self, h=h: h)
+        calls.clear()
+        assert zariski(m, d) == want
+        assert calls == [d]
 
 
 @settings(max_examples=80, deadline=None)

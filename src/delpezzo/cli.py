@@ -4,9 +4,10 @@ Exit codes: 0 on success, 1 when --strict is set and the mathematical
 verdict is fail/unstable/not-pseudoeffective, 2 on usage errors (unknown
 command, surface or malformed input, an unreadable input file, an invalid
 --catalog model, or an exact result too long to print), 3 when the engine
-cannot certify an answer for the model (its cone data stalls the Zariski
-machinery or the exact LP), 4 on an internal error (an engine fault,
-reported as "internal error: <type>: <message>").
+cannot certify an answer (the model's cone data stalls the Zariski
+machinery or the exact LP, or an lct germ is Newton-degenerate), 4 on an
+internal error (an engine fault, reported as "internal error: <type>:
+<message>").
 Reports are byte-deterministic for fixed inputs; rationals are always
 rendered exactly as "p/q".
 """
@@ -112,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lct", "log canonical threshold of a plane curve germ", cmd_lct)
     p.add_argument("--poly", help="germ in x, y (e.g. \"y^2 - x^3\")")
     p.add_argument("--lines", type=int, help="n lines through the origin")
-    p.add_argument("--allow-degenerate", action="store_true",
-                   help="accept a possibly Newton-degenerate germ")
 
     p = add("nvol", "normalized volume of a quotient singularity or monomial valuation",
             cmd_nvol)
@@ -256,7 +255,10 @@ def cmd_volfn(args, extra):
         "E": f"{rd.label} = {rd.work.render(rd.E)}",
         "profile": prof.profile,
         "tau": prof.tau,
-        "chambers": prof.to_report()["chambers"],
+        "chambers": [{"from": rat_str(ch.lo), "to": rat_str(ch.hi), "support": ch.support,
+                      "negative_part": [{"curve": label, "coeff": poly}
+                                        for label, poly in ch.n_coeffs]}
+                     for ch in prof.chambers],
     }
     return results, True, {"surface": m.name, "divisor_spec": args.divisor_spec}, \
         [m.name, rd.work.name]
@@ -266,10 +268,14 @@ def cmd_beta(args, extra):
     m = _surface(args.surface, extra)
     reports = []
     destab = None
+    notes = []
     for spec in args.divisor_spec:
         rep = valuative.beta_report(m, spec)
         reports.append({"divisor_spec": spec, **rep})
-        if destab is None and rep["beta"] < 0:
+        if rep["kind"] == "raw":
+            notes.append(f"{spec!r} is a raw class, not known to be a prime divisor: its A "
+                         "is taken as 1, so its beta is reported but certifies nothing")
+        elif destab is None and rep["beta"] < 0:
             destab = (spec, rep["beta"])
     results = {"surface": m.name, "divisors": reports}
     if destab is not None:
@@ -278,7 +284,7 @@ def cmd_beta(args, extra):
     else:
         results["verdict"] = "no destabilizer among the tested divisors"
     return results, destab is None, \
-        {"surface": m.name, "divisor_spec": list(args.divisor_spec)}, [m.name]
+        {"surface": m.name, "divisor_spec": list(args.divisor_spec)}, [m.name], notes
 
 
 def _file_flags(path, m):
@@ -347,18 +353,13 @@ def cmd_classify(args, extra):
 def cmd_lct(args, extra):
     if (args.poly is None) == (args.lines is None):
         raise CommandError("give exactly one of --poly or --lines")
-    notes = []
     if args.lines is not None:
         value = valuative.lct_n_lines(args.lines)
         inputs = {"lines": args.lines}
     else:
-        germ = _germ_from_poly(args.poly)
-        value = valuative.lct_newton(germ)
+        value = valuative.lct_newton(_germ_from_poly(args.poly))
         inputs = {"poly": args.poly}
-        if args.allow_degenerate:
-            notes.append("caller accepts a possibly Newton-degenerate germ; "
-                         "the diagonal rule can overestimate there")
-    return {"lct": value}, True, inputs, [], notes
+    return {"lct": value}, True, inputs, []
 
 
 def cmd_nvol(args, extra):

@@ -62,6 +62,20 @@ def rat_str(x: RatLike) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def combination_str(terms: Iterable[tuple[Rat, str]]) -> str:
+    """Render the sum of c * x over (c, x) pairs as "x - 3/4*y + 2": zero terms
+    are dropped, a coefficient of magnitude 1 is left out before a name x, a
+    term with x = "" is the constant c, and the empty sum is "0"."""
+    parts = []
+    for c, x in terms:
+        if c:
+            mag = rat_str(abs(c))
+            term = f"{mag}*{x}" if x and mag != "1" else x or mag
+            parts.append(("- " if c < 0 else "+ ") + term)
+    s = " ".join(parts)
+    return "0" if not s else s[2:] if s.startswith("+ ") else "-" + s[2:]
+
+
 def sqrt_rat(x: Rat) -> Rat | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if x < 0:
@@ -183,22 +197,10 @@ class Poly:
         F = self.antiderivative()
         return F(b) - F(a)
 
-    def format(self, var: str = "t") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in reversed(range(len(self.coeffs))):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                term = rat_str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else rat_str(abs(c)) + "*"
-                term = f"{mag}{var}" + (f"^{k}" if k > 1 else "")
-            parts.append(("- " if c < 0 else "+ ") + term)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+    def format(self) -> str:
+        """Highest degree first in the variable t, as "-3/4*t^2 + t - 2"."""
+        return combination_str((self.coeffs[k], "" if k == 0 else "t" if k == 1 else f"t^{k}")
+                               for k in reversed(range(len(self.coeffs))))
 
     def __repr__(self) -> str:
         return f"Poly({self.format()})"

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from . import lp
-from .exactnum import Rat, over_one_denominator, poly_mul, rat, rat_str
+from .exactnum import Rat, combination_str, over_one_denominator, poly_mul, rat, rat_str
 from .linalg import bareiss
 
 VARS = ("x", "y", "z", "w")
@@ -62,17 +62,9 @@ class CubicForm:
         return tuple(e for e, _ in self.terms)
 
     def format(self) -> str:
-        parts = []
-        for expo, c in self.terms:
-            mono = "".join(
-                (v if e == 1 else f"{v}^{e}") for v, e in zip(VARS, expo) if e)
-            if abs(c) == 1:
-                term = mono
-            else:
-                term = f"{rat_str(abs(c))}*{mono}"
-            parts.append(("- " if c < 0 else "+ ") + term)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+        return combination_str(
+            (c, "".join(v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, expo) if e))
+            for expo, c in self.terms)
 
 
 @dataclass(frozen=True)

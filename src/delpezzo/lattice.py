@@ -28,7 +28,7 @@ from operator import mul
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from .exactnum import Rat, over_one_denominator, rat, rat_str
+from .exactnum import Rat, combination_str, over_one_denominator, rat, rat_str
 from .linalg import Matrix, symmetric_signature
 from .localvol import QuotientSing, parse_sing
 
@@ -329,12 +329,6 @@ class SurfaceModel:
     def rank(self) -> int:
         return len(self.basis_labels)
 
-    def div(self, values: Sequence) -> DivClass:
-        d = DivClass.of(values)
-        if len(d) != self.rank:
-            raise ValueError(f"class has {len(d)} coordinates, model rank is {self.rank}")
-        return d
-
     def intersect(self, d1: DivClass, d2: DivClass) -> Rat:
         """d1 . d2 through the model's Gram matrix.
 
@@ -433,16 +427,7 @@ class SurfaceModel:
         return None
 
     def render(self, d: DivClass) -> str:
-        parts = []
-        for c, lab in zip(d.coeffs, self.basis_labels):
-            if c == 0:
-                continue
-            mag = "" if abs(c) == 1 else rat_str(abs(c)) + "*"
-            parts.append(("- " if c < 0 else "+ ") + mag + lab)
-        if not parts:
-            return "0"
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
+        return combination_str(zip(d.coeffs, self.basis_labels))
 
     def validate(self) -> list[str]:
         """Return a list of invariant violations (empty when healthy)."""

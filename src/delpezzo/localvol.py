@@ -59,9 +59,6 @@ class QuotientSing:
     def key(self) -> tuple[int, int]:
         return (self.index, self.canonical_weight)
 
-    def is_smooth(self) -> bool:
-        return self.index == 1
-
     @property
     def display(self) -> str:
         n = self.index

@@ -39,7 +39,7 @@ from math import lcm
 from typing import Sequence
 
 from . import lp
-from .exactnum import (Poly, PiecewisePoly, Rat, over_one_denominator, rat, rat_str,
+from .exactnum import (Poly, PiecewisePoly, Rat, over_one_denominator, rat_str,
                        rational_roots)
 from .lattice import DivClass, LabeledCurve, SurfaceModel, _pair_numerators, is_nef
 from .linalg import (Matrix, bareiss, is_negative_definite, solve,
@@ -251,9 +251,9 @@ def _zariski_loop(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
 
 
 def volume(m: SurfaceModel, d: DivClass) -> Rat:
-    """vol(d) = P^2, extended by 0 outside the pseudoeffective cone."""
-    if is_nef(m, d):
-        return m.intersect(d, d)
+    """vol(d) = P^2 for the positive part P of ``zariski(m, d)``, extended by 0
+    outside the pseudoeffective cone.  A nef d is its own positive part: the
+    loop returns it at its first step, with no LP."""
     try:
         p = zariski(m, d).positive
     except NotPseudoeffectiveError:
@@ -272,12 +272,6 @@ class Chamber:
     p_slope: DivClass
     n_coeffs: tuple[tuple[str, Poly], ...]
     vol: Poly
-
-    def p_at(self, t) -> DivClass:
-        return self.p_const + self.p_slope.scale(rat(t))
-
-    def n_at(self, t) -> tuple[tuple[str, Rat], ...]:
-        return tuple((label, poly(rat(t))) for label, poly in self.n_coeffs)
 
 
 @dataclass(frozen=True)
@@ -298,39 +292,6 @@ class VolumeProfile:
     @cached_property
     def S(self) -> Rat:
         return self.profile.integrate(0, self.tau) / self.L2
-
-    def value(self, t) -> Rat:
-        t = rat(t)
-        if t > self.tau:
-            return Fraction(0)
-        return self.profile(t)
-
-    def chamber_at(self, t) -> Chamber:
-        t = rat(t)
-        for ch in self.chambers:
-            if ch.lo <= t <= ch.hi:
-                return ch
-        raise ValueError(f"{t} outside [0, tau]")
-
-    def to_report(self, m: SurfaceModel | None = None) -> dict:
-        rep = {
-            "pieces": self.profile.to_report(),
-            "tau": rat_str(self.tau),
-            "chambers": [
-                {
-                    "from": rat_str(ch.lo),
-                    "to": rat_str(ch.hi),
-                    "support": list(ch.support),
-                    "negative_part": [
-                        {"curve": label, "coeff": poly.format("t")}
-                        for label, poly in ch.n_coeffs],
-                }
-                for ch in self.chambers],
-        }
-        if m is not None:
-            rep["L"] = m.render(self.L)
-            rep["E"] = m.render(self.E)
-        return rep
 
 
 def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:

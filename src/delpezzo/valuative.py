@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .exactnum import Rat, over_one_denominator, rat
+from .exactnum import Rat, over_one_denominator, rat, rat_str
 from .lattice import (DivClass, GraphVertex, ModelLink, ResolutionGraph, StrictTransform,
                       SurfaceModel, catalog)
 from .linalg import bareiss, sylvester_negative_definite
@@ -193,16 +194,50 @@ def diagonal_parameter(f: PlaneCurveGerm) -> Rat:
     return max(cands)
 
 
+def degenerate_edge(f: PlaneCurveGerm) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The first compact edge of the Newton polygon on which f is degenerate,
+    or None when f is Newton-nondegenerate.
+
+    The terms of f on the edge from (i, j) to (k, l), in order along it, are
+    the coefficients c_s of its edge polynomial q(u) = sum_s c_s u^s, of degree
+    g = gcd(k - i, j - l).  Both endpoints are terms of f, so every root of q
+    is nonzero, and f is degenerate on the edge when q has a repeated root.
+    A two-term q = c_0 + c_g u^g has none.  Otherwise q has one exactly when
+    it shares a root with q', that is when their resultant, the determinant
+    of their Sylvester matrix, is 0."""
+    coeffs = dict(f.terms)
+    hull = _lower_hull(f.support)
+    for (i, j), (k, l) in zip(hull, hull[1:]):
+        g = gcd(k - i, j - l)
+        q = [coeffs.get((i + s * (k - i) // g, j - s * (j - l) // g), Fraction(0))
+             for s in range(g + 1)]
+        if sum(1 for c in q if c) > 2:
+            q = over_one_denominator(q)[1]
+            dq = [s * c for s, c in enumerate(q)][1:]
+            sylvester = ([[0] * r + q + [0] * (g - 2 - r) for r in range(g - 1)]
+                         + [[0] * r + dq + [0] * (g - 1 - r) for r in range(g)])
+            if bareiss(sylvester, [])[1] == 0:
+                return (i, j), (k, l)
+    return None
+
+
 def lct_newton(f: PlaneCurveGerm) -> Rat:
     """Log canonical threshold min(1, 1/t0) by the Newton diagonal rule.
 
-    The rule is exact for Newton-nondegenerate germs and can overestimate
-    on degenerate ones; nondegeneracy is the caller's responsibility and
-    is not certified here.
+    The rule is exact for Newton-nondegenerate germs.  On a germ that is
+    degenerate on some edge (``degenerate_edge``) it only bounds the lct from
+    above, and ArithmeticError is raised with that bound instead.
     """
     t0 = diagonal_parameter(f)
     # t0 > 0 whenever the support is nonempty and misses the origin
-    return min(Fraction(1), 1 / t0)
+    bound = min(Fraction(1), 1 / t0)
+    edge = degenerate_edge(f)
+    if edge is not None:
+        (i, j), (k, l) = edge
+        raise ArithmeticError(
+            f"the germ is Newton-degenerate on the edge ({i},{j})-({k},{l}); the diagonal "
+            f"rule only bounds its lct from above by {rat_str(bound)}")
+    return bound
 
 
 def lct_n_lines(n: int) -> Rat:
@@ -338,9 +373,11 @@ def beta_report(m: SurfaceModel, spec: "str | DivClass") -> dict:
 def unstable_certificate(m: SurfaceModel,
                          candidates: Iterable["str | DivClass"],
                          ) -> tuple["str | DivClass", Rat] | None:
-    """First candidate with beta < 0 (input order), with its beta value."""
+    """First candidate with beta < 0 (input order), with its beta value.  A raw
+    class is skipped: its A = 1 is the log discrepancy only of a prime divisor
+    on the surface, which a class is not known to be."""
     for spec in candidates:
-        b = invariants(m, spec).beta
-        if b < 0:
-            return spec, b
+        inv = invariants(m, spec)
+        if inv.divisor.kind != "raw" and inv.beta < 0:
+            return spec, inv.beta
     return None

@@ -608,6 +608,32 @@ def test_beta_accepts_raw_divisor_expression():
     assert payload["results"]["tau"] == "3"
 
 
+@pytest.mark.parametrize("surface, spec, beta", [
+    ("P2", "1/2 line", "-1"), ("P1xP1", "f1 - f2", "-1/3"),
+    ("dP6", "H - E1 - E2 - E3", "-1/3"), ("dP5", "E1 - E2", "-2/15")])
+def test_raw_class_with_negative_beta_certifies_nothing(surface, spec, beta):
+    # A = 1 is not the log discrepancy of a fractional or non-effective class
+    payload, code = _json_run(["--strict", "beta", "--surface", surface, "--divisor-spec", spec])
+    results = payload["results"]
+    assert code == 0 and "first_destabilizer" not in results
+    assert results["verdict"] == "no destabilizer among the tested divisors"
+    assert (results["divisors"][0]["kind"], results["divisors"][0]["beta"]) == ("raw", beta)
+    assert payload["notes"] == [f"{spec!r} is a raw class, not known to be a prime divisor: its "
+                                "A is taken as 1, so its beta is reported but certifies nothing"]
+
+
+@pytest.mark.parametrize("poly, edge, bound", [
+    ("(x+y)^2", "(0,2)-(2,0)", "1"), ("(y-x^2)^2", "(0,2)-(4,0)", "3/4"),
+    ("y^2 - 2*x*y + x^2 - x^3", "(0,2)-(2,0)", "1")])
+def test_lct_refuses_a_newton_degenerate_germ(poly, edge, bound, capsys):
+    # true values 1/2, 1/2 and 5/6: the diagonal rule only bounds them
+    assert run(["lct", "--poly", poly]) == (None, 3)
+    assert capsys.readouterr().err == (
+        f"error: cannot certify: the germ is Newton-degenerate on the edge {edge}; "
+        f"the diagonal rule only bounds its lct from above by {bound}\n")
+    assert run(["lct", "--poly", "y^2 - x^3", "--allow-degenerate"])[1] == 2
+
+
 def test_named_divisor_spec_is_resolved_once(monkeypatch):
     from delpezzo import valuative
     calls = []

@@ -6,8 +6,12 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+import print_oracle
+from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import (DomainError, PiecewisePoly, Poly, rat, rat_str,
                                rational_roots)
+from delpezzo.gitcubic import CubicForm
+from delpezzo.lattice import DivClass, catalog
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 polys = st.lists(rationals, min_size=0, max_size=5).map(Poly)
@@ -160,3 +164,41 @@ def test_rational_roots_quadratic():
     assert rational_roots(Poly([12, -4])) == [3]
     assert rational_roots(Poly([2, 0, -1])) == []  # irrational pair
     assert rational_roots(Poly([1])) == []
+
+
+# Coefficients 0 and +-1, which the printers treat apart, and p/q.
+_PRINTED = st.one_of(st.sampled_from([F(0), F(1), F(-1)]),
+                     st.fractions(min_value=-20, max_value=20, max_denominator=12))
+_CUBIC_MONOMIALS = [(a, b, c, 3 - a - b - c) for a in range(4) for b in range(4 - a)
+                    for c in range(4 - a - b)]
+
+
+def test_printer_examples():
+    assert Poly([1]).format() == "1"
+    assert Poly([0, -1]).format() == "-t"
+    assert Poly([-2, 1, F(-3, 4)]).format() == "-3/4*t^2 + t - 2"
+    assert Poly([0, 0]).format() == "0"
+    dp7 = catalog("dP7")
+    assert dp7.render(DivClass.of([0, 0, 0])) == "0"
+    assert dp7.render(DivClass.of([-1, F(1, 2), 1])) == "-H + 1/2*E1 + E2"
+    cubic = CubicForm.from_terms({(0, 1, 1, 1): -1, (3, 0, 0, 0): F(2, 3), (0, 0, 0, 3): 1})
+    assert cubic.format() == "2/3*x^3 - yzw + w^3"
+
+
+@given(st.lists(_PRINTED, max_size=6))
+def test_poly_format_matches_the_reference_printer(coeffs):
+    p = Poly(coeffs)
+    assert p.format() == print_oracle.poly_format(p.coeffs)
+
+
+@given(st.sampled_from(builtin_names()), st.data())
+def test_render_matches_the_reference_printer(name, data):
+    m = catalog(name)
+    coeffs = data.draw(st.lists(_PRINTED, min_size=m.rank, max_size=m.rank))
+    assert m.render(DivClass(tuple(coeffs))) == print_oracle.render(coeffs, m.basis_labels)
+
+
+@given(st.dictionaries(st.sampled_from(_CUBIC_MONOMIALS), _PRINTED.filter(bool), min_size=1))
+def test_cubic_format_matches_the_reference_printer(terms):
+    f = CubicForm.from_terms(terms)
+    assert f.format() == print_oracle.cubic_format(f.terms)

@@ -50,7 +50,7 @@ def test_enumerate_out_of_range():
 
 def test_intersect_examples():
     p2 = catalog("P2")
-    h = p2.div([1])
+    h = DivClass.of([1])
     assert p2.intersect(h, h) == 1
     assert p2.intersect(p2.minus_k(), p2.minus_k()) == 9
     dp7 = catalog("dP7")

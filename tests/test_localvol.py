@@ -21,7 +21,7 @@ def test_parse_and_display():
     assert parse_sing("1/2(1,1)").display == "A1"
     assert parse_sing("A2") == QuotientSing(3, (1, 2))
     assert parse_sing("1/3(1,1)").display == "1/3(1,1)"
-    assert parse_sing("smooth").is_smooth()
+    assert parse_sing("smooth").display == "smooth"
     assert parse_sing("1/5(2,1)") == parse_sing("1/5(1,3)")  # unit equivalence
     with pytest.raises(ValueError):
         parse_sing("1/4[1,1]")

@@ -1,4 +1,5 @@
 import fractions
+import json
 import sys
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ import solve_oracle
 import walk_oracle
 import zariski_oracle
 from delpezzo import lp, positivity
+from delpezzo.cli import run
 from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import Poly
 from delpezzo.lattice import DivClass, SurfaceModel, catalog, is_nef
@@ -163,7 +165,7 @@ def test_profile_p2_exceptional():
     assert prof.tau == 3
     assert prof.profile.pieces == (Poly([9, 0, -1]),)
     assert prof.profile.breakpoints == (0, 3)
-    assert prof.value(4) == 0 and prof.value(2) == 5
+    assert prof.profile(2) == 5
 
 
 def test_profile_p2_line_stays_nef():
@@ -181,7 +183,8 @@ def test_profile_dp7_two_chambers():
     ch2 = prof.chambers[1]
     assert set(ch2.support) == {"E1", "E2"}
     assert ch2.n_coeffs[0][1] == Poly([-1, 1])  # coefficient (t - 1)
-    assert prof.chamber_at(2).p_at(2) == DivClass.of([1, 0, 0])
+    assert ch2.lo <= 2 <= ch2.hi
+    assert ch2.p_const + ch2.p_slope.scale(2) == DivClass.of([1, 0, 0])
 
 
 def test_profile_enters_a_curve_that_turns_negative_at_zero():
@@ -194,7 +197,7 @@ def test_profile_enters_a_curve_that_turns_negative_at_zero():
     assert prof.chambers[0].support == ("e",)
     dec = zariski(m, prof.L - prof.E.scale(F(1, 2)))
     assert dec.negative == (("e", F(1, 4)),)
-    assert m.intersect(dec.positive, dec.positive) == prof.value(F(1, 2)) == F(49, 8)
+    assert m.intersect(dec.positive, dec.positive) == prof.profile(F(1, 2)) == F(49, 8)
 
 
 def test_pseff_thresholds():
@@ -262,14 +265,14 @@ def test_zariski_certificates_along_suite_profiles():
             dec = zariski(rd.work, d)
             assert dec.verify(rd.work, d) == [], (name, spec)
             assert rd.work.intersect(dec.positive, dec.positive) == prof.profile(mid)
-            assert dict(dec.negative) == dict(ch.n_at(mid))
+            assert dict(dec.negative) == {label: poly(mid) for label, poly in ch.n_coeffs}
 
 
 def test_profile_report_serialization():
-    prof = profile_for(catalog("dP7"), "Ltilde")
-    rep = prof.to_report(catalog("dP7"))
-    assert rep["tau"] == "3"
-    assert rep["pieces"][0] == {"from": "0", "to": "1", "coeffs": ["7", "-2", "-1"]}
+    report, code = run(["volfn", "--surface", "dP7", "--divisor-spec", "Ltilde"])
+    rep = json.loads(report.to_json())["results"]
+    assert code == 0 and rep["tau"] == "3"
+    assert rep["profile"][0] == {"from": "0", "to": "1", "coeffs": ["7", "-2", "-1"]}
     assert rep["chambers"][1]["support"] == ["E1", "E2"]
 
 

@@ -1,11 +1,16 @@
+import dataclasses
 from fractions import Fraction as F
+from itertools import permutations
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
+from delpezzo.azflag import builtin_flags, semistable_via_flags
 from delpezzo.lattice import DivClass, catalog
 from delpezzo.valuative import (DivisorSpecError, PlaneCurveGerm, ResolutionGraph,
-                                beta_report, classify, diagonal_parameter,
+                                beta_report, classify, degenerate_edge, diagonal_parameter,
                                 discrepancies, invariants, lct_n_lines, lct_newton,
                                 named_graph, unstable_certificate)
 
@@ -111,8 +116,66 @@ def test_germ_validation():
        .filter(lambda s: (0, 0) not in s))
 def test_lct_at_most_one(support):
     germ = PlaneCurveGerm.from_terms({k: F(1) for k in support})
+    if degenerate_edge(germ) is not None:  # e.g. 1 + u + u^3 + u^4 = (1 + u)^2 (1 - u + u^2)
+        with pytest.raises(ArithmeticError):
+            lct_newton(germ)
+        return
     value = lct_newton(germ)
     assert 0 < value <= 1
+
+
+def _edge_discriminants(terms):
+    """{(first, last point): sympy discriminant of the edge polynomial} for each
+    compact edge of the Newton polygon of sum c x^i y^j, found as the face
+    where w . p is least for a weight w > 0 normal to two support points."""
+    u = sympy.Symbol("u")
+    found = {}
+    for (i, j), (k, l) in permutations(terms, 2):
+        if i < k and j > l:
+            w = (j - l, k - i)
+            least = min(w[0] * a + w[1] * b for a, b in terms)
+            if w[0] * i + w[1] * j == least:
+                face = sorted(p for p in terms if w[0] * p[0] + w[1] * p[1] == least)
+                (i0, _), (i1, _) = face[0], face[-1]
+                step = (i1 - i0) // gcd(i1 - i0, face[0][1] - face[-1][1])
+                q = sum(sympy.Rational(terms[p].numerator, terms[p].denominator)
+                        * u ** ((p[0] - i0) // step) for p in face)
+                found[(face[0], face[-1])] = sympy.discriminant(q, u)
+    return found
+
+
+@st.composite
+def _germ_terms(draw):
+    """Terms of (a_1 x^p + b_1 y^q) ... (a_k x^p + b_k y^q) plus a few other
+    monomials: factors that repeat make a degenerate edge often."""
+    x, y = sympy.symbols("x y")
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coeff = st.sampled_from([1, -1, F(1, 2)])
+    f = sympy.Integer(1)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(coeff), draw(coeff)
+        f *= sympy.Rational(a.numerator, a.denominator) * x ** p + b * y ** q
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                              .filter(lambda e: e != (0, 0)), max_size=2)):
+        f += draw(st.sampled_from([1, -1, 3])) * x ** i * y ** j
+    terms = {e: F(int(c.p), int(c.q)) for e, c in sympy.Poly(sympy.expand(f), x, y).terms()}
+    assume(terms)
+    return terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(_germ_terms())
+def test_germ_is_degenerate_exactly_when_an_edge_discriminant_vanishes(terms):
+    germ = PlaneCurveGerm.from_terms(terms)
+    discriminants = _edge_discriminants(terms)
+    edge = degenerate_edge(germ)
+    assert (edge is not None) == (0 in discriminants.values())
+    if edge is not None:
+        assert discriminants[edge] == 0
+        with pytest.raises(ArithmeticError, match="Newton-degenerate"):
+            lct_newton(germ)
+    else:
+        assert lct_newton(germ) == min(F(1), 1 / diagonal_parameter(germ))
 
 
 def test_A_values():
@@ -162,6 +225,18 @@ def test_unstable_certificates():
     assert unstable_certificate(catalog("P2"), ["exceptional:pt", "line"]) is None
     got = unstable_certificate(catalog("P(1,1,2)"), ["exceptional"])
     assert got == ("exceptional", F(-1, 3))
+
+
+def test_a_raw_class_certifies_no_instability():
+    # H - E1 - E2 on dP7 is the class of the line L12 (beta -4/21), and E1 - E2
+    # on dP5 is not effective (beta -2/15): read with A = 1, neither certifies.
+    dp7 = catalog("dP7")
+    assert unstable_certificate(dp7, ["H - E1 - E2", "E1"]) == ("E1", F(-2, 21))
+    assert unstable_certificate(catalog("dP5"), ["E1 - E2"]) is None
+    dp8 = dataclasses.replace(catalog("dP8"), beta_candidates=("2E1 - E1",))
+    assert invariants(dp8, "2E1 - E1").beta == F(-1, 6)
+    rep = semistable_via_flags(dp8, builtin_flags(dp8))
+    assert rep.destabilizer is None and rep.bounds == (("generic", F(6, 7)),)
 
 
 def test_unknown_divisor_spec():

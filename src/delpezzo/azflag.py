@@ -27,7 +27,7 @@ from typing import Any, Sequence
 from .exactnum import Poly, Rat, rat_str
 from .lattice import JsonValue, SurfaceModel
 from .positivity import Chamber
-from .valuative import Invariants, invariants
+from .valuative import Invariants, invariants, unstable_certificate
 
 
 class FlagDataError(ValueError):
@@ -142,20 +142,19 @@ def semistable_via_flags(m: SurfaceModel,
                          ) -> SemistableReport:
     """Certified semistability via per-point-class flag bounds.
 
-    A catalogued destabilizer (beta < 0; a raw class, whose A = 1 certifies
-    nothing, is skipped) short-circuits to False; missing point-class
-    coverage raises rather than returning a false positive.
-    A candidate that is also the divisor of a flag on ``m`` reads that
-    flag's invariants instead of walking its profile again.
+    A catalogued destabilizer (``unstable_certificate``) short-circuits to
+    False; missing point-class coverage raises rather than returning a
+    false positive.  A candidate that is also the divisor of a flag on ``m``
+    reads that flag's invariants instead of walking its profile again.
     """
     known = {flag.divisor_spec: flag.inv for flag, _ in flags
              if flag.inv.divisor.base is m}
-    for spec in m.beta_candidates:
-        inv = known.get(spec) or invariants(m, spec)
-        if inv.divisor.kind != "raw" and inv.beta < 0:
-            return SemistableReport(
-                False, (), destabilizer=(str(spec), inv.beta),
-                notes=("destabilizing divisor found; flag bounds not consulted",))
+    destab = unstable_certificate(m, m.beta_candidates, known)
+    if destab is not None:
+        spec, beta = destab
+        return SemistableReport(
+            False, (), destabilizer=(str(spec), beta),
+            notes=("destabilizing divisor found; flag bounds not consulted",))
     covered: dict[str, Rat] = {}
     notes: list[str] = []
     for flag, classes in flags:

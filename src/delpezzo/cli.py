@@ -266,17 +266,12 @@ def cmd_volfn(args, extra):
 
 def cmd_beta(args, extra):
     m = _surface(args.surface, extra)
-    reports = []
-    destab = None
-    notes = []
-    for spec in args.divisor_spec:
-        rep = valuative.beta_report(m, spec)
-        reports.append({"divisor_spec": spec, **rep})
-        if rep["kind"] == "raw":
-            notes.append(f"{spec!r} is a raw class, not known to be a prime divisor: its A "
-                         "is taken as 1, so its beta is reported but certifies nothing")
-        elif destab is None and rep["beta"] < 0:
-            destab = (spec, rep["beta"])
+    held = [(spec, valuative.invariants(m, spec)) for spec in args.divisor_spec]
+    reports = [{"divisor_spec": spec, **inv.as_dict()} for spec, inv in held]
+    notes = [f"{spec!r} is a raw class, not known to be a prime divisor: its A "
+             "is taken as 1, so its beta is reported but certifies nothing"
+             for spec, inv in held if inv.divisor.kind == "raw"]
+    destab = valuative.unstable_certificate(m, args.divisor_spec, dict(held))
     results = {"surface": m.name, "divisors": reports}
     if destab is not None:
         results["first_destabilizer"] = {"divisor_spec": destab[0], "beta": destab[1]}

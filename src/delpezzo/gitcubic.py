@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Sequence
 
 from . import lp
@@ -140,9 +140,7 @@ def torus_destabilizer(f: CubicForm) -> OnePS | None:
     if res.feasible:
         return None
     u = [-y for y in res.farkas[:4]]
-    w = [x - sum(u) / 4 for x in u]
-    scale = lcm(*(x.denominator for x in w))
-    ints = [int(x * scale) for x in w]
+    _, ints = over_one_denominator([x - sum(u) / 4 for x in u])
     g = gcd(*ints) or 1
     witness = OnePS(tuple(x // g for x in ints))
     if hm_weight(f, witness) <= 0:

@@ -39,18 +39,12 @@ _DEL_PEZZO_LINES = {9: (0,), 8: (0, 1), 7: (3,), 6: (6,), 5: (10,), 4: (16,),
                    3: (27,), 2: (56,), 1: (240,)}
 
 
-def _rows_over_one_denominator(rows: Sequence[Sequence[Rat]]
-                               ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(q, M) with rows[i][j] = M[i][j] / q."""
-    q, flat = over_one_denominator([x for row in rows for x in row])
-    entries = iter(flat)
-    return q, tuple(tuple(islice(entries, len(row))) for row in rows)
-
-
 def _pair_numerators(d: DivClass, q: int, vectors: Sequence[Sequence[int]],
                      start: int = 0) -> tuple[int, list[int]]:
     """(r, n) with d . C = n[k - start] / r for each column k >= start of
-    ``vectors``, where (G.C)_i = vectors[i][k] / q: integers only."""
+    ``vectors``, where (G.C)_i = vectors[i][k] / q: integers only, r > 0.
+    The one integer pairing loop: against the integer Gram its columns are
+    the basis classes, against ``_curve_vectors`` the catalogued curves."""
     if len(d) != len(vectors):
         raise ValueError("rank mismatch in intersection pairing")
     den, nums = over_one_denominator(d.coeffs)
@@ -235,10 +229,16 @@ class StrictTransform:
                 raise ValueError("incidence multiplicities must be >= 0")
 
 
+# The most vertices a resolution graph may have: the discrepancy solve is a
+# dense elimination, cubic in the vertex count (400 vertices take seconds).
+MAX_GRAPH_VERTICES = 100
+
+
 @dataclass(frozen=True)
 class ResolutionGraph:
     """Exceptional dual graph; a model link carries the one of the divisor it
-    extracts, and discrepancies are solved from it by adjunction."""
+    extracts, and discrepancies are solved from it by adjunction.  A graph of
+    more than ``MAX_GRAPH_VERTICES`` vertices is refused."""
 
     vertices: tuple[GraphVertex, ...]
     edges: tuple[tuple[int, int, int], ...] = ()
@@ -246,6 +246,9 @@ class ResolutionGraph:
 
     def __post_init__(self):
         n = len(self.vertices)
+        if n > MAX_GRAPH_VERTICES:
+            raise ValueError(f"resolution graph has {n} vertices, more than the "
+                             f"bound of {MAX_GRAPH_VERTICES}")
         for i, j, mult in self.edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad edge ({i},{j})")
@@ -333,61 +336,42 @@ class SurfaceModel:
         """d1 . d2 through the model's Gram matrix.
 
         The Gram matrix is held once per model as integers over one
-        denominator, and each class is cleared to integer numerators over
-        one denominator, so the pairing is an integer sum over the nonzero
-        coordinates of both classes and one Fraction.
+        denominator.  ``_pair_numerators`` pairs d1 against it, d2 is
+        cleared to integer numerators over one denominator, and the
+        pairing is their integer dot product over one Fraction.
         """
-        if len(d1) != self.rank or len(d2) != self.rank:
+        if len(d2) != self.rank:
             raise ValueError("rank mismatch in intersection pairing")
-        q, gram = self._int_gram
-        s1, a = over_one_denominator(d1.coeffs)
-        s2, b = over_one_denominator(d2.coeffs)
-        nonzero = [(j, y) for j, y in enumerate(b) if y]
-        total = 0
-        for x, row in zip(a, gram):
-            if x:
-                total += x * sum(row[j] * y for j, y in nonzero)
-        return Fraction(total, q * s1 * s2)
+        r, row = _pair_numerators(d1, *self._int_gram)
+        s, b = over_one_denominator(d2.coeffs)
+        return Fraction(sum(map(mul, row, b)), r * s)
 
     @cached_property
     def _int_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(q, G) with gram[i][j] = G[i][j] / q."""
-        return _rows_over_one_denominator(self.gram)
+        q, flat = over_one_denominator([x for row in self.gram for x in row])
+        entries = iter(flat)
+        return q, tuple(tuple(islice(entries, len(row))) for row in self.gram)
 
     @cached_property
     def _curve_vectors(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(q, V) with (G.C)_i = V[i][k] / q for the k-th catalogued curve C.
 
-        G.C is an integer column over the Gram's denominator times the
-        curve's.  Its gcd with that denominator leaves the column's least
-        denominator, and q is the lcm of those: the (q, V) that reducing
-        every entry as a Fraction and clearing them to one denominator gives.
+        ``_pair_numerators`` gives G.C as an integer column over the Gram's
+        denominator times the curve's (G is symmetric).  Its gcd with that
+        denominator leaves the column's least denominator, and q is the lcm
+        of those: the (q, V) that reducing every entry as a Fraction and
+        clearing them to one denominator gives.
         """
-        if any(len(c.cls) != self.rank for c in self.neg_curves):
-            raise ValueError("rank mismatch in intersection pairing")
-        qg, gram = self._int_gram
         columns, dens = [], []
         for c in self.neg_curves:
-            s, nums = over_one_denominator(c.cls.coeffs)
-            col = [sum(map(mul, row, nums)) for row in gram]
-            g = gcd(qg * s, *col)
+            r, col = _pair_numerators(c.cls, *self._int_gram)
+            g = gcd(r, *col)
             columns.append([x // g for x in col])
-            dens.append(qg * s // g)
+            dens.append(r // g)
         q = lcm(*dens)
         columns = [[x * (q // d) for x in col] for col, d in zip(columns, dens)]
-        return q, tuple(tuple(col[i] for col in columns) for i in range(len(gram)))
-
-    def curve_pairings(self, d: DivClass) -> tuple[Rat, ...]:
-        """d . C for every catalogued curve C, in ``neg_curves`` order.
-
-        The same values as ``intersect(d, c.cls)`` curve by curve.  The
-        vectors G.C are computed once per model and kept as integers over
-        one denominator; d is cleared to integer numerators over one
-        denominator, so the pairings are integer sums and one Fraction
-        each.
-        """
-        r, nums = _pair_numerators(d, *self._curve_vectors)
-        return tuple(Fraction(s, r) for s in nums)
+        return q, tuple(tuple(col[i] for col in columns) for i in range(len(self.gram)))
 
     def minus_k(self) -> DivClass:
         return -self.canonical
@@ -570,10 +554,12 @@ def validate_links(m: SurfaceModel) -> list[str]:
 
 
 def is_nef(m: SurfaceModel, d: DivClass) -> bool:
-    """Nefness against the catalogued effective-cone generators."""
+    """Nefness against the catalogued effective-cone generators: the sign of
+    d . C for each one is read from its integer numerator over a positive
+    denominator (``_pair_numerators``), with no Fraction built."""
     if not m.neg_curves:
         raise ModelInvariantError(f"{m.name}: no cone generators to test against")
-    return all(v >= 0 for v in m.curve_pairings(d))
+    return all(v >= 0 for v in _pair_numerators(d, *m._curve_vectors)[1])
 
 
 def enumerate_neg_curves(k: int, c0_bound: int = 6) -> list[DivClass]:

@@ -21,54 +21,51 @@ J. Res. NBS 71B (1967)):
   the current basis.  A pivot p updates every other row, the objective
   row included, to (p*r - f*r_piv) // d, an exact division, and then
   d becomes p.  The ratio test compares by cross-multiplication.
-- The pivot loop does integer arithmetic only.  x and the Farkas y are
-  read back as Fractions through d and the column scales.
+- The pivot loop does integer arithmetic only.  The Farkas y is read
+  back as Fractions through d; the artificial columns are unscaled.
 
-The result carries the number of pivots taken, a deterministic measure
-of the work done.  Before it is returned it is re-checked in integers, on
-the scaled columns as they were before the pivots: a solution x must
-satisfy x >= 0 and A x = b, a Farkas vector y must satisfy y.A_j <= 0 for
-every column and y.b > 0; ArithmeticError otherwise.  The check costs
-O(m n), against O(m n) per pivot.
+The result carries the feasibility, the Farkas vector of an infeasible
+system and the number of pivots taken, a deterministic measure of the
+work done.  Before it is returned it is re-checked in integers, on the
+scaled columns as they were before the pivots: the basic solution x of a
+feasible system must satisfy x >= 0 and A x = b, a Farkas vector y must
+satisfy y.A_j <= 0 for every column and y.b > 0; ArithmeticError
+otherwise.  The check costs O(m n), against O(m n) per pivot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .exactnum import Rat, rat
+from .exactnum import Rat, over_one_denominator
 
 
 @dataclass(frozen=True)
 class LPFeasibility:
+    """Whether {x >= 0 : a x = b} is nonempty; for an empty one, a Farkas
+    vector y with y.a <= 0 and y.b > 0."""
+
     feasible: bool
-    x: tuple[Rat, ...] | None
     farkas: tuple[Rat, ...] | None
     pivots: int = 0
 
 
 def eq_feasibility(a: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> LPFeasibility:
-    """Feasibility of {x >= 0 : a x = b}, with solution or Farkas vector."""
+    """Feasibility of {x >= 0 : a x = b}, with a Farkas vector when empty.
+    The entries of a and b are ints or Fractions; each column and b are
+    cleared to integer numerators with ``over_one_denominator``."""
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a) or len(b) != m:
         raise ValueError("shape mismatch in LP")
 
-    a = [[rat(x) for x in row] for row in a]
-    b = [rat(v) for v in b]
-    scales = [1] * n
-    for row in a:
-        scales = [lcm(s, x.denominator) for s, x in zip(scales, row)]
-    s_rhs = 1
-    for v in b:
-        s_rhs = lcm(s_rhs, v.denominator)
-    signs = [1 if v >= 0 else -1 for v in b]
-    rows = [[x.numerator * (s // x.denominator) * sign for x, s in zip(row, scales)]
-            + [0] * m + [v.numerator * (s_rhs // v.denominator) * sign]
-            for row, v, sign in zip(a, b, signs)]
+    columns = [over_one_denominator([row[j] for row in a])[1] for j in range(n)]
+    _, rhs_nums = over_one_denominator(b)
+    signs = [1 if v >= 0 else -1 for v in rhs_nums]
+    rows = [[col[i] * sign for col in columns] + [0] * m + [v * sign]
+            for i, (v, sign) in enumerate(zip(rhs_nums, signs))]
     for i in range(m):
         rows[i][n + i] = 1
     basis = [n + i for i in range(m)]
@@ -82,17 +79,14 @@ def eq_feasibility(a: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> LPFeasibilit
     obj, d, pivots = _phase1(rows, obj, basis)
 
     if obj[rhs] == 0:
-        # x_j = (u / d) * s_j / s_rhs for the basic column j = basis[i] < n,
-        # u = rows[i][rhs]: a x = b reads sum_j scaled[k][j] u_j = d scaled[k][n].
+        # The basic column j = basis[i] < n holds u / d, u = rows[i][rhs], in
+        # the scaled system: a x = b reads sum_j scaled[k][j] u_j = d scaled[k][n].
         basic = [(j, row[rhs]) for j, row in zip(basis, rows) if j < n]
         if d <= 0 or any(u < 0 for _, u in basic):
             raise ArithmeticError("LP solution fails its check: x >= 0")
         if any(sum(row[j] * u for j, u in basic) != d * row[n] for row in scaled):
             raise ArithmeticError("LP solution fails its check: a x = b")
-        x = [Fraction(0)] * n
-        for j, u in basic:
-            x[j] = Fraction(u * scales[j], d * s_rhs)
-        return LPFeasibility(True, tuple(x), None, pivots)
+        return LPFeasibility(True, None, pivots)
 
     # Infeasible: simplex multipliers from artificial reduced costs
     # (artificial columns are unscaled), y_i = z_i sign_i / d with
@@ -108,7 +102,7 @@ def eq_feasibility(a: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> LPFeasibilit
     if sums[n] <= 0:
         raise ArithmeticError("LP Farkas vector fails its check: y.b > 0")
     y = [Fraction(zi * sign, d) for zi, sign in zip(z, signs)]
-    return LPFeasibility(False, None, tuple(y), pivots)
+    return LPFeasibility(False, tuple(y), pivots)
 
 
 def _phase1(rows: list[list[int]], obj: list[int], basis: list[int]
@@ -152,18 +146,3 @@ def _phase1(rows: list[list[int]], obj: list[int], basis: list[int]
         d = p
         basis[piv] = enter
         pivots += 1
-
-
-def in_cone(generators: Sequence[Sequence[Rat]], target: Sequence[Rat]) -> LPFeasibility:
-    """Membership of ``target`` in the cone spanned by ``generators``.
-
-    Generators and target are coordinate vectors of equal length; the
-    LP columns are the generators.
-    """
-    if not generators:
-        zero = all(rat(t) == 0 for t in target)
-        return LPFeasibility(zero, () if zero else None,
-                             None if zero else tuple(rat(t) for t in target))
-    dim = len(target)
-    a = [[rat(g[i]) for g in generators] for i in range(dim)]
-    return eq_feasibility(a, [rat(t) for t in target])

@@ -28,6 +28,11 @@ P once, for the decomposition it returns, and the walk runs on integers
 throughout, testing entry by cross-multiplication and picking the next
 wall as one integer (num, den) minimum.  Fractions are built only for
 the values its Chamber records hold.
+
+Every per-curve sign test reads integers: the walk's nef test of L,
+``ZariskiDecomp.verify`` and the check of a Farkas class W read the signs
+of D . C from the numerators ``lattice._pair_numerators`` returns over one
+positive denominator, and build no Fraction per catalogued curve.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from typing import Sequence
 from . import lp
 from .exactnum import (Poly, PiecewisePoly, Rat, over_one_denominator, rat_str,
                        rational_roots)
-from .lattice import DivClass, LabeledCurve, SurfaceModel, _pair_numerators, is_nef
+from .lattice import (DivClass, LabeledCurve, ModelInvariantError, SurfaceModel,
+                      _pair_numerators)
 from .linalg import (Matrix, bareiss, is_negative_definite, solve,
                      sylvester_negative_definite)
 
@@ -75,8 +81,9 @@ def pseff_certificate(m: SurfaceModel, d: DivClass) -> tuple[bool, DivClass | No
     and with the polarization, W^2 >= 0 and W . d < 0; ConeDataError if
     any of these fails.
     """
-    gens = [c.cls.coeffs for c in m.neg_curves]
-    res = lp.in_cone(gens, d.coeffs)
+    # the LP columns are the generators' coordinate vectors
+    a = [[c.cls.coeffs[i] for c in m.neg_curves] for i in range(m.rank)]
+    res = lp.eq_feasibility(a, d.coeffs)
     if res.feasible:
         return True, None
     # Farkas functional y: y.gen <= 0 for all generators, y.d > 0.
@@ -84,8 +91,8 @@ def pseff_certificate(m: SurfaceModel, d: DivClass) -> tuple[bool, DivClass | No
     # W . C = -y . coeffs(C).
     y = res.farkas
     w = DivClass(tuple(solve(m.gram, [-v for v in y])))
-    problems = [f"W.{c.label} < 0"
-                for c, v in zip(m.neg_curves, m.curve_pairings(w)) if v < 0]
+    _, w_dot = _pair_numerators(w, *m._curve_vectors)  # signs of W . C
+    problems = [f"W.{c.label} < 0" for c, v in zip(m.neg_curves, w_dot) if v < 0]
     if m.intersect(w, m.polarization()) < 0:
         problems.append("W.(polarization) < 0")
     if m.intersect(w, w) < 0:
@@ -118,8 +125,8 @@ class ZariskiDecomp:
         problems = []
         if self.positive + self.negative_class(m) != original:
             problems.append("P + N does not reassemble the input class")
-        p_dot: dict[str, Rat] = {}
-        for c, v in zip(m.neg_curves, m.curve_pairings(self.positive)):
+        p_dot: dict[str, int] = {}  # numerators of P . C over one positive denominator
+        for c, v in zip(m.neg_curves, _pair_numerators(self.positive, *m._curve_vectors)[1]):
             p_dot.setdefault(c.label, v)  # the first curve of a label, as m.curve reads
             if v < 0:
                 problems.append(f"P is negative against {c.label}")
@@ -302,7 +309,8 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     where the (at most quadratic) volume piece vanishes.
 
     The walk runs on integers.  L . C_k and E . C_k are read once per walk
-    as integer numerators from the cached curve vectors.  In a chamber with
+    as integer numerators from the cached curve vectors, and L is nef when
+    no L . C_k numerator is negative.  In a chamber with
     support S, the one support kernel gives the coefficients x_i = a_i + b_i t
     and P_const . C_k = L . C_k - sum a_i C_i . C_k and P_slope . C_k =
     -E . C_k - sum b_i C_i . C_k, each over one denominator.  Entry at the
@@ -312,7 +320,11 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     no ``intersect`` call.  Fractions are built only for the Chamber record
     and the chosen wall.
     """
-    if not is_nef(m, L):
+    curves = m.neg_curves
+    if not curves:
+        raise ModelInvariantError(f"{m.name}: no cone generators to test against")
+    l_den, l_dot = _pair_numerators(L, *m._curve_vectors)  # L . C_k = l_dot[k] / l_den
+    if any(v < 0 for v in l_dot):
         raise ValueError(f"{m.render(L)} is not nef on {m.name}")
     l2 = m.intersect(L, L)
     if l2 <= 0:
@@ -327,8 +339,6 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     ee = m.intersect(E, E)
     neg_e = -E
 
-    curves = m.neg_curves
-    l_den, l_dot = _pair_numerators(L, *m._curve_vectors)  # L . C_k = l_dot[k] / l_den
     e_den, e_dot = _pair_numerators(E, *m._curve_vectors)  # E . C_k = e_dot[k] / e_den
     pairings = [(l_den, l_dot), (e_den, [-v for v in e_dot])]  # of L and -E
 

@@ -28,8 +28,8 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import Rat, over_one_denominator, rat, rat_str
-from .lattice import (DivClass, GraphVertex, ModelLink, ResolutionGraph, StrictTransform,
-                      SurfaceModel, catalog)
+from .lattice import (MAX_GRAPH_VERTICES, DivClass, GraphVertex, ModelLink, ResolutionGraph,
+                      StrictTransform, SurfaceModel, catalog)
 from .linalg import bareiss, sylvester_negative_definite
 from .positivity import VolumeProfile, volume_profile
 
@@ -95,6 +95,9 @@ def cone_graph(genus: int, self_int: int) -> ResolutionGraph:
 def an_chain_graph(n: int) -> ResolutionGraph:
     if n < 1:
         raise ValueError("A_n needs n >= 1")
+    if n > MAX_GRAPH_VERTICES:  # refused before n vertices are built
+        raise ValueError(f"resolution graph has {n} vertices, more than the "
+                         f"bound of {MAX_GRAPH_VERTICES}")
     verts = tuple(GraphVertex(f"E{i + 1}", 0, -2) for i in range(n))
     edges = tuple((i, i + 1, 1) for i in range(n - 1))
     return ResolutionGraph(verts, edges)
@@ -347,6 +350,11 @@ class Invariants:
         """A(E)/S(E), or None when S(E) = 0."""
         return self.A / self.S if self.S != 0 else None
 
+    def as_dict(self) -> dict:
+        """The divisor's row of a ``beta`` report."""
+        return {"divisor": self.divisor.label, "kind": self.divisor.kind,
+                "A": self.A, "S": self.S, "beta": self.beta, "delta": self.delta}
+
 
 def invariants(m: SurfaceModel, spec: "str | DivClass") -> Invariants:
     """Resolve the spec once and walk its volume profile once."""
@@ -359,25 +367,20 @@ def profile_for(m: SurfaceModel, spec: "str | DivClass") -> VolumeProfile:
 
 
 def beta_report(m: SurfaceModel, spec: "str | DivClass") -> dict:
-    inv = invariants(m, spec)
-    return {
-        "divisor": inv.divisor.label,
-        "kind": inv.divisor.kind,
-        "A": inv.A,
-        "S": inv.S,
-        "beta": inv.beta,
-        "delta": inv.delta,
-    }
+    return invariants(m, spec).as_dict()
 
 
 def unstable_certificate(m: SurfaceModel,
                          candidates: Iterable["str | DivClass"],
+                         known: Mapping["str | DivClass", Invariants] = {},
                          ) -> tuple["str | DivClass", Rat] | None:
-    """First candidate with beta < 0 (input order), with its beta value.  A raw
-    class is skipped: its A = 1 is the log discrepancy only of a prime divisor
-    on the surface, which a class is not known to be."""
+    """First candidate with beta < 0 (input order), with its beta value: the
+    one rule by which a divisor certifies instability.  A raw class is
+    skipped: its A = 1 is the log discrepancy only of a prime divisor on the
+    surface, which a class is not known to be.  A candidate in ``known`` is
+    read from the invariants the caller already holds, not walked again."""
     for spec in candidates:
-        inv = invariants(m, spec)
+        inv = known.get(spec) or invariants(m, spec)
         if inv.divisor.kind != "raw" and inv.beta < 0:
             return spec, inv.beta
     return None

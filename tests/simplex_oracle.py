@@ -4,7 +4,9 @@ This is the straightforward tableau simplex that ``delpezzo.lp`` used
 before its fraction-free rewrite: Bland's rule, every entry a Fraction,
 rows normalised by the pivot.  It counts its pivots, so a comparison
 with ``lp.eq_feasibility`` checks the whole ``LPFeasibility`` result,
-the pivot path included.
+the pivot path included.  The engine does not return the solution of a
+feasible system; the oracle checks its own basic solution x instead,
+x >= 0 and a x = b, so an equal result certifies the feasibility too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from delpezzo.lp import LPFeasibility
 
 
 def eq_feasibility(a, b) -> LPFeasibility:
-    """Feasibility of {x >= 0 : a x = b}, with solution or Farkas vector."""
+    """Feasibility of {x >= 0 : a x = b}, with a Farkas vector when empty."""
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a) or len(b) != m:
@@ -71,9 +73,12 @@ def eq_feasibility(a, b) -> LPFeasibility:
         for i, bj in enumerate(basis):
             if bj < n:
                 x[bj] = rows[i][width - 1]
-        return LPFeasibility(True, tuple(x), None, pivots)
+        assert all(v >= 0 for v in x), "oracle solution has a negative entry"
+        assert all(sum((rat(e) * v for e, v in zip(row, x)), Fraction(0)) == rat(bb)
+                   for row, bb in zip(a, b)), "oracle solution misses a x = b"
+        return LPFeasibility(True, None, pivots)
 
     # Infeasible: simplex multipliers from artificial reduced costs,
     # mapped back through the row-sign adjustment.
     y = [(Fraction(1) - obj[n + i]) * signs[i] for i in range(m)]
-    return LPFeasibility(False, None, tuple(y), pivots)
+    return LPFeasibility(False, tuple(y), pivots)

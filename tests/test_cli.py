@@ -1,16 +1,19 @@
 import copy
+import io
 import json
 import shlex
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delpezzo import valuative
 from delpezzo.cli import main, run
-from delpezzo.lattice import catalog, model_to_dict
+from delpezzo.lattice import MAX_GRAPH_VERTICES, catalog, model_to_dict
 
 
 def _json_run(argv):
@@ -54,7 +57,7 @@ def test_markov_depth_beyond_bound_is_a_usage_error(monkeypatch, capsys):
 def test_unverified_git_witness_exits_3(monkeypatch, capsys):
     from delpezzo import gitcubic, lp
     # a Farkas vector whose witness (-3, 1, 1, 1) is negative on x^3
-    bogus = lp.LPFeasibility(False, None, tuple(map(F, (1, 0, 0, 0, 0))))
+    bogus = lp.LPFeasibility(False, tuple(map(F, (1, 0, 0, 0, 0))))
     monkeypatch.setattr(gitcubic.lp, "eq_feasibility", lambda a, b: bogus)
     report, code = run(["git-destab", "--poly", "x^3+y^3+z^3"])
     assert report is None and code == 3
@@ -68,7 +71,7 @@ def test_unverified_git_witness_exits_3(monkeypatch, capsys):
 ])
 def test_unverified_nef_certificate_exits_3(monkeypatch, capsys, y, failure):
     from delpezzo import lp, positivity
-    bogus = lp.LPFeasibility(False, None, tuple(map(F, y)))
+    bogus = lp.LPFeasibility(False, tuple(map(F, y)))
     monkeypatch.setattr(positivity.lp, "eq_feasibility", lambda a, b: bogus)
     m = catalog("dP7")
     with pytest.raises(positivity.ConeDataError):
@@ -149,6 +152,34 @@ def test_graph_file_input(tmp_path):
     assert payload["results"]["discrepancies"] == {"E": "0"}
 
 
+@pytest.mark.parametrize("form", ["named", "json"])
+def test_resolution_graph_size_is_bounded(tmp_path, capsys, monkeypatch, form):
+    """An A_n chain of MAX_GRAPH_VERTICES vertices is solved; one of a vertex
+    more is refused with exit 2 and the bound named, before any elimination."""
+    def argv(n):
+        if form == "named":
+            return ["discrep", "--graph", f"An:{n}"]
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(json.dumps({
+            "vertices": [{"label": f"E{i + 1}", "genus": 0, "self_int": -2} for i in range(n)],
+            "edges": [[i, i + 1, 1] for i in range(n - 1)]}))
+        return ["discrep", "--graph", str(path)]
+
+    payload, code = _json_run(argv(MAX_GRAPH_VERTICES))
+    assert code == 0 and set(payload["results"]["discrepancies"].values()) == {"0"}
+    capsys.readouterr()
+
+    def never(*args):
+        raise AssertionError("a refused graph must not be eliminated")
+
+    monkeypatch.setattr(valuative, "bareiss", never)
+    report, code = run(argv(MAX_GRAPH_VERTICES + 1))
+    assert report is None and code == 2
+    assert capsys.readouterr().err.endswith(
+        f"resolution graph has {MAX_GRAPH_VERTICES + 1} vertices, more than the bound "
+        f"of {MAX_GRAPH_VERTICES}\n")
+
+
 def test_nvol_budget_localglobal():
     payload, _ = _json_run(["nvol", "--sing", "1/2(1,1)"])
     assert payload["results"]["nvol"] == "2"
@@ -215,6 +246,37 @@ def test_git_subcommands():
     assert payload["results"]["verdict"].startswith("torus-semistable")
     payload, _ = _json_run(["git-destab", "--verdict-table"])
     assert len(payload["results"]["table"]) == 3
+
+
+_POLY_TOKENS = ["x", "y", "z", "w", "q", "0", "1", "2", "3", "10", "1/2", "1/0", "^", "^2",
+                "^3", "^101", "^-1", "+", "-", "*", "/", "(", ")", " ", ".", "e"]
+
+
+def _sums_of_monomials(variables: str, min_degree: int, max_degree: int):
+    """Sums of monomials such as ``-1/2 xxy``: well-formed, so that the
+    commands reach their verdicts and not only their parse errors."""
+    monomial = st.tuples(st.sampled_from(["", "2", "-3", "1/2 ", "(1 - 2)"]),
+                         st.lists(st.sampled_from(variables), min_size=min_degree,
+                                  max_size=max_degree).map("".join))
+    return st.lists(monomial, min_size=1, max_size=5).map(
+        lambda terms: " + ".join(c + m for c, m in terms))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(_sums_of_monomials("xyzw", 3, 3), _sums_of_monomials("xy", 1, 6),
+                 st.lists(st.sampled_from(_POLY_TOKENS), max_size=14).map("".join),
+                 st.text(alphabet="xyzw0123456789+-*^()/ .", max_size=16)))
+def test_random_poly_strings_end_with_a_verdict_or_a_refusal(poly):
+    """Random ``--poly`` strings through lct, git-destab and git-weight (with a
+    well-formed one-parameter subgroup) exit 0, 2 or 3, never through the
+    internal-error handler and never with an uncaught exception."""
+    for argv in (["lct", f"--poly={poly}"], ["git-destab", f"--poly={poly}"],
+                 ["git-weight", f"--poly={poly}", "--one-ps", "1,1,1,-3"]):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3) and "internal error" not in err.getvalue(), \
+            (argv, code, err.getvalue())
 
 
 def test_wps_vol():

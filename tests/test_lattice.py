@@ -17,7 +17,7 @@ import neg_curves_oracle
 import validate_oracle
 from delpezzo.catalog import builtin_names, canonical_name
 from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel,
-                              UnknownSurfaceError, catalog, catalog_names,
+                              UnknownSurfaceError, _pair_numerators, catalog, catalog_names,
                               enumerate_neg_curves, is_nef, load_models, model_from_dict,
                               model_to_dict, validate_links)
 
@@ -62,7 +62,9 @@ def test_intersect_rank_mismatch():
     with pytest.raises(ValueError):
         p2.intersect(DivClass.of([1, 0]), DivClass.of([1]))
     with pytest.raises(ValueError):
-        p2.curve_pairings(DivClass.of([1, 0]))
+        p2.intersect(DivClass.of([1]), DivClass.of([1, 0]))
+    with pytest.raises(ValueError):
+        is_nef(p2, DivClass.of([1, 0]))
 
 
 def test_is_nef_examples():
@@ -246,11 +248,16 @@ def test_neg_curves_match_the_permutation_oracle():
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_curve_pairings_match_intersect(name, data):
+    """The integer numerators that the per-curve sign tests read are d . C
+    over one positive denominator, curve by curve."""
     m = catalog(name)
     coeffs = data.draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
                                 min_size=m.rank, max_size=m.rank))
     d = DivClass(tuple(coeffs))
-    assert m.curve_pairings(d) == tuple(m.intersect(d, c.cls) for c in m.neg_curves)
+    r, nums = _pair_numerators(d, *m._curve_vectors)
+    assert r > 0
+    assert [F(v, r) for v in nums] == [m.intersect(d, c.cls) for c in m.neg_curves]
+    assert is_nef(m, d) == all(m.intersect(d, c.cls) >= 0 for c in m.neg_curves)
 
 
 # Rational coordinates with zeros, which the integer pairing skips on both sides.

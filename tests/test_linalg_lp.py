@@ -11,7 +11,7 @@ from delpezzo import lp
 from delpezzo.linalg import (SingularMatrixError, bareiss, is_negative_definite, solve,
                              sylvester_negative_definite, symmetric_signature)
 from delpezzo.lattice import catalog
-from delpezzo.lp import eq_feasibility, in_cone
+from delpezzo.lp import eq_feasibility
 
 import simplex_oracle
 import solve_oracle
@@ -229,11 +229,8 @@ def test_feasible_solution_is_exact():
     a = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     b = [F(3), F(2)]
     res = eq_feasibility(a, b)
-    assert res.feasible
-    x = res.x
-    for i in range(2):
-        assert sum(a[i][j] * x[j] for j in range(3)) == b[i]
-    assert all(v >= 0 for v in x)
+    assert res.feasible and res.farkas is None
+    assert res == simplex_oracle.eq_feasibility(a, b)  # the oracle checks its x
 
 
 def test_infeasible_has_farkas_certificate():
@@ -252,18 +249,19 @@ def test_random_lps_solution_or_certificate():
         b = [F(rng.randint(-4, 4)) for _ in range(m)]
         res = eq_feasibility(a, b)
         if res.feasible:
-            for i in range(m):
-                assert sum(a[i][j] * res.x[j] for j in range(n)) == b[i]
-            assert all(v >= 0 for v in res.x)
+            assert res == simplex_oracle.eq_feasibility(a, b)  # the oracle checks its x
         else:
             _check_farkas(a, b, res)
 
 
 def test_cone_membership():
+    """Cone membership is the LP whose columns are the generators:
+    (3, -2) = 1 (0, 1) + 3 (1, -1)."""
     gens = [[F(0), F(1)], [F(1), F(-1)]]
-    inside = in_cone(gens, [F(3), F(-2)])
-    assert inside.feasible and inside.x == (1, 3)
-    outside = in_cone(gens, [F(3), F(-7, 2)])
+    a = [[g[i] for g in gens] for i in range(2)]
+    inside = eq_feasibility(a, [F(3), F(-2)])
+    assert inside.feasible and inside == simplex_oracle.eq_feasibility(a, [F(3), F(-2)])
+    outside = eq_feasibility(a, [F(3), F(-7, 2)])
     assert not outside.feasible
     y = outside.farkas
     for g in gens:
@@ -272,8 +270,11 @@ def test_cone_membership():
 
 
 def test_empty_cone():
-    assert in_cone([], [F(0), F(0)]).feasible
-    assert not in_cone([], [F(1), F(0)]).feasible
+    """No columns: only b = 0 is feasible, and the Farkas vector of b != 0
+    is the artificial one, the sign of each row."""
+    assert eq_feasibility([[], []], [F(0), F(0)]).feasible
+    outside = eq_feasibility([[], []], [F(1), F(0)])
+    assert not outside.feasible and outside.farkas == (1, 1)
 
 
 _lp_entries = st.one_of(st.just(F(0)), st.integers(-2, 2).map(F),

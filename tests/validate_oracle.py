@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from delpezzo.exactnum import rat_str
-from delpezzo.lattice import _DEL_PEZZO_LINES, DivClass, _rows_over_one_denominator
+from delpezzo.exactnum import over_one_denominator, rat_str
+from delpezzo.lattice import _DEL_PEZZO_LINES, DivClass
 from delpezzo.linalg import symmetric_signature
 
 
@@ -21,7 +21,9 @@ def curve_vectors(m) -> tuple[int, tuple[tuple[int, ...], ...]]:
         raise ValueError("rank mismatch in intersection pairing")
     gc = [[sum((g * b for g, b in zip(row, c.cls.coeffs)), Fraction(0))
            for c in m.neg_curves] for row in m.gram]
-    return _rows_over_one_denominator(gc)
+    q, flat = over_one_denominator([x for row in gc for x in row])
+    n = len(m.neg_curves)
+    return q, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(len(gc)))
 
 
 def validate(m) -> list[str]:
@@ -53,11 +55,11 @@ def validate(m) -> list[str]:
     curves = () if short else m.neg_curves
     mk = (m.minus_k() if m.del_pezzo and len(m.canonical) == n and not short
           else None)
-    mk_dot = m.curve_pairings(mk) if mk is not None else ()
+    mk_dot = [m.intersect(mk, c.cls) for c in curves] if mk is not None else ()
     lines: set[DivClass] = set()
     for i, c in enumerate(curves):
-        row = m.curve_pairings(c.cls)
-        sq = row[i]
+        row = [m.intersect(c.cls, other.cls) for other in curves[i:]]  # from the diagonal on
+        sq = row[0]
         if sq > 0 and n > 1:
             problems.append(
                 f"{m.name}: generator {c.label} has positive square {sq} "
@@ -67,7 +69,7 @@ def validate(m) -> list[str]:
                 problems.append(f"{m.name}: (-1)-curve {c.label} has -K.C != 1")
             else:
                 lines.add(c.cls)
-        for other, v in zip(curves[i + 1:], row[i + 1:]):
+        for other, v in zip(curves[i + 1:], row[1:]):
             if v < 0 and other.cls != c.cls:
                 problems.append(
                     f"{m.name}: generators {c.label} and {other.label} "

@@ -71,9 +71,8 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
         n_polys = [Poly([a, b]) for a, b in zip(c0, c1)]
 
         # (P_const . C, P_slope . C) for every curve outside the support.
-        pairings = [(c, a, b) for c, a, b in zip(m.neg_curves, m.curve_pairings(p_const),
-                                                  m.curve_pairings(p_slope))
-                    if c not in support]
+        pairings = [(c, m.intersect(p_const, c.cls), m.intersect(p_slope, c.cls))
+                    for c in m.neg_curves if c not in support]
         # A value negative just after t_cur (negative, or zero and falling)
         # means a curve enters, or a support curve leaves, right here.
         entering_now = [c for c, a, b in pairings

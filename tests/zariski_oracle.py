@@ -3,7 +3,7 @@
 This is the loop that ``delpezzo.positivity.zariski`` ran before the
 support kernel returned P . C: the LP first, then on every iteration the
 support solved by Fraction elimination, P rebuilt as a Fraction class and
-paired with every catalogued curve through ``curve_pairings``.  It returns
+paired with every catalogued curve through ``intersect``.  It returns
 the same ``ZariskiDecomp`` and raises the same errors with the same texts.
 """
 
@@ -27,8 +27,8 @@ def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
         p = d
         for c, x in zip(support, xs):
             p = p - c.cls.scale(x)
-        violating = [c for c, v in zip(m.neg_curves, m.curve_pairings(p))
-                     if v < 0 and c not in support]
+        violating = [c for c in m.neg_curves
+                     if m.intersect(p, c.cls) < 0 and c not in support]
         if not violating:
             dec = ZariskiDecomp(p, tuple((c.label, x) for c, x in zip(support, xs)), gram)
             problems = dec.verify(m, d)

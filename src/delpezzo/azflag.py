@@ -11,7 +11,9 @@ induces a lower bound for the local invariant at a point p on E:
 where deg_p(u) is the mass of P(u)|_E free to concentrate at p (the full
 degree P(u).E minus any component forced away from p) and Delta_E is the
 different.  Flag chamber data is derived from the positivity module, so
-the two computation paths cross-validate.
+the two computation paths cross-validate.  P(u).E is read from the
+chamber's volume piece as -vol'(u)/2: inside a chamber P(u).C_i = 0 on the
+support, so d/du P(u)^2 = -2 P(u).E.
 
 Plt-type and primitivity of catalogued flags are asserted by the
 catalog; user-supplied flags are accepted at the caller's risk and the
@@ -26,7 +28,6 @@ from typing import Any, Sequence
 
 from .exactnum import Poly, Rat, rat_str
 from .lattice import JsonValue, SurfaceModel
-from .positivity import Chamber
 from .valuative import Invariants, invariants, unstable_certificate
 
 
@@ -71,11 +72,6 @@ class FlagSpec:
                 return p
         raise FlagDataError(f"flag {self.name} has no point class {label!r}")
 
-    def p_dot_e(self, chamber: Chamber) -> Poly:
-        rd = self.inv.divisor
-        return Poly([rd.work.intersect(chamber.p_const, rd.E),
-                     rd.work.intersect(chamber.p_slope, rd.E)])
-
 
 def flag_from_divisor(m: SurfaceModel, spec: str, *, name: str,
                       points: Sequence[FlagPoint],
@@ -94,7 +90,7 @@ def restricted_S(flag: FlagSpec, p: str) -> Rat:
             "carries no N-restriction data")
     total = Fraction(0)
     for i, ch in enumerate(flag.inv.profile.chambers):
-        pe = flag.p_dot_e(ch)
+        pe = ch.vol.derivative() * Fraction(-1, 2)  # P(u) . E
         deg = pe
         if pt.deg_corrections is not None:
             deg = deg - pt.deg_corrections[i]

@@ -73,8 +73,8 @@ def _dp_model(degree: int) -> SurfaceModel:
         named["Ltilde"] = DivClass.of([1, -1, -1])
         named["line-through-2pts"] = DivClass.of([1, -1, -1])
         candidates = ("L12", "E1", "E2")
-    else:
-        candidates = ("exceptional:pt",)
+    else:  # dP1 has no blow-up link, so no point to blow up
+        candidates = ("exceptional:pt",) if degree >= 2 else ()
     if degree == 3:
         named["anticanonical-curve"] = DivClass.of([3] + [-1] * 6)
     blowup = None

@@ -25,9 +25,10 @@ any row is read, as the Hodge index theorem allows fewer.  The kernel
 also returns P . C for every catalogued curve C, by linearity from the
 support rows, and both loops read P . C from it: the Zariski loop builds
 P once, for the decomposition it returns, and the walk runs on integers
-throughout, testing entry by cross-multiplication and picking the next
-wall as one integer (num, den) minimum.  Fractions are built only for
-the values its Chamber records hold.
+throughout: one line a + b t per curve and chamber, one test of which
+lines turn negative just after t, for the support change at the start of
+a chamber and at its wall, and one loop for the nearest wall.  Fractions
+are built only for the values its Chamber records hold.
 
 Every per-curve sign test reads integers: the walk's nef test of L,
 ``ZariskiDecomp.verify`` and the check of a Farkas class W read the signs
@@ -135,6 +136,9 @@ class ZariskiDecomp:
                 problems.append(f"negative part has coefficient {coeff} < 0 on {label}")
             if p_dot[label] != 0:
                 problems.append(f"P not orthogonal to {label}")
+        curves = [m.curve(label) for label, _ in self.negative]
+        if self.gram_cert != tuple(tuple(m.intersect(a, b) for b in curves) for a in curves):
+            problems.append("support Gram matrix is not the Gram of the negative part")
         if self.negative and not is_negative_definite(self.gram_cert):
             problems.append("support Gram matrix is not negative definite")
         return problems
@@ -292,8 +296,6 @@ class VolumeProfile:
     profile: PiecewisePoly
     tau: Rat
     chambers: tuple[Chamber, ...]
-    L: DivClass
-    E: DivClass
     L2: Rat
 
     @cached_property
@@ -313,12 +315,14 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     no L . C_k numerator is negative.  In a chamber with
     support S, the one support kernel gives the coefficients x_i = a_i + b_i t
     and P_const . C_k = L . C_k - sum a_i C_i . C_k and P_slope . C_k =
-    -E . C_k - sum b_i C_i . C_k, each over one denominator.  Entry at the
-    current t is tested by cross-multiplying, and the next wall is one
-    integer (num, den) minimum, ties kept in ``neg_curves`` order.  As
-    P(t) . C_i = 0 on the support, vol = P(t) . (L - tE), so a chamber makes
-    no ``intersect`` call.  Fractions are built only for the Chamber record
-    and the chosen wall.
+    -E . C_k - sum b_i C_i . C_k, each over one denominator.  Each curve gets
+    one integer line a + b t: a positive multiple of P(t) . C_k off the
+    support and of x_i(t) on it.  One test, ``_cross``, moves the curves
+    whose lines are negative just after t across, both at the chamber's start
+    and at its wall, and one loop over the falling lines finds the nearest
+    wall.  As P(t) . C_i = 0 on the support, vol = P(t) . (L - tE), so a
+    chamber makes no ``intersect`` call.  Fractions are built only for the
+    Chamber record and the chosen wall.
     """
     curves = m.neg_curves
     if not curves:
@@ -344,31 +348,20 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
 
     support: list[int] = []  # indices into neg_curves, in entry order
     t_cur = Fraction(0)
-    breakpoints: list[Rat] = [t_cur]
-    pieces: list[Poly] = []
     chambers: list[Chamber] = []
 
     for _ in range(2 * len(curves) + 6):
-        in_support = set(support)
         s_curves = [curves[k] for k in support]
         # a_i = x0[i] / r0 and b_i = x1[i] / r1; P_const . C_k = pc[k] / dc and
         # P_slope . C_k = ps[k] / ds
         _, _, ((r0, x0, dc, pc), (r1, x1, ds, ps)) = _solve_support(m, support, pairings)
-
-        # A value negative just after t_cur = tn/td (negative, or zero and
-        # falling) means a curve enters, or a support curve leaves, right here.
-        tn, td = t_cur.numerator, t_cur.denominator
-        cd, ct = ds * td, dc * tn
-        outside = [k for k in range(len(curves)) if k not in in_support]
-        entering_now = [k for k in outside
-                        if (v := pc[k] * cd + ps[k] * ct) < 0 or (v == 0 and ps[k] < 0)]
-        if entering_now:
-            support.extend(entering_now)
-            continue
-        leaving_now = {k for k, a, b in zip(support, x0, x1)
-                       if (v := a * r1 * td + b * r0 * tn) < 0 or (v == 0 and b < 0)}
-        if leaving_now:
-            support = [k for k in support if k not in leaving_now]
+        # one line a + b t per curve: a positive multiple of P(t) . C off the
+        # support and of the coefficient x(t) on it
+        lines = [(p0 * ds, p1 * dc) for p0, p1 in zip(pc, ps)]
+        for k, a, b in zip(support, x0, x1):
+            lines[k] = (a * r1, b * r0)
+        if (moved := _cross(support, lines, t_cur)) != support:
+            support = moved
             continue
 
         # P(t) = L - tE - sum x_i C_i with P(t) . C_i = 0, so P(t)^2 = P(t) . (L - tE)
@@ -378,36 +371,18 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
         eb = Fraction(sum(b * e_dot[k] for k, b in zip(support, x1)), r1 * e_den)
         vol = Poly([l2 - la, ea - lb - 2 * le, ee + eb])
 
-        # Walls after t_cur as (num, den, index), den > 0: a curve outside
-        # enters where P(t) . C falls to 0, a support curve leaves where its
-        # coefficient does.
-        walls: list[tuple[int, int, int]] = []
-        for k in outside:
-            if ps[k] < 0:
-                num, den = pc[k] * ds, -ps[k] * dc
-                if num * td > tn * den:
-                    walls.append((num, den, k))
-        for k, a, b in zip(support, x0, x1):
-            if b < 0:
-                num, den = a * r1, -b * r0
-                if num * td > tn * den:
-                    walls.append((num, den, k))
+        # the nearest wall is the least root a / -b of a falling line; each
+        # lies beyond t_cur, where no falling line is zero or negative
         nearest = None
-        for num, den, _ in walls:
-            if nearest is None or num * nearest[1] < nearest[0] * den:
-                nearest = (num, den)
+        for a, b in lines:
+            if b < 0 and (nearest is None or a * nearest[1] < nearest[0] * -b):
+                nearest = (a, -b)
         next_wall = Fraction(*nearest) if nearest else None
 
-        vol_roots = [r for r in rational_roots(vol) if r > t_cur]
-        tau_candidate = min(vol_roots) if vol_roots else None
-
-        if tau_candidate is not None and (next_wall is None or tau_candidate <= next_wall):
-            t_end = tau_candidate
-            final = True
-        elif next_wall is not None:
-            t_end = next_wall
-            final = False
-        else:
+        tau = min((r for r in rational_roots(vol) if r > t_cur), default=None)
+        final = tau is not None and (next_wall is None or tau <= next_wall)
+        t_end = tau if final else next_wall
+        if t_end is None:
             raise ConeDataError(
                 f"profile on {m.name} neither vanishes nor meets a wall beyond "
                 f"t = {rat_str(t_cur)}; cone data possibly incomplete")
@@ -417,8 +392,6 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
             raise ConeDataError(
                 f"volume vanished inside a chamber of {m.name} at "
                 f"t = {rat_str(t_end)}; cone data possibly incomplete")
-        breakpoints.append(t_end)
-        pieces.append(vol)
         chambers.append(Chamber(
             lo=t_cur, hi=t_end, support=tuple(c.label for c in s_curves),
             p_const=_minus_combination(L, x0, r0, s_curves),
@@ -428,20 +401,27 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
             vol=vol))
         if final:
             try:  # the walk's pieces must join continuously
-                profile = PiecewisePoly(breakpoints, pieces)
+                profile = PiecewisePoly([Fraction(0)] + [ch.hi for ch in chambers],
+                                        [ch.vol for ch in chambers])
             except ValueError as exc:
                 raise ConeDataError(f"volume profile on {m.name} is not continuous ({exc}); "
                                     "cone data possibly incomplete") from exc
-            return VolumeProfile(profile=profile, tau=t_end, chambers=tuple(chambers),
-                                 L=L, E=E, L2=l2)
-        # the support curves at the chosen wall leave and the curves outside
-        # it enter, after the support that stays and in neg_curves order
-        at_wall = {k for num, den, k in walls if num * nearest[1] == nearest[0] * den}
-        support = ([k for k in support if k not in at_wall]
-                   + [k for k in outside if k in at_wall])
+            return VolumeProfile(profile=profile, tau=t_end, chambers=tuple(chambers), L2=l2)
+        support = _cross(support, lines, t_end)
         t_cur = t_end
     raise ConeDataError(
         f"chamber walk on {m.name} did not terminate; cone data possibly incomplete")
+
+
+def _cross(support: list[int], lines: Sequence[tuple[int, int]], t: Rat) -> list[int]:
+    """The support just after t.  The curves whose lines a + b s are negative
+    just after s = t (negative at t, or zero there and falling) cross: the
+    support curves among them leave, and the others enter after the support
+    that stays, in ``neg_curves`` order."""
+    tn, td = t.numerator, t.denominator
+    crossing = {k for k, (a, b) in enumerate(lines)
+                if (v := a * td + b * tn) < 0 or (v == 0 and b < 0)}
+    return [k for k in support if k not in crossing] + sorted(crossing.difference(support))
 
 
 def pseff_threshold(m: SurfaceModel, L: DivClass, E: DivClass) -> Rat:

@@ -61,13 +61,19 @@ def test_coverage_error_never_false_positive():
         semistable_via_flags(pair, [(flags[0][0], ("no-such-class",))])
 
 
+def _p_dot_e(flag, ch):
+    """P(u) . E on a chamber, paired through ``intersect`` with the flag's E."""
+    rd = flag.inv.divisor
+    return Poly([rd.work.intersect(ch.p_const, rd.E), rd.work.intersect(ch.p_slope, rd.E)])
+
+
 def test_flag_chambers_match_positivity_profile():
     pair = catalog("P(1,1,2)+1/2Q")
     for flag, _ in builtin_flags(pair):
         prof = profile_for(pair, flag.divisor_spec)
         assert flag.inv.profile.tau == prof.tau
         for ch, piece in zip(flag.inv.profile.chambers, prof.profile.pieces):
-            assert piece.derivative() == Poly([0]) - 2 * flag.p_dot_e(ch)
+            assert piece.derivative() == Poly([0]) - 2 * _p_dot_e(flag, ch)
 
 
 def test_mass_conservation_on_flags():
@@ -76,7 +82,7 @@ def test_mass_conservation_on_flags():
         for flag, _ in builtin_flags(m):
             total = F(0)
             for ch in flag.inv.profile.chambers:
-                total += flag.p_dot_e(ch).integrate(ch.lo, ch.hi)
+                total += _p_dot_e(flag, ch).integrate(ch.lo, ch.hi)
             assert 2 * total == flag.inv.profile.L2, (name, flag.name)
 
 
@@ -157,7 +163,7 @@ def test_closed_form_oracles_for_pair_flag_values():
 def test_zero_movable_mass_gives_zero_restricted_S():
     m = catalog("dP3")
     base = builtin_flags(m)[0][0]
-    corrections = tuple(base.p_dot_e(ch) for ch in base.inv.profile.chambers)
+    corrections = tuple(_p_dot_e(base, ch) for ch in base.inv.profile.chambers)
     flag = flag_from_divisor(
         m, "anticanonical-curve", name="pinned",
         points=(FlagPoint("pinned", deg_corrections=corrections),))

@@ -85,6 +85,21 @@ def test_unverified_nef_certificate_exits_3(monkeypatch, capsys, y, failure):
     assert err.rstrip().endswith(failure)
 
 
+def test_support_gram_that_is_not_the_model_s_exits_3(monkeypatch, capsys):
+    from delpezzo import positivity
+    solve = positivity._solve_support
+
+    def doubled(m, support, classes):  # still negative definite
+        w, gram, sols = solve(m, support, classes)
+        return w, tuple(tuple(2 * g for g in row) for row in gram), sols
+
+    monkeypatch.setattr(positivity, "_solve_support", doubled)
+    report, code = run(["zariski", "--surface", "dP7", "--div", "H + E1 + E2"])
+    assert report is None and code == 3
+    assert capsys.readouterr().err == (
+        "error: cannot certify: support Gram matrix is not the Gram of the negative part\n")
+
+
 def test_lct_subcommand():
     payload, _ = _json_run(["lct", "--poly", "y^2 - x^3"])
     assert payload["results"]["lct"] == "5/6"
@@ -862,6 +877,15 @@ def test_unusable_keyword_spec_reports_its_cause(capsys, cmd):
     report, code = run([cmd, "--surface", "dP1", "--divisor-spec", "exceptional:pt"])
     assert report is None and code == 2
     assert capsys.readouterr().err == "error: dP1 has no catalogued point blow-up\n"
+
+
+def test_dp1_semistability_is_decided_by_flag_coverage(capsys):
+    """dP1 has no point to blow up, so it lists no beta candidate."""
+    assert catalog("dP1").beta_candidates == ()
+    report, code = run(["semistable", "--surface", "dP1"])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        "error: point classes not covered by any flag on dP1: generic\n")
 
 
 def _readme_commands():

@@ -3,9 +3,12 @@ fixed set of commands, each run in process through ``cli.main``.
 
 The set is the README's CLI examples, ``reproduce-paper`` at two seeds as a
 table and as JSON, ``catalog show`` of every built-in model, ``volfn`` and
-``beta`` of every built-in beta candidate, the GIT verdict table, and
-``zariski`` decompositions and refusals on each model family.  A change of
-any byte of any of these outputs fails the test.
+``beta`` of every built-in beta candidate, the GIT verdict table,
+``zariski`` decompositions and refusals on each model family, and
+``semistable`` on every built-in model and on P(1,1,2) with a quarter, a
+half and three quarters of Q, with ``delta-flag`` for every built-in flag
+and point class on them.  A change of any byte of any of these outputs
+fails the test.
 
 The digests live in ``golden_outputs.json`` beside this file.  After an
 intended change of output, rewrite them with
@@ -23,6 +26,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from delpezzo.azflag import builtin_flags
 from delpezzo.cli import main
 from delpezzo.lattice import catalog, catalog_names
 from test_cli import _readme_commands
@@ -42,6 +46,9 @@ ZARISKI = (
     ([f"F{n}~P(1,1,{n})" for n in range(2, 7)], ("e + f", "e + 3f"), "f - e"),
 )
 
+# surfaces with a boundary, checked by the flag bounds beside the built-ins
+FLAG_SURFACES = ("P(1,1,2)+1/4Q", "P(1,1,2)+1/2Q", "P(1,1,2)+3/4Q")
+
 
 def commands() -> list[list[str]]:
     out = _readme_commands()
@@ -60,6 +67,12 @@ def commands() -> list[list[str]]:
         for surface in surfaces:
             for div in decompositions + (refusal,):
                 out.append(["zariski", "--surface", surface, f"--div={div}"])
+    for name in names + list(FLAG_SURFACES):
+        out.append(["semistable", "--surface", name])
+        for flag, _ in builtin_flags(catalog(name)):
+            for point in flag.points:
+                out.append(["delta-flag", "--surface", name, "--flag", flag.name,
+                            "--point", point.label])
     return list({shlex.join(argv): argv for argv in out}.values())  # each command once
 
 

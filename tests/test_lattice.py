@@ -22,7 +22,7 @@ from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel,
                               model_to_dict, validate_links)
 
 # sha256 of the built-in models in their declarative form, sorted by name.
-BUILTIN_DIGEST = "c466a163f2201cc7ae141429a923ffdd87fdd2ebb952d71f1cc2acdfe4f999df"
+BUILTIN_DIGEST = "91d263caee2e68c25b764a964e394c77852d4f0c285fb3cbec4ff59917e4cea1"
 
 
 def test_neg_curve_counts():

@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import json
 import sys
@@ -15,7 +16,8 @@ from delpezzo import lp, positivity
 from delpezzo.cli import run
 from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import Poly
-from delpezzo.lattice import DivClass, SurfaceModel, catalog, is_nef
+from delpezzo.lattice import DivClass, LabeledCurve, SurfaceModel, catalog, is_nef
+from delpezzo.linalg import is_negative_definite
 from delpezzo.positivity import (NotPseudoeffectiveError, pseff_certificate,
                                  pseff_threshold, volume, volume_profile, zariski)
 from delpezzo.valuative import profile_for, resolve_divisor_spec
@@ -36,6 +38,18 @@ def test_zariski_dp7_line_example():
     assert dict(dec.negative) == {"E1": 1, "E2": 1}
     assert dec.verify(dp7, d) == []
     assert volume(dp7, d) == 1
+
+
+def test_verify_refuses_a_gram_certificate_that_is_not_the_support_gram():
+    """A doubled support Gram is still negative definite, but it is not the
+    Gram of E1 and E2."""
+    dp7 = catalog("dP7")
+    d = DivClass.of([1, 1, 1])
+    dec = zariski(dp7, d)
+    doubled = tuple(tuple(2 * g for g in row) for row in dec.gram_cert)
+    assert is_negative_definite(doubled)
+    assert dataclasses.replace(dec, gram_cert=doubled).verify(dp7, d) == [
+        "support Gram matrix is not the Gram of the negative part"]
 
 
 def test_refusal_whose_gram_has_a_zero_leading_minor():
@@ -196,7 +210,8 @@ def test_profile_enters_a_curve_that_turns_negative_at_zero():
     assert prof.profile.breakpoints == (0, 4)
     assert prof.profile.pieces == (Poly([8, -4, F(1, 2)]),)
     assert prof.chambers[0].support == ("e",)
-    dec = zariski(m, prof.L - prof.E.scale(F(1, 2)))
+    rd = resolve_divisor_spec(m, "f")
+    dec = zariski(m, rd.L - rd.E.scale(F(1, 2)))
     assert dec.negative == (("e", F(1, 4)),)
     assert m.intersect(dec.positive, dec.positive) == prof.profile(F(1, 2)) == F(49, 8)
 
@@ -551,15 +566,50 @@ def _assert_walk_matches_the_oracle(m, spec, scale=1):
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_walk_matches_the_fraction_oracle_on_catalog_specs(name):
-    """Every beta candidate with a working model (dP1's "exceptional:pt"
-    has none) and curve label (every 10th curve on dP1) of a built-in
-    model, at L and 2L."""
+    """Every beta candidate and curve label (every 10th curve on dP1) of a
+    built-in model, at L and 2L."""
     m = catalog(name)
     labels = m.curve_labels()[::10 if name == "dP1" else 1]
-    candidates = tuple(s for s in m.beta_candidates if (name, s) != ("dP1", "exceptional:pt"))
-    for spec in candidates + labels:
+    for spec in m.beta_candidates + labels:
         for scale in (1, 2):
             _assert_walk_matches_the_oracle(m, spec, scale)
+
+
+def _rank_3_model(generators):
+    """A model with Gram diag(1, -1, -1) and the given curve classes."""
+    gram = tuple(tuple(F((i == j) * (1 if i == 0 else -1)) for j in range(3)) for i in range(3))
+    return SurfaceModel(
+        name="rank-3", basis_labels=("h", "a", "b"), gram=gram,
+        canonical=DivClass.of([-3, 1, 1]),
+        neg_curves=tuple(LabeledCurve(f"C{i}", DivClass.of(g)) for i, g in enumerate(generators)))
+
+
+_GENERATOR = st.tuples(st.integers(0, 2), st.integers(-2, 1), st.integers(-2, 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_GENERATOR, min_size=3, max_size=6),
+       st.tuples(st.integers(0, 4), st.integers(-2, 1), st.integers(-2, 1)),
+       st.tuples(st.integers(-1, 2), st.integers(-2, 2), st.integers(-2, 2)))
+def test_walk_matches_the_fraction_oracle_on_synthetic_models(generators, l, e):
+    """Small synthetic models reach walks no catalogued input does, among
+    them support curves that leave; the oracle keeps the order in which
+    the walk once changed its support (enter, solve again, then leave)."""
+    m = _rank_3_model(generators)
+    L, E = DivClass.of(l), DivClass.of(e)
+    assert (_walk_outcome(volume_profile, m, L, E)
+            == _walk_outcome(walk_oracle.volume_profile, m, L, E))
+
+
+def test_walk_lets_a_support_curve_leave(monkeypatch):
+    """C1 and C3 enter at t = 0 and C3 leaves there again."""
+    m = _rank_3_model([(2, -2, 0), (1, -1, -2), (0, 0, 1), (1, 1, -2), (2, 0, 0)])
+    L, E = DivClass.of([2, 0, -1]), DivClass.of([2, 2, 1])
+    want = walk_oracle.volume_profile(m, L, E)
+    calls = _recorded_support_solves(monkeypatch)
+    assert volume_profile(m, L, E) == want
+    assert [support for _, support, _, _ in calls] == [[], [1, 3], [1]]
+    assert [ch.support for ch in want.chambers] == [("C1",)]
 
 
 @settings(max_examples=60, deadline=None)

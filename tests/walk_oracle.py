@@ -6,7 +6,10 @@ chamber, every curve paired and tested in Fractions, and the support
 solved by Fraction elimination with a signature certificate.  It returns
 the same ``VolumeProfile`` records and raises the same errors with the same
 texts, so a comparison checks the whole walk: chambers, support order,
-pieces, tau and the chamber classes.
+pieces, tau and the chamber classes.  At the start of a chamber it lets
+curves enter first, solves again and only then lets support curves leave,
+where the integer walk moves both at once, so a comparison also checks
+that the two rules agree.
 """
 
 from __future__ import annotations
@@ -137,8 +140,7 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
             except ValueError as exc:
                 raise ConeDataError(f"volume profile on {m.name} is not continuous ({exc}); "
                                     "cone data possibly incomplete") from exc
-            return VolumeProfile(profile=profile, tau=t_end, chambers=tuple(chambers),
-                                 L=L, E=E, L2=l2)
+            return VolumeProfile(profile=profile, tau=t_end, chambers=tuple(chambers), L2=l2)
         for root, kind, c in wall_events:
             if root == t_end:
                 if kind == "enter":

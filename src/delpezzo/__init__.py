@@ -1,8 +1,8 @@
 """Exact-arithmetic K-stability invariants of log del Pezzo surfaces."""
 
 from .exactnum import DomainError, PiecewisePoly, Poly, Rat, rat, rat_str
-from .lattice import (DivClass, SurfaceModel, catalog, catalog_names,
-                      enumerate_neg_curves, is_nef, load_models)
+from .lattice import DivClass, SurfaceModel, enumerate_neg_curves, is_nef, load_models
+from .catalog import catalog, catalog_names
 from .positivity import (ConeDataError, NotPseudoeffectiveError, VolumeProfile,
                          ZariskiDecomp, pseff_threshold, volume, volume_profile,
                          zariski)

@@ -1,4 +1,5 @@
-"""Built-in surface catalog: construction and name lookup.
+"""Built-in surface catalog: construction, lookup by name, the list of names
+and the checks of a model's links against the models they name.
 
 Canonical names are degree-based: "dP9" (= "P2") down to "dP1" for the
 blow-ups of the plane at general points, "P1xP1", weighted planes
@@ -31,15 +32,20 @@ from typing import Mapping
 
 from .exactnum import rat, rat_str
 from .lattice import (BoundaryPart, DivClass, GraphVertex, LabeledCurve, ModelLink,
-                      ResolutionGraph, SingularPoint, SurfaceModel, UnknownSurfaceError,
-                      curve_label, enumerate_neg_curves)
+                      ResolutionGraph, SingularPoint, SurfaceModel, curve_label,
+                      enumerate_neg_curves)
 from .localvol import QuotientSing
+
+
+class UnknownSurfaceError(KeyError):
+    """Requested catalog name is not known."""
+
 
 _ALIASES = {
     "P2": "dP9",
     "F1": "dP8",
     "cubic": "dP3",
-    "P1xP1": "P1xP1",
+    "P(1,1,2)+Q/2": "P(1,1,2)+1/2Q",
 }
 
 _PAIR_RE = re.compile(r"^(?P<base>.+?)\+(?P<coeff>\d+(?:/0*[1-9]\d*)?)Q$")
@@ -196,10 +202,12 @@ def builtin_names() -> list[str]:
     return sorted(_FIXED)
 
 
+def catalog_names(extra: Mapping[str, SurfaceModel] | None = None) -> list[str]:
+    return sorted({*_FIXED, *(extra or ())})
+
+
 def canonical_name(name: str) -> str:
     s = name.strip().replace(" ", "")
-    if s in ("P(1,1,2)+Q/2",):
-        return "P(1,1,2)+1/2Q"
     return _ALIASES.get(s, s)
 
 
@@ -261,6 +269,7 @@ def _builtin(name: str) -> SurfaceModel | None:
 
 
 def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> SurfaceModel:
+    """Look up a built-in (or overlay) surface model by name."""
     s = canonical_name(name)
     if extra:
         for key in (s, name.strip()):
@@ -274,3 +283,60 @@ def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> Sur
     if model is None:
         raise UnknownSurfaceError(f"unknown surface {name!r}")
     return model
+
+
+catalog = get_model  # the name the package and the engine look models up by
+
+
+def validate_links(m: SurfaceModel) -> list[str]:
+    """Problems of a validated model's blow-up and resolution links (empty
+    when healthy), each checked against ``get_model(link.target)``, the
+    built-in model that divisor specs are resolved on.
+
+    Kept apart from ``SurfaceModel.validate`` so that building a pair does
+    not also build and validate its resolution target.
+    """
+    problems: list[str] = []
+    for kind, link in (("blowup", m.blowup), ("resolution", m.resolution)):
+        if link is None:
+            continue
+        where = f"{m.name}: {kind} link to {link.target}"
+        try:
+            target = get_model(link.target)
+        except UnknownSurfaceError:
+            problems.append(f"{where}: target is not a built-in surface")
+            continue
+        pulled: list[DivClass] = []
+        if (len(link.pullback) != target.rank
+                or any(len(row) != m.rank for row in link.pullback)):
+            problems.append(f"{where}: pullback is not {target.rank} x {m.rank}")
+        else:
+            # the pullback of the i-th basis class is the i-th column
+            pulled = [DivClass(tuple(row[i] for row in link.pullback))
+                      for i in range(m.rank)]
+            for i, a in enumerate(pulled):
+                for j in range(i, m.rank):
+                    if target.intersect(a, pulled[j]) != m.gram[i][j]:
+                        problems.append(
+                            f"{where}: pullback changes the pairing of "
+                            f"{m.basis_labels[i]} and {m.basis_labels[j]}")
+        e = link.exceptional
+        if len(e) != target.rank:
+            problems.append(f"{where}: exceptional class has wrong length")
+        else:
+            sq = target.intersect(e, e)
+            if sq >= 0:
+                problems.append(f"{where}: exceptional class has square {rat_str(sq)} >= 0")
+            for label, a in zip(m.basis_labels, pulled):
+                if target.intersect(e, a) != 0:
+                    problems.append(
+                        f"{where}: exceptional class meets the pullback of {label}")
+        if link.exceptional_label not in (v.label for v in link.graph.vertices):
+            problems.append(
+                f"{where}: exceptional label {link.exceptional_label} is not a "
+                "vertex of its graph")
+        if len(link.boundary_mults) != len(m.boundary):
+            problems.append(
+                f"{where}: {len(link.boundary_mults)} boundary multiplicities for "
+                f"{len(m.boundary)} boundary parts")
+    return problems

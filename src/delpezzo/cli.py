@@ -20,9 +20,9 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import azflag, gitcubic, localvol, positivity, valuative
+from .catalog import catalog, catalog_names, validate_links
 from .exactnum import rat, rat_str
-from .lattice import (JsonValue, SurfaceModel, catalog, catalog_names, load_models,
-                      model_to_dict, read_json, validate_links)
+from .lattice import JsonValue, SurfaceModel, load_models, model_to_dict, read_json
 from .localvol import parse_sing
 from .parse import div_from_expr, poly_terms
 from .report import Report
@@ -189,12 +189,12 @@ def _graph_from_spec(spec: str) -> valuative.ResolutionGraph:
     return valuative.named_graph(spec)
 
 
-def _int_list(src: str, n: int | None = None) -> list[int]:
+def _int_list(src: str, n: int) -> list[int]:
     try:
         vals = [int(x) for x in src.split(",")]
     except ValueError as exc:
         raise CommandError(f"expected comma-separated integers, got {src!r}") from exc
-    if n is not None and len(vals) != n:
+    if len(vals) != n:
         raise CommandError(f"expected {n} comma-separated integers, got {src!r}")
     return vals
 

@@ -1,4 +1,4 @@
-"""Picard-lattice surface models and the built-in catalog interface.
+"""Picard-lattice surface models, their intersection pairing and their JSON form.
 
 A SurfaceModel fixes a basis of the rational Picard lattice, the
 intersection Gram matrix, the canonical class, the generators of the
@@ -7,8 +7,8 @@ and the quotient singularities of the surface.  Everything downstream
 (nef tests, Zariski decompositions, volume profiles, the invariants)
 is exact linear algebra against this data.
 
-Models are immutable once built; the catalog is static data, so any
-number of callers may share models concurrently.
+Models are immutable once built, so callers may share them concurrently;
+the built-in models and their lookup by name live in ``catalog``.
 
 Models (with their blow-up and resolution links) and resolution graphs
 are also read from JSON.  Each loader reads every value through one
@@ -55,20 +55,12 @@ def _pair_numerators(d: DivClass, q: int, vectors: Sequence[Sequence[int]],
     return q * den, acc
 
 
-class UnknownSurfaceError(KeyError):
-    """Requested catalog name is not known."""
-
-
 class ModelInvariantError(ValueError):
     """A surface model violates one of its structural invariants."""
 
 
 class InputShapeError(ValueError):
     """A declarative (JSON) input does not have the shape its loader reads."""
-
-
-class MissingFieldError(InputShapeError):
-    """A declarative (JSON) input lacks a required field."""
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
@@ -100,7 +92,7 @@ class JsonValue:
         """The field ``name`` of this object, or ``default`` when it is absent."""
         obj = self.of(dict)
         if name not in obj and not default:
-            raise MissingFieldError(f"{self} lacks field {name!r}")
+            raise InputShapeError(f"{self} lacks field {name!r}")
         path = f"{self.path}.{name}" if self.path else name
         return JsonValue(obj[name] if name in obj else default[0], self.owner, path)
 
@@ -499,60 +491,6 @@ class SurfaceModel:
         return self
 
 
-def validate_links(m: SurfaceModel) -> list[str]:
-    """Problems of a validated model's blow-up and resolution links (empty
-    when healthy), each checked against ``catalog(link.target)``, the
-    built-in model that divisor specs are resolved on.
-
-    Kept apart from ``SurfaceModel.validate`` so that building a pair does
-    not also build and validate its resolution target.
-    """
-    problems: list[str] = []
-    for kind, link in (("blowup", m.blowup), ("resolution", m.resolution)):
-        if link is None:
-            continue
-        where = f"{m.name}: {kind} link to {link.target}"
-        try:
-            target = catalog(link.target)
-        except UnknownSurfaceError:
-            problems.append(f"{where}: target is not a built-in surface")
-            continue
-        pulled: list[DivClass] = []
-        if (len(link.pullback) != target.rank
-                or any(len(row) != m.rank for row in link.pullback)):
-            problems.append(f"{where}: pullback is not {target.rank} x {m.rank}")
-        else:
-            # the pullback of the i-th basis class is the i-th column
-            pulled = [DivClass(tuple(row[i] for row in link.pullback))
-                      for i in range(m.rank)]
-            for i, a in enumerate(pulled):
-                for j in range(i, m.rank):
-                    if target.intersect(a, pulled[j]) != m.gram[i][j]:
-                        problems.append(
-                            f"{where}: pullback changes the pairing of "
-                            f"{m.basis_labels[i]} and {m.basis_labels[j]}")
-        e = link.exceptional
-        if len(e) != target.rank:
-            problems.append(f"{where}: exceptional class has wrong length")
-        else:
-            sq = target.intersect(e, e)
-            if sq >= 0:
-                problems.append(f"{where}: exceptional class has square {rat_str(sq)} >= 0")
-            for label, a in zip(m.basis_labels, pulled):
-                if target.intersect(e, a) != 0:
-                    problems.append(
-                        f"{where}: exceptional class meets the pullback of {label}")
-        if link.exceptional_label not in (v.label for v in link.graph.vertices):
-            problems.append(
-                f"{where}: exceptional label {link.exceptional_label} is not a "
-                "vertex of its graph")
-        if len(link.boundary_mults) != len(m.boundary):
-            problems.append(
-                f"{where}: {len(link.boundary_mults)} boundary multiplicities for "
-                f"{len(m.boundary)} boundary parts")
-    return problems
-
-
 def is_nef(m: SurfaceModel, d: DivClass) -> bool:
     """Nefness against the catalogued effective-cone generators: the sign of
     d . C for each one is read from its integer numerator over a positive
@@ -674,7 +612,7 @@ def _link_from(r: JsonValue) -> ModelLink | None:
 
 def model_from_dict(data: Any) -> SurfaceModel:
     """Load a model from its declarative form.  It is not validated: check it
-    with ``validate_strict`` (and its links with ``validate_links``)."""
+    with ``validate_strict`` (and its links with ``catalog.validate_links``)."""
     r = JsonValue(data, "model").named()
     named = r.get("named_divisors", {})
     return SurfaceModel(
@@ -706,20 +644,3 @@ def load_models(path: str | Path) -> list[SurfaceModel]:
         return [model_from_dict(e.of(dict)) for e in JsonValue(data, "model list").items()]
 
     return read_json(path, load)
-
-
-def catalog(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> SurfaceModel:
-    """Look up a built-in (or overlay) surface model by name."""
-    return get_model(name, extra=extra)
-
-
-def catalog_names(extra: Mapping[str, SurfaceModel] | None = None) -> list[str]:
-    names = builtin_names()
-    if extra:
-        names = sorted(set(names) | set(extra))
-    return names
-
-
-# Imported last, as the catalog module needs the names above; loaded here, before
-# the package binds its ``catalog`` function, it can never rebind that name.
-from .catalog import builtin_names, get_model  # noqa: E402

@@ -4,6 +4,9 @@ Covers the normalized-volume side of the engine: closed-form normalized
 volumes of cyclic quotient points, the local-to-global volume inequality,
 smoothability (T-singularity) filtering, the per-degree singularity
 budget, Markov mutation trees and weighted-projective-plane volumes.
+
+A leaf module: it imports nothing from the package but ``exactnum``, so
+the lattice and the catalog can read its singularity records.
 """
 
 from __future__ import annotations
@@ -270,59 +273,3 @@ def wps_volume(a: int, b: int, c: int) -> Rat:
     if gcd(a, b) != 1 or gcd(a, c) != 1 or gcd(b, c) != 1:
         raise ValueError(f"({a},{b},{c}) is not pairwise coprime")
     return Fraction((a + b + c) ** 2, a * b * c)
-
-
-def p114_pair_report(d: int) -> dict:
-    """Worked boundary-pair study on P(1,1,4) with curves in |O(4d)|.
-
-    Part (a): for a boundary curve through the singular point with the
-    minimal multiplicity 4 there, beta at the exceptional divisor of the
-    weighted blow-up is computed by exact integration for sample values
-    of the coefficient c and interpolated (it is linear in c).  Part (b):
-    if the curve misses the singular point, the volume bound at the
-    1/4(1,1) point caps the log-Fano range.  All values are produced by
-    this package's own integration and flagged self-certified.
-    """
-    from .lattice import DivClass, catalog
-    from .positivity import volume_profile
-
-    if d < 1:
-        raise ValueError("d must be >= 1")
-
-    work = catalog("F4~P(1,1,4)")
-
-    def beta_at(c: Rat) -> Rat:
-        s = Fraction(6) - 4 * c * d  # degree of -K - cD in O(1) units
-        if s <= 0:
-            raise ValueError("pair is not log Fano for this c")
-        L = DivClass((s / 4, s))  # pullback of O(s)
-        S = volume_profile(work, L, work.curve("e")).S
-        A = Fraction(1, 2) - c  # log discrepancy 2/4, minus c * ord_e(pullback of D)
-        return A - S
-
-    c1, c2 = Fraction(0), Fraction(3, 8 * d)
-    b1, b2 = beta_at(c1), beta_at(c2)
-    slope = (b2 - b1) / (c2 - c1)
-    log_fano_sup = Fraction(3, 2 * d)
-    beta_zero = -b1 / slope if slope != 0 else None
-    if slope < 0:
-        certified = log_fano_sup
-    elif beta_zero is not None and beta_zero > 0:
-        certified = min(log_fano_sup, beta_zero)
-    else:
-        certified = Fraction(0)
-    return {
-        "d": d,
-        "beta_exceptional": {
-            "constant": b1,
-            "slope_in_c": slope,
-            "formula": f"beta(e)(c) = {rat_str(b1)} + ({rat_str(slope)})*c",
-        },
-        "multiplicity_at_singular_point": 4,
-        "log_fano_range": (Fraction(0), log_fano_sup),
-        "beta_negative_for_c_below": beta_zero,
-        "certified_unstable_range": (Fraction(0), certified),
-        "covers_full_log_fano_range": certified >= log_fano_sup,
-        "index_bound_semistable_needs": Fraction(3, 4 * d),
-        "self_certified": True,
-    }

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from . import lp
@@ -137,7 +138,11 @@ class ZariskiDecomp:
             if p_dot[label] != 0:
                 problems.append(f"P not orthogonal to {label}")
         curves = [m.curve(label) for label, _ in self.negative]
-        if self.gram_cert != tuple(tuple(m.intersect(a, b) for b in curves) for a in curves):
+        cleared = [over_one_denominator(c.coeffs) for c in curves]
+        pairs = [_pair_numerators(c, *m._int_gram) for c in curves]  # one pairing per curve
+        gram = tuple(tuple(Fraction(sum(map(mul, row, b)), r * s) for s, b in cleared)
+                     for r, row in pairs)
+        if self.gram_cert != gram:
             problems.append("support Gram matrix is not the Gram of the negative part")
         if self.negative and not is_negative_definite(self.gram_cert):
             problems.append("support Gram matrix is not negative definite")

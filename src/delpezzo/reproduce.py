@@ -12,12 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping
 
 from . import azflag, gitcubic, localvol, positivity, valuative
+from .catalog import catalog, catalog_names, validate_links
 from .exactnum import Poly, PiecewisePoly, rat_str
-from .lattice import (DivClass, SurfaceModel, catalog, catalog_names, enumerate_neg_curves,
-                      validate_links)
+from .lattice import DivClass, SurfaceModel, enumerate_neg_curves
 from .localvol import QuotientSing, markov_tree, parse_sing, wps_volume
 
 
@@ -571,8 +572,8 @@ def _localvol_rows() -> list[Row]:
                     "A_k always", t_sings))
 
     def p114():
-        rep3 = localvol.p114_pair_report(3)
-        rep2 = localvol.p114_pair_report(2)
+        rep3 = valuative.p114_pair_report(3)
+        rep2 = valuative.p114_pair_report(2)
         ok = (rep3["beta_exceptional"]["slope_in_c"] == Fraction(1)
               and rep3["beta_exceptional"]["constant"] == Fraction(-1, 2)
               and rep3["covers_full_log_fano_range"]
@@ -586,6 +587,9 @@ def _localvol_rows() -> list[Row]:
                     "weighted-plane pair report: exceptional beta and index bound "
                     "(self-certified)", p114))
     return rows
+
+
+_CUBIC_MONOMIALS = tuple(e for e in product(range(4), repeat=4) if sum(e) == 3)
 
 
 def _git_rows(seed: int) -> list[Row]:
@@ -615,11 +619,9 @@ def _git_rows(seed: int) -> list[Row]:
                     "(xyz - w^3)/(1,1,1,-3) -> -9", weights))
 
     def omitted_variable():
-        import itertools as it
         rng = random.Random(seed ^ 0x917)
-        monos = [e for e in it.product(range(4), repeat=4) if sum(e) == 3]
         for i in range(4):
-            sub = [e for e in monos if e[i] == 0]
+            sub = [e for e in _CUBIC_MONOMIALS if e[i] == 0]
             supp = rng.sample(sub, 4)
             f = gitcubic.CubicForm.from_terms({e: Fraction(1) for e in supp})
             w = gitcubic.torus_destabilizer(f)
@@ -632,12 +634,10 @@ def _git_rows(seed: int) -> list[Row]:
                     "verified witness", omitted_variable))
 
     def agreement():
-        import itertools as it
         rng = random.Random(seed)
-        monos = [e for e in it.product(range(4), repeat=4) if sum(e) == 3]
         for i in range(100):
             k = rng.randint(1, 6)
-            supp = rng.sample(monos, k)
+            supp = rng.sample(_CUBIC_MONOMIALS, k)
             f = gitcubic.CubicForm.from_terms(
                 {e: Fraction(rng.randint(-5, 5) or 1) for e in supp})
             lp_w = gitcubic.torus_destabilizer(f)

@@ -10,9 +10,10 @@ import random
 from fractions import Fraction as F
 
 from delpezzo import azflag, gitcubic, localvol, positivity, valuative
+from delpezzo.catalog import catalog
 from delpezzo.cli import run
 from delpezzo.exactnum import Poly
-from delpezzo.lattice import catalog, enumerate_neg_curves
+from delpezzo.lattice import enumerate_neg_curves
 from delpezzo.localvol import markov_tree, parse_sing, wps_volume
 from delpezzo.valuative import beta_report, profile_for, resolve_divisor_spec
 

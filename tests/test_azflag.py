@@ -5,8 +5,8 @@ import pytest
 from delpezzo.azflag import (CoverageError, FlagDataError, FlagPoint, builtin_flags,
                              delta_p_lower_bound, flag_from_divisor, restricted_S,
                              semistable_via_flags)
+from delpezzo.catalog import catalog
 from delpezzo.exactnum import Poly
-from delpezzo.lattice import catalog
 from delpezzo.valuative import profile_for
 
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delpezzo import valuative
+from delpezzo.catalog import catalog
 from delpezzo.cli import main, run
-from delpezzo.lattice import MAX_GRAPH_VERTICES, catalog, model_to_dict
+from delpezzo.lattice import MAX_GRAPH_VERTICES, model_to_dict
 
 
 def _json_run(argv):

@@ -7,11 +7,11 @@ import sympy
 from hypothesis import given, strategies as st
 
 import print_oracle
-from delpezzo.catalog import builtin_names
+from delpezzo.catalog import builtin_names, catalog
 from delpezzo.exactnum import (DomainError, PiecewisePoly, Poly, rat, rat_str,
                                rational_roots)
 from delpezzo.gitcubic import CubicForm
-from delpezzo.lattice import DivClass, catalog
+from delpezzo.lattice import DivClass
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 polys = st.lists(rationals, min_size=0, max_size=5).map(Poly)

@@ -27,8 +27,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from delpezzo.azflag import builtin_flags
+from delpezzo.catalog import catalog, catalog_names
 from delpezzo.cli import main
-from delpezzo.lattice import catalog, catalog_names
 from test_cli import _readme_commands
 
 HERE = Path(__file__).resolve().parent

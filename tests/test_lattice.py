@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 import intersect_oracle
 import neg_curves_oracle
 import validate_oracle
-from delpezzo.catalog import builtin_names, canonical_name
-from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel,
-                              UnknownSurfaceError, _pair_numerators, catalog, catalog_names,
+from delpezzo.catalog import (UnknownSurfaceError, builtin_names, canonical_name, catalog,
+                              catalog_names, validate_links)
+from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel, _pair_numerators,
                               enumerate_neg_curves, is_nef, load_models, model_from_dict,
-                              model_to_dict, validate_links)
+                              model_to_dict)
 
 # sha256 of the built-in models in their declarative form, sorted by name.
 BUILTIN_DIGEST = "91d263caee2e68c25b764a964e394c77852d4f0c285fb3cbec4ff59917e4cea1"

@@ -8,9 +8,9 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 from delpezzo import lp
+from delpezzo.catalog import catalog
 from delpezzo.linalg import (SingularMatrixError, bareiss, is_negative_definite, solve,
                              sylvester_negative_definite, symmetric_signature)
-from delpezzo.lattice import catalog
 from delpezzo.lp import eq_feasibility
 
 import simplex_oracle

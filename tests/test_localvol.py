@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from delpezzo.localvol import (MARKOV_MAX_DEPTH, MarkovTriple, QuotientSing,
                                is_T_singularity, local_global_check, markov_tree,
-                               monomial_nvol, nvol_quotient, p114_pair_report,
-                               parse_sing, singularity_budget, wps_volume)
+                               monomial_nvol, nvol_quotient, parse_sing, singularity_budget,
+                               wps_volume)
+from delpezzo.valuative import p114_pair_report
 
 
 def test_quotient_sing_validation():

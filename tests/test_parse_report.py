@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import div_expr_oracle
 import poly_parse_oracle
-from delpezzo.lattice import catalog, model_from_dict, model_to_dict
+from delpezzo.catalog import catalog
+from delpezzo.lattice import model_from_dict, model_to_dict
 from delpezzo.parse import MAX_EXPONENT, POLY_VARS, ParseError, div_from_expr, poly_terms
 from delpezzo.report import Report
 

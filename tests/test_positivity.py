@@ -13,10 +13,10 @@ import solve_oracle
 import walk_oracle
 import zariski_oracle
 from delpezzo import lp, positivity
+from delpezzo.catalog import builtin_names, catalog
 from delpezzo.cli import run
-from delpezzo.catalog import builtin_names
 from delpezzo.exactnum import Poly
-from delpezzo.lattice import DivClass, LabeledCurve, SurfaceModel, catalog, is_nef
+from delpezzo.lattice import DivClass, LabeledCurve, SurfaceModel, is_nef
 from delpezzo.linalg import is_negative_definite
 from delpezzo.positivity import (NotPseudoeffectiveError, pseff_certificate,
                                  pseff_threshold, volume, volume_profile, zariski)

@@ -8,7 +8,8 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from delpezzo.azflag import builtin_flags, semistable_via_flags
-from delpezzo.lattice import DivClass, catalog
+from delpezzo.catalog import catalog
+from delpezzo.lattice import DivClass
 from delpezzo.valuative import (DivisorSpecError, PlaneCurveGerm, ResolutionGraph,
                                 beta_report, classify, degenerate_edge, diagonal_parameter,
                                 discrepancies, invariants, lct_n_lines, lct_newton,

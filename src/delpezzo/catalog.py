@@ -37,7 +37,7 @@ from .lattice import (BoundaryPart, DivClass, GraphVertex, LabeledCurve, ModelLi
 from .localvol import QuotientSing
 
 
-class UnknownSurfaceError(KeyError):
+class UnknownSurfaceError(ValueError):
     """Requested catalog name is not known."""
 
 

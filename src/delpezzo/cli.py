@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 from . import azflag, gitcubic, localvol, positivity, valuative
@@ -240,7 +239,7 @@ def cmd_zariski(args, extra):
         "positive": m.render(dec.positive),
         "negative": [{"curve": label, "coeff": coeff} for label, coeff in dec.negative],
         "volume": m.intersect(dec.positive, dec.positive),
-        "gram_certificate": [[rat_str(x) for x in row] for row in dec.gram_cert],
+        "gram_certificate": [[rat_str(x) for x in row] for row in dec.support_gram(m)],
     }
     return results, True, inputs, [m.name]
 
@@ -469,17 +468,10 @@ def reproduce_paper(seed: int = DEFAULT_SEED, section: int | None = None,
     return Report(command=argv, inputs=inputs, results=results, provenance=provenance)
 
 
-@lru_cache(maxsize=1)
-def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
-    """Parsed command line, cached so that main() renders without parsing
-    again; the namespace is shared between callers and never mutated."""
-    return build_parser().parse_args(argv)
-
-
 def run(argv) -> tuple[Report | None, int]:
     """Dispatch a command line; returns (report, exit code)."""
     try:
-        args = _parse(tuple(argv))
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return None, 2 if exc.code not in (0, None) else 0
     try:
@@ -497,7 +489,8 @@ def run(argv) -> tuple[Report | None, int]:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return None, 4
     report = Report(command=list(argv), inputs=inputs, results=results,
-                    provenance=provenance, notes=list(notes))
+                    provenance=provenance, notes=list(notes),
+                    fmt=args.format, decimal=args.decimal)
     code = 0 if (ok or not args.strict) else 1
     return report, code
 
@@ -506,9 +499,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     report, code = run(argv)
     if report is not None:
-        args = _parse(tuple(argv))
         try:  # an exact value may have more digits than Python prints
-            sys.stdout.write(report.render(args.format, args.decimal))
+            sys.stdout.write(report.render())
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

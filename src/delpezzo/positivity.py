@@ -20,9 +20,11 @@ linear wall functions (never by numeric sampling).
 Both the decomposition and the walk solve their support systems with one
 integer kernel, ``_solve_support``: a fraction-free Bareiss elimination of
 the integer support Gram whose leading principal minors certify it
-negative definite.  A support of rank or more curves is refused before
-any row is read, as the Hodge index theorem allows fewer.  The kernel
-also returns P . C for every catalogued curve C, by linearity from the
+negative definite before it returns a solution.  A support of rank or
+more curves is refused before any row is read, as the Hodge index theorem
+allows fewer.  The kernel returns no Gram (a decomposition's certificate
+is ``ZariskiDecomp.support_gram``, recomputed from the model), but with
+each solution P . C for every catalogued curve C, by linearity from the
 support rows, and both loops read P . C from it: the Zariski loop builds
 P once, for the decomposition it returns, and the walk runs on integers
 throughout: one line a + b t per curve and chamber, one test of which
@@ -62,8 +64,6 @@ class NotPseudoeffectiveError(ValueError):
     """
 
     def __init__(self, m: SurfaceModel, d: DivClass, certificate: DivClass, value: Rat):
-        self.model = m
-        self.div = d
         self.certificate = certificate
         self.value = value
         super().__init__(
@@ -110,17 +110,25 @@ def pseff_certificate(m: SurfaceModel, d: DivClass) -> tuple[bool, DivClass | No
 
 @dataclass(frozen=True)
 class ZariskiDecomp:
-    """Certificate-carrying decomposition d = positive + negative."""
+    """Decomposition d = positive + negative, certified by ``verify``: its
+    support Gram, ``support_gram(m)``, is read from the model, not stored."""
 
     positive: DivClass
     negative: tuple[tuple[str, Rat], ...]
-    gram_cert: Matrix
 
     def negative_class(self, m: SurfaceModel) -> DivClass:
         total = DivClass((Fraction(0),) * m.rank)
         for label, coeff in self.negative:
             total = total + m.curve(label).scale(coeff)
         return total
+
+    def support_gram(self, m: SurfaceModel) -> Matrix:
+        """C_i . C_j for the support curves C_i, in the order of ``negative``."""
+        curves = [m.curve(label) for label, _ in self.negative]
+        cleared = [over_one_denominator(c.coeffs) for c in curves]
+        pairs = [_pair_numerators(c, *m._int_gram) for c in curves]  # one pairing per curve
+        return tuple(tuple(Fraction(sum(map(mul, row, b)), r * s) for s, b in cleared)
+                     for r, row in pairs)
 
     def verify(self, m: SurfaceModel, original: DivClass) -> list[str]:
         """Re-check every invariant independently of the solver."""
@@ -137,14 +145,7 @@ class ZariskiDecomp:
                 problems.append(f"negative part has coefficient {coeff} < 0 on {label}")
             if p_dot[label] != 0:
                 problems.append(f"P not orthogonal to {label}")
-        curves = [m.curve(label) for label, _ in self.negative]
-        cleared = [over_one_denominator(c.coeffs) for c in curves]
-        pairs = [_pair_numerators(c, *m._int_gram) for c in curves]  # one pairing per curve
-        gram = tuple(tuple(Fraction(sum(map(mul, row, b)), r * s) for s, b in cleared)
-                     for r, row in pairs)
-        if self.gram_cert != gram:
-            problems.append("support Gram matrix is not the Gram of the negative part")
-        if self.negative and not is_negative_definite(self.gram_cert):
+        if self.negative and not is_negative_definite(self.support_gram(m)):
             problems.append("support Gram matrix is not negative definite")
         return problems
 
@@ -157,23 +158,22 @@ def _not_negative_definite(m: SurfaceModel, support: Sequence[int]) -> ConeDataE
 
 def _solve_support(m: SurfaceModel, support: Sequence[int],
                    classes: Sequence[tuple[int, Sequence[int]]]
-                   ) -> tuple[int, tuple[tuple[int, ...], ...],
-                              list[tuple[int, list[int], int, list[int]]]]:
-    """(w, gram, sols) for the support curves C_i = neg_curves[support[i]]:
-    their Gram matrix C_i . C_j = gram[i][j] / w in integers, certified
-    negative definite, and for each class d, given by its pairings (r, n)
-    with d . C_k = n[k] / r for every catalogued curve C_k, its (s, X, t, p):
-    P = d - sum x_i C_i with x_i = X[i] / s, s > 0, is orthogonal to the
-    support, and P . C_k = p[k] / t, t > 0, for every catalogued curve.
+                   ) -> list[tuple[int, list[int], int, list[int]]]:
+    """The solutions for the support curves C_i = neg_curves[support[i]]: for
+    each class d, given by its pairings (r, n) with d . C_k = n[k] / r for
+    every catalogued curve C_k, its (s, X, t, p): P = d - sum x_i C_i with
+    x_i = X[i] / s, s > 0, is orthogonal to the support, and P . C_k =
+    p[k] / t, t > 0, for every catalogued curve.
 
     The support curves' rows of pairings are integer numerators read from
-    the model's cached curve vectors.  One Bareiss elimination of the
-    integer Gram, carried along every right-hand side, gives the leading
-    principal minors, whose signs certify the Gram negative definite
-    (Sylvester's criterion), and the solutions over the determinant.  P . C_k
-    follows by linearity from the support rows, over one denominator."""
+    the model's cached curve vectors.  One Bareiss elimination of their
+    integer Gram, local to the kernel, carried along every right-hand side,
+    gives the leading principal minors, whose signs certify the support
+    negative definite (Sylvester's criterion) before any solution is
+    returned, and the solutions over the determinant.  P . C_k follows by
+    linearity from the support rows, over one denominator."""
     if not support:  # P = d
-        return 1, (), [(r, [], r, n) for r, n in classes]
+        return [(r, [], r, n) for r, n in classes]
     if len(support) >= m.rank:  # Hodge index: a negative-definite set has < rank members
         raise _not_negative_definite(m, support)
     q, vectors = m._curve_vectors
@@ -193,7 +193,7 @@ def _solve_support(m: SurfaceModel, support: Sequence[int],
             if f := x * (w // ri):
                 p = [s - f * v for s, v in zip(p, row)]
         sols.append((det * r, xv, det * r * w, p))
-    return w, gram, sols
+    return sols
 
 
 def _minus_combination(d: DivClass, xs: Sequence[int], r: int,
@@ -250,14 +250,13 @@ def _zariski_loop(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
     pairings = _pair_numerators(d, *m._curve_vectors)
     support: list[int] = []  # indices into neg_curves
     for _ in range(len(m.neg_curves) + 1):
-        w, gram, ((r, xs, _, p_dot),) = _solve_support(m, support, [pairings])
+        ((r, xs, _, p_dot),) = _solve_support(m, support, [pairings])
         violating = [k for k, v in enumerate(p_dot) if v < 0 and k not in support]
         if not violating:
             curves = [m.neg_curves[k] for k in support]
             dec = ZariskiDecomp(
                 _minus_combination(d, xs, r, curves),
-                tuple((c.label, Fraction(x, r)) for c, x in zip(curves, xs)),
-                tuple(tuple(Fraction(g, w) for g in row) for row in gram))
+                tuple((c.label, Fraction(x, r)) for c, x in zip(curves, xs)))
             problems = dec.verify(m, d)
             if problems:
                 raise ConeDataError("; ".join(problems))
@@ -359,7 +358,7 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
         s_curves = [curves[k] for k in support]
         # a_i = x0[i] / r0 and b_i = x1[i] / r1; P_const . C_k = pc[k] / dc and
         # P_slope . C_k = ps[k] / ds
-        _, _, ((r0, x0, dc, pc), (r1, x1, ds, ps)) = _solve_support(m, support, pairings)
+        (r0, x0, dc, pc), (r1, x1, ds, ps) = _solve_support(m, support, pairings)
         # one line a + b t per curve: a positive multiple of P(t) . C off the
         # support and of the coefficient x(t) on it
         lines = [(p0 * ds, p1 * dc) for p0, p1 in zip(pc, ps)]

@@ -43,21 +43,23 @@ class Report:
     results: dict
     provenance: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    fmt: str = "table"  # "table" or "json", as --format
+    decimal: bool = False  # as --decimal
 
-    def payload(self, decimal: bool = False) -> dict:
+    def payload(self) -> dict:
         return {
             "command": list(self.command),
-            "inputs": normalize(self.inputs, decimal),
-            "results": normalize(self.results, decimal),
+            "inputs": normalize(self.inputs, self.decimal),
+            "results": normalize(self.results, self.decimal),
             "provenance": list(self.provenance),
             "notes": list(self.notes),
         }
 
-    def to_json(self, decimal: bool = False) -> str:
-        return json.dumps(self.payload(decimal), indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2) + "\n"
 
-    def to_table(self, decimal: bool = False) -> str:
-        payload = self.payload(decimal)
+    def to_table(self) -> str:
+        payload = self.payload()
         lines: list[str] = []
         lines.append("command: " + " ".join(payload["command"]))
         for section in ("inputs", "results"):
@@ -72,10 +74,8 @@ class Report:
             lines.append("note: " + note)
         return "\n".join(lines) + "\n"
 
-    def render(self, fmt: str, decimal: bool = False) -> str:
-        if fmt == "json":
-            return self.to_json(decimal)
-        return self.to_table(decimal)
+    def render(self) -> str:
+        return self.to_json() if self.fmt == "json" else self.to_table()
 
 
 def _is_uniform_table(rows) -> bool:

@@ -86,19 +86,21 @@ def test_unverified_nef_certificate_exits_3(monkeypatch, capsys, y, failure):
     assert err.rstrip().endswith(failure)
 
 
-def test_support_gram_that_is_not_the_model_s_exits_3(monkeypatch, capsys):
+def test_decomposition_that_fails_verify_exits_3(monkeypatch, capsys):
+    """A support kernel whose coefficients are each shifted by 1 gives
+    N = 2E1 + 2E2 and P = H - E1 - E2, which ``verify`` refuses."""
     from delpezzo import positivity
     solve = positivity._solve_support
 
-    def doubled(m, support, classes):  # still negative definite
-        w, gram, sols = solve(m, support, classes)
-        return w, tuple(tuple(2 * g for g in row) for row in gram), sols
+    def shifted(m, support, classes):
+        return [(s, [x + s for x in xs], t, p) for s, xs, t, p in solve(m, support, classes)]
 
-    monkeypatch.setattr(positivity, "_solve_support", doubled)
+    monkeypatch.setattr(positivity, "_solve_support", shifted)
     report, code = run(["zariski", "--surface", "dP7", "--div", "H + E1 + E2"])
     assert report is None and code == 3
     assert capsys.readouterr().err == (
-        "error: cannot certify: support Gram matrix is not the Gram of the negative part\n")
+        "error: cannot certify: P is negative against L12; P not orthogonal to E1; "
+        "P not orthogonal to E2\n")
 
 
 def test_lct_subcommand():
@@ -816,6 +818,38 @@ def test_zero_denominator_in_a_pair_name_is_a_usage_error(capsys):
     report, code = run(["catalog", "show", "P(1,1,2)+1/0Q"])
     assert report is None and code == 2
     assert "unknown surface 'P(1,1,2)+1/0Q'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, err", [
+    # catalog refusals print their text alone, not the repr of a KeyError
+    ("catalog show dP10", "unknown surface 'dP10'"),
+    ("intersect --surface P(1,1,4)+3/2Q --d1=H --d2=H",
+     "boundary coefficient 3/2 must lie in [0,1)"),
+    ("catalog show", "catalog show needs a surface name"),
+    ("wps-vol --weights 1,x,3", "expected comma-separated integers, got '1,x,3'"),
+    ("wps-vol --weights 1,2", "expected 3 comma-separated integers, got '1,2'"),
+    ("delta-flag --surface dP3 --flag nosuch",
+     "no built-in flag 'nosuch' on dP3; available: anticanonical-curve"),
+    ("nvol", "give exactly one of --sing or --monomial"),
+    ("nvol --sing A1 --monomial 1,1", "give exactly one of --sing or --monomial"),
+    ("nvol --monomial 1", "--monomial needs two weights w1,w2"),
+    ("local-global", "need --surface, or --vol with optional --sing"),
+    ("git-destab --poly x^3+y^3+z^3 --substitute 1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,0",
+     "coordinate change must be invertible"),
+])
+def test_usage_errors_exit_2_with_their_message(capsys, argv, err):
+    report, code = run(argv.split())
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_git_destab_applies_a_coordinate_change():
+    payload, code = _json_run(["git-destab", "--poly", "x^3+y^3+z^3",
+                               "--substitute", "1,0,0,1;0,1,0,0;0,0,1,0;0,0,0,1"])
+    assert code == 0
+    assert payload["results"] == {
+        "form": "x^3 + 3*x^2w + 3*xw^2 + y^3 + z^3 + w^3",
+        "verdict": "torus-semistable (barycenter inside the support hull)"}
 
 
 @pytest.mark.parametrize("blowup, problem", [

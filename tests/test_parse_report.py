@@ -217,8 +217,8 @@ def test_report_json_and_table_render_same_values():
 
 
 def test_report_decimal_mode_is_marked():
-    rep = Report(command=["x"], inputs={}, results={"value": F(1, 3)})
-    payload = json.loads(rep.to_json(decimal=True))
+    rep = Report(command=["x"], inputs={}, results={"value": F(1, 3)}, decimal=True)
+    payload = json.loads(rep.to_json())
     entry = payload["results"]["value"]
     assert entry["exact"] == "1/3"
     assert entry["approx_note"] == "non-authoritative"

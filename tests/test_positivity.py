@@ -1,4 +1,3 @@
-import dataclasses
 import fractions
 import json
 import sys
@@ -17,8 +16,7 @@ from delpezzo.catalog import builtin_names, catalog
 from delpezzo.cli import run
 from delpezzo.exactnum import Poly
 from delpezzo.lattice import DivClass, LabeledCurve, SurfaceModel, is_nef
-from delpezzo.linalg import is_negative_definite
-from delpezzo.positivity import (NotPseudoeffectiveError, pseff_certificate,
+from delpezzo.positivity import (NotPseudoeffectiveError, ZariskiDecomp, pseff_certificate,
                                  pseff_threshold, volume, volume_profile, zariski)
 from delpezzo.valuative import profile_for, resolve_divisor_spec
 
@@ -40,16 +38,14 @@ def test_zariski_dp7_line_example():
     assert volume(dp7, d) == 1
 
 
-def test_verify_refuses_a_gram_certificate_that_is_not_the_support_gram():
-    """A doubled support Gram is still negative definite, but it is not the
-    Gram of E1 and E2."""
+def test_verify_refuses_a_support_that_is_not_negative_definite():
+    """2H - 2E2 = (H - E2) + E1 + L12 with H - E2 nef and orthogonal to E1
+    and L12, but E1 and L12 meet: their Gram [[-1, 1], [1, -1]] is singular."""
     dp7 = catalog("dP7")
-    d = DivClass.of([1, 1, 1])
-    dec = zariski(dp7, d)
-    doubled = tuple(tuple(2 * g for g in row) for row in dec.gram_cert)
-    assert is_negative_definite(doubled)
-    assert dataclasses.replace(dec, gram_cert=doubled).verify(dp7, d) == [
-        "support Gram matrix is not the Gram of the negative part"]
+    dec = ZariskiDecomp(DivClass.of([1, 0, -1]), (("E1", F(1)), ("L12", F(1))))
+    assert dec.support_gram(dp7) == ((-1, 1), (1, -1))
+    assert dec.verify(dp7, DivClass.of([2, 0, -2])) == [
+        "support Gram matrix is not negative definite"]
 
 
 def test_refusal_whose_gram_has_a_zero_leading_minor():
@@ -162,8 +158,8 @@ def test_gram_cert_is_the_support_gram():
     for m, d in cases:
         dec = zariski(m, d)
         support = [m.curve(label) for label, _ in dec.negative]
-        assert dec.gram_cert == tuple(tuple(m.intersect(a, b) for b in support)
-                                      for a in support)
+        assert dec.support_gram(m) == tuple(tuple(m.intersect(a, b) for b in support)
+                                            for a in support)
         sizes.append(len(support))
     assert sizes == [0, 2, 3]
 
@@ -480,10 +476,10 @@ def _recorded_support_solves(monkeypatch) -> list:
 
 
 def test_support_solves_match_the_dense_oracle(monkeypatch):
-    """The Gram matrix, the coefficients and P . C for every catalogued
-    curve C of every support solve met by the dP3 and dP2 walks of -K - tE,
-    for E a curve or a sum of two curves, equal those built with the dense
-    pairing.  The walk solves for L = -K and for -E."""
+    """The coefficients and P . C for every catalogued curve C of every
+    support solve met by the dP3 and dP2 walks of -K - tE, for E a curve or
+    a sum of two curves, equal those built with the dense pairing.  The walk
+    solves for L = -K and for -E."""
     calls = _recorded_support_solves(monkeypatch)
     solved = []
     for name in ("dP3", "dP2"):
@@ -504,13 +500,11 @@ def test_support_solves_match_the_dense_oracle(monkeypatch):
             calls.clear()
     assert len({(m.name, tuple(m.neg_curves[k].label for k in support))
                 for m, _, support, _, _, _ in solved}) == 75
-    for m, table, support, dots, pairings, (w, int_gram, sols) in solved:
+    for m, table, support, dots, pairings, sols in solved:
         assert [[F(v, r) for v in n] for r, n in pairings] == dots
-        gram = tuple(tuple(F(g, w) for g in row) for row in int_gram)
         coeffs = [[F(x, r) for x in xs] for r, xs, _, _ in sols]
-        want = tuple(tuple(table[i][j] for j in support) for i in support)
-        assert gram == want
-        assert coeffs == [solve_oracle.solve(want, [dot[i] for i in support]) for dot in dots]
+        gram = tuple(tuple(table[i][j] for j in support) for i in support)
+        assert coeffs == [solve_oracle.solve(gram, [dot[i] for i in support]) for dot in dots]
         for dot, xs, (_, _, t, p_dot) in zip(dots, coeffs, sols):
             assert [F(v, t) for v in p_dot] == [
                 dot[k] - sum(x * table[i][k] for x, i in zip(xs, support))

@@ -1,18 +1,20 @@
-"""Every function, method, class and class field in ``src/delpezzo`` has a
-reader outside tests.
+"""Every function, method, class, class field and instance attribute in
+``src/delpezzo`` has a reader outside tests.
 
 A function, method or class counts as used when ``src/`` or ``perfbench/``
 refers to it anywhere but inside its own definition: as a loaded name or
 attribute, in an import (so an export from ``__init__.py`` counts), or as a
 dotted part of a string (the perfbench tracer names its targets that way).
-A method or an annotated class field (a dataclass field) counts as read only
-when an attribute load reads it (``res.farkas``) or a dotted string names
-it: a bare name or a one-word string is a local variable or a literal, not
-a member read.  A read through ``self`` counts only for the class whose body
-encloses it; other receivers are not resolved, so a member of one class is
-still kept by a read of the same name on another object.  Dunder methods
-are called by the language and are not checked.  The check reads syntax
-trees only: it imports and executes nothing.
+A method, an annotated class field (a dataclass field) or an instance
+attribute that a method assigns as ``self.<name> = ...`` (tuple targets
+included) counts as read only when an attribute load reads it
+(``res.farkas``) or a dotted string names it: a bare name or a one-word
+string is a local variable or a literal, not a member read.  A read
+through ``self`` counts only for the class whose body encloses it; other
+receivers are not resolved, so a member of one class is still kept by a
+read of the same name on another object.  Dunder methods are called by the
+language and are not checked.  The check reads syntax trees only: it
+imports and executes nothing.
 """
 
 import ast
@@ -28,11 +30,20 @@ ALLOWED = {
 }
 
 
+def _targets(nodes):
+    """The assignment targets in nodes, with tuple and list targets unpacked."""
+    for node in nodes:
+        if isinstance(node, (ast.Tuple, ast.List)):
+            yield from _targets(node.elts)
+        else:
+            yield node
+
+
 def _definitions_and_references():
-    """(defined, referenced): each function, method, class and annotated class
-    field of src/ as (name, path, first line, last line, owning class or None),
-    and each reference as (name, path, line, reads an attribute, class of the
-    ``self`` it is read through or None)."""
+    """(defined, referenced): each function, method, class, annotated class
+    field and instance attribute of src/ as (name, path, first line, last
+    line, owning class or None), and each reference as (name, path, line,
+    reads an attribute, class of the ``self`` it is read through or None)."""
     defined, referenced = [], []
 
     def visit(node, path, in_src, cls):
@@ -43,6 +54,11 @@ def _definitions_and_references():
             elif (in_src and owner and isinstance(child, ast.AnnAssign)
                   and isinstance(child.target, ast.Name)):
                 defined.append((child.target.id, path, child.lineno, child.end_lineno, owner))
+            elif in_src and cls and isinstance(child, ast.Assign):
+                defined.extend((t.attr, path, child.lineno, child.end_lineno, cls)
+                               for t in _targets(child.targets)
+                               if isinstance(t, ast.Attribute)
+                               and isinstance(t.value, ast.Name) and t.value.id == "self")
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
                 referenced.append((child.id, path, child.lineno, False, None))
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):

@@ -25,18 +25,18 @@ from solve_oracle import solve
 
 
 def _solve_support(m: SurfaceModel, support: Sequence[LabeledCurve],
-                   classes: Sequence[DivClass]) -> tuple[tuple, list[list[Rat]]]:
-    """The support's Gram matrix, certified negative definite by its
-    signature, and for each class d the coefficients x with
-    (d - sum x_i C_i) . C_j = 0 on the support."""
+                   classes: Sequence[DivClass]) -> list[list[Rat]]:
+    """For each class d the coefficients x with (d - sum x_i C_i) . C_j = 0
+    on the support, whose Gram matrix is first certified negative definite
+    by its signature."""
     if not support:
-        return (), [[] for _ in classes]
+        return [[] for _ in classes]
     gram = tuple(tuple(m.intersect(a.cls, b.cls) for b in support) for a in support)
     if not is_negative_definite(gram):
         raise ConeDataError(
             f"support {{{', '.join(c.label for c in support)}}} on {m.name} is not "
             "negative definite; cone data possibly incomplete")
-    return gram, [solve(gram, [m.intersect(d, c.cls) for c in support]) for d in classes]
+    return [solve(gram, [m.intersect(d, c.cls) for c in support]) for d in classes]
 
 
 def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
@@ -66,7 +66,7 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     chambers: list[Chamber] = []
 
     for _ in range(2 * len(m.neg_curves) + 6):
-        _, (c0, c1) = _solve_support(m, support, [L, -E])
+        c0, c1 = _solve_support(m, support, [L, -E])
         p_const, p_slope = L, -E
         for c, a, b in zip(support, c0, c1):
             p_const = p_const - c.cls.scale(a)

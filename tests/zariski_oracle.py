@@ -23,14 +23,14 @@ def zariski(m: SurfaceModel, d: DivClass) -> ZariskiDecomp:
         raise NotPseudoeffectiveError(m, d, cert, m.intersect(cert, d))
     support: list[LabeledCurve] = []
     for _ in range(len(m.neg_curves) + 1):
-        gram, (xs,) = _solve_support(m, support, [d])
+        (xs,) = _solve_support(m, support, [d])
         p = d
         for c, x in zip(support, xs):
             p = p - c.cls.scale(x)
         violating = [c for c in m.neg_curves
                      if m.intersect(p, c.cls) < 0 and c not in support]
         if not violating:
-            dec = ZariskiDecomp(p, tuple((c.label, x) for c, x in zip(support, xs)), gram)
+            dec = ZariskiDecomp(p, tuple((c.label, x) for c, x in zip(support, xs)))
             problems = dec.verify(m, d)
             if problems:
                 raise ConeDataError("; ".join(problems))

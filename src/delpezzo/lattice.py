@@ -29,14 +29,14 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from .exactnum import Rat, combination_str, over_one_denominator, rat, rat_str
-from .linalg import Matrix, symmetric_signature
+from .linalg import Matrix, bareiss, symmetric_signature
 from .localvol import QuotientSing, parse_sing
 
 
-# Number of (-1)-curves on a smooth del Pezzo surface of each degree K^2
-# (degree 8 is F1 with one, or P1xP1 with none).
-_DEL_PEZZO_LINES = {9: (0,), 8: (0, 1), 7: (3,), 6: (6,), 5: (10,), 4: (16,),
-                   3: (27,), 2: (56,), 1: (240,)}
+# Number of (-1)-curves on a smooth del Pezzo surface of each degree K^2.
+# In degree 8 the lattice's parity decides (None): F1's odd lattice has one
+# (-1)-class, and P1xP1's even lattice none.
+_DEL_PEZZO_LINES = {9: 0, 8: None, 7: 3, 6: 6, 5: 10, 4: 16, 3: 27, 2: 56, 1: 240}
 
 
 def _pair_numerators(d: DivClass, q: int, vectors: Sequence[Sequence[int]],
@@ -471,13 +471,22 @@ class SurfaceModel:
                         f"pair negatively ({rat_str(Fraction(v, den))})")
         if mk is not None:
             degree = self.intersect(mk, mk)
-            want = _DEL_PEZZO_LINES.get(degree)
-            if want is None:
+            q, g = self._int_gram
+            if degree not in _DEL_PEZZO_LINES:
                 problems.append(f"{self.name}: del Pezzo degree {degree} outside 1..9")
-            elif len(lines) not in want:
+            elif q != 1 or n != 10 - int(degree) or abs(bareiss(g, [])[1]) != 1:
                 problems.append(
-                    f"{self.name}: {len(lines)} (-1)-curves listed, a del Pezzo "
-                    f"surface of degree {degree} has {' or '.join(map(str, want))}")
+                    f"{self.name}: gram is not a unimodular integer matrix of rank "
+                    f"{10 - int(degree)}, as a del Pezzo surface of degree {degree} has")
+            else:
+                want, kind = _DEL_PEZZO_LINES[degree], ""
+                if want is None:  # an odd lattice has an odd square on its diagonal
+                    odd = any(row[i] % 2 for i, row in enumerate(g))
+                    want, kind = int(odd), f" with an {'odd' if odd else 'even'} lattice"
+                if len(lines) != want:
+                    problems.append(
+                        f"{self.name}: {len(lines)} (-1)-curves listed, a del Pezzo "
+                        f"surface of degree {degree}{kind} has {want}")
         for b in self.boundary:
             if not 0 <= b.coeff < 1:
                 problems.append(

@@ -29,8 +29,9 @@ support rows, and both loops read P . C from it: the Zariski loop builds
 P once, for the decomposition it returns, and the walk runs on integers
 throughout: one line a + b t per curve and chamber, one test of which
 lines turn negative just after t, for the support change at the start of
-a chamber and at its wall, and one loop for the nearest wall.  Fractions
-are built only for the values its Chamber records hold.
+a chamber and at its wall, and one loop for the nearest wall.  A Chamber
+keeps the kernel's integer solutions, and builds P(t) and N(t) from them
+only when a caller reads them: the S, beta and flag paths never do.
 
 Every per-curve sign test reads integers: the walk's nef test of L,
 ``ZariskiDecomp.verify`` and the check of a Farkas class W read the signs
@@ -64,11 +65,17 @@ class NotPseudoeffectiveError(ValueError):
     """
 
     def __init__(self, m: SurfaceModel, d: DivClass, certificate: DivClass, value: Rat):
+        super().__init__(m, d, certificate, value)  # its text is rendered when read
         self.certificate = certificate
         self.value = value
-        super().__init__(
-            f"{m.render(d)} is not pseudoeffective on {m.name}: "
-            f"nef class {m.render(certificate)} pairs to {rat_str(value)} < 0")
+
+    def __str__(self) -> str:
+        m, d, certificate, value = self.args
+        return (f"{m.render(d)} is not pseudoeffective on {m.name}: "
+                f"nef class {m.render(certificate)} pairs to {rat_str(value)} < 0")
+
+    def __repr__(self) -> str:  # the text, not the model's repr in args
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 class ConeDataError(RuntimeError):
@@ -276,17 +283,42 @@ def volume(m: SurfaceModel, d: DivClass) -> Rat:
     return m.intersect(p, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chamber:
-    """One linearity chamber of the walk: P(t) = p_const + t * p_slope."""
+    """One linearity chamber [lo, hi] of the walk: its volume piece, its
+    support curves C_i in entry order, the walk's L and E, and the kernel's
+    integer solutions, x_i(t) = x0[i] / r0 + t * x1[i] / r1 for the
+    coefficient of C_i in N(t).  P(t) = p_const + t * p_slope and N(t)
+    (``n_coeffs``) are built on first read.  Chambers compare by identity:
+    the integer solution is not canonical."""
 
     lo: Rat
     hi: Rat
-    support: tuple[str, ...]
-    p_const: DivClass
-    p_slope: DivClass
-    n_coeffs: tuple[tuple[str, Poly], ...]
     vol: Poly
+    curves: tuple[LabeledCurve, ...]
+    L: DivClass
+    E: DivClass
+    x0: tuple[int, ...]
+    r0: int
+    x1: tuple[int, ...]
+    r1: int
+
+    @property
+    def support(self) -> tuple[str, ...]:
+        return tuple(c.label for c in self.curves)
+
+    @cached_property
+    def p_const(self) -> DivClass:
+        return _minus_combination(self.L, self.x0, self.r0, self.curves)
+
+    @cached_property
+    def p_slope(self) -> DivClass:
+        return _minus_combination(-self.E, self.x1, self.r1, self.curves)
+
+    @cached_property
+    def n_coeffs(self) -> tuple[tuple[str, Poly], ...]:
+        return tuple((c.label, Poly([Fraction(a, self.r0), Fraction(b, self.r1)]))
+                     for c, a, b in zip(self.curves, self.x0, self.x1))
 
 
 @dataclass(frozen=True)
@@ -325,8 +357,8 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     whose lines are negative just after t across, both at the chamber's start
     and at its wall, and one loop over the falling lines finds the nearest
     wall.  As P(t) . C_i = 0 on the support, vol = P(t) . (L - tE), so a
-    chamber makes no ``intersect`` call.  Fractions are built only for the
-    Chamber record and the chosen wall.
+    chamber makes no ``intersect`` call.  Fractions are built only for a
+    chamber's bounds and volume piece and for the chosen wall.
     """
     curves = m.neg_curves
     if not curves:
@@ -345,7 +377,6 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
             f"E = {m.render(E)} is not effective on {m.name}: the nef class L = "
             f"{m.render(L)} pairs to {rat_str(le)} < 0 with it")
     ee = m.intersect(E, E)
-    neg_e = -E
 
     e_den, e_dot = _pair_numerators(E, *m._curve_vectors)  # E . C_k = e_dot[k] / e_den
     pairings = [(l_den, l_dot), (e_den, [-v for v in e_dot])]  # of L and -E
@@ -355,7 +386,6 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     chambers: list[Chamber] = []
 
     for _ in range(2 * len(curves) + 6):
-        s_curves = [curves[k] for k in support]
         # a_i = x0[i] / r0 and b_i = x1[i] / r1; P_const . C_k = pc[k] / dc and
         # P_slope . C_k = ps[k] / ds
         (r0, x0, dc, pc), (r1, x1, ds, ps) = _solve_support(m, support, pairings)
@@ -397,12 +427,8 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
                 f"volume vanished inside a chamber of {m.name} at "
                 f"t = {rat_str(t_end)}; cone data possibly incomplete")
         chambers.append(Chamber(
-            lo=t_cur, hi=t_end, support=tuple(c.label for c in s_curves),
-            p_const=_minus_combination(L, x0, r0, s_curves),
-            p_slope=_minus_combination(neg_e, x1, r1, s_curves),
-            n_coeffs=tuple((c.label, Poly([Fraction(a, r0), Fraction(b, r1)]))
-                           for c, a, b in zip(s_curves, x0, x1)),
-            vol=vol))
+            lo=t_cur, hi=t_end, vol=vol, curves=tuple([curves[k] for k in support]),
+            L=L, E=E, x0=tuple(x0), r0=r0, x1=tuple(x1), r1=r1))
         if final:
             try:  # the walk's pieces must join continuously
                 profile = PiecewisePoly([Fraction(0)] + [ch.hi for ch in chambers],

@@ -792,6 +792,22 @@ def test_catalog_model_that_repeats_a_generator_is_refused(tmp_path, capsys, edi
         assert capsys.readouterr().err == f"error: invalid --catalog model: {problems}\n"
 
 
+def test_degree_8_model_without_its_line_is_refused(tmp_path, capsys):
+    # F1 without E1 used to give volume 0 for H + E1 (the volume is 1) and
+    # beta 0 for f (the built-in gives -1/12), both with exit 0.
+    model = {**model_to_dict(catalog("dP8")), "name": "myF1"}
+    model["neg_curves"] = [c for c in model["neg_curves"] if c["label"] != "E1"]
+    path = tmp_path / "f1.json"
+    path.write_text(json.dumps(model))
+    for argv in (["zariski", "--surface", "myF1", "--div", "H + E1"],
+                 ["beta", "--surface", "myF1", "--divisor-spec", "f"]):
+        report, code = run(["--catalog", str(path)] + argv)
+        assert report is None and code == 2
+        assert capsys.readouterr().err == (
+            "error: invalid --catalog model: myF1: 0 (-1)-curves listed, a del Pezzo "
+            "surface of degree 8 with an odd lattice has 1\n")
+
+
 def test_discontinuous_profile_exits_3(monkeypatch, capsys):
     from delpezzo import positivity
     from delpezzo.exactnum import PiecewisePoly, Poly

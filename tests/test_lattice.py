@@ -374,6 +374,37 @@ def test_validate_matches_the_fraction_oracle_on_corrupt_models(corrupt, problem
     assert problems == validate_oracle.validate(m)
 
 
+def _dp8_without_e1(data):
+    data["neg_curves"] = [c for c in data["neg_curves"] if c["label"] != "E1"]
+
+
+def _p1xp1_with_a_half_ruling(data):
+    data["gram"] = [["0", "1/2"], ["1/2", "0"]]
+
+
+def _dp7_with_a_double_line(data):
+    data["gram"] = [["1", "0", "0"], ["0", "-2", "0"], ["0", "0", "-1"]]
+
+
+@pytest.mark.parametrize("name, corrupt, problem", [
+    ("dP8", _dp8_without_e1, "dP8: 0 (-1)-curves listed, a del Pezzo surface of "
+     "degree 8 with an odd lattice has 1"),
+    ("P1xP1", _p1xp1_with_a_half_ruling, "P1xP1: gram is not a unimodular integer "
+     "matrix of rank 6, as a del Pezzo surface of degree 4 has"),
+    ("dP7", _dp7_with_a_double_line, "dP7: gram is not a unimodular integer "
+     "matrix of rank 4, as a del Pezzo surface of degree 6 has"),
+], ids=["F1-without-its-line", "non-integer-gram", "wrong-rank-and-determinant"])
+def test_validate_checks_the_del_pezzo_lattice(name, corrupt, problem):
+    """A del Pezzo model needs a unimodular integer Gram of rank 10 - K^2; in
+    degree 8 its parity fixes the number of (-1)-curves (F1 odd, P1xP1 even)."""
+    data = model_to_dict(catalog(name))
+    corrupt(data)
+    m = model_from_dict(data)
+    problems = m.validate()
+    assert problem in problems
+    assert problems == validate_oracle.validate(m)
+
+
 def test_validate_builds_no_fraction_per_pairing():
     """dP1's 240 rows of up to 240 pairings are checked as integers: the
     Fractions that validate builds itself (-K and its square) do not grow

@@ -1,5 +1,6 @@
 import fractions
 import json
+import shlex
 import sys
 from fractions import Fraction as F
 
@@ -539,18 +540,28 @@ def test_support_solves_make_no_intersect_calls(monkeypatch):
     assert from_solves == []
 
 
+def _walk_record(prof):
+    """The profile, tau, L^2 and, for each chamber in order, lo, hi, support
+    (in order), p_const, p_slope, n_coeffs and vol.  A Chamber derives the
+    middle three from its integer solution, which is not canonical, on read."""
+    return (prof.profile, prof.tau, prof.L2,
+            [(ch.lo, ch.hi, ch.support, ch.p_const, ch.p_slope, ch.n_coeffs, ch.vol)
+             for ch in prof.chambers])
+
+
 def _walk_outcome(walk, m, L, E):
-    """The walk's VolumeProfile, or the type and text of its refusal."""
+    """The walk's ``_walk_record``, or the type and text of its refusal."""
     try:
-        return walk(m, L, E)
+        prof = walk(m, L, E)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         return type(exc), str(exc)
+    return _walk_record(prof)
 
 
 def _assert_walk_matches_the_oracle(m, spec, scale=1):
     """The integer walk and the Fraction walk of walk_oracle give equal
-    VolumeProfiles (chambers with their support order, p_const, p_slope and
-    n_coeffs, pieces, tau), or refuse with equal types and texts."""
+    records (chambers with their support order, p_const, p_slope, n_coeffs
+    and vol, pieces, tau), or refuse with equal types and texts."""
     rd = resolve_divisor_spec(m, spec)
     L = rd.L.scale(scale)
     got = _walk_outcome(volume_profile, rd.work, L, rd.E)
@@ -601,7 +612,7 @@ def test_walk_lets_a_support_curve_leave(monkeypatch):
     L, E = DivClass.of([2, 0, -1]), DivClass.of([2, 2, 1])
     want = walk_oracle.volume_profile(m, L, E)
     calls = _recorded_support_solves(monkeypatch)
-    assert volume_profile(m, L, E) == want
+    assert _walk_outcome(volume_profile, m, L, E) == _walk_record(want)
     assert [support for _, support, _, _ in calls] == [[], [1, 3], [1]]
     assert [ch.support for ch in want.chambers] == [("C1",)]
 
@@ -652,6 +663,90 @@ def test_walk_builds_fractions_for_its_records_only():
     assert [len(ch.support) for ch in prof.chambers] == [0, 1]
     assert pairings == []
     assert len(other) <= sum(6 * (m.rank + len(ch.support)) + 16 for ch in prof.chambers)
+
+
+def _builtin_beta_candidates():
+    return [(catalog(name), spec) for name in builtin_names()
+            for spec in catalog(name).beta_candidates
+            if not (spec == "exceptional:pt" and catalog(name).blowup is None)]
+
+
+def test_beta_and_flag_paths_never_build_p_or_n(monkeypatch):
+    """P(t) and N(t) are derived only when read: with ``_minus_combination``
+    refusing to run, beta on every built-in candidate, the flag verdicts and
+    ``delta-flag`` give their pinned values and outputs."""
+    from delpezzo.azflag import builtin_flags, semistable_via_flags
+    from delpezzo.valuative import beta_report
+    from test_golden_outputs import DATA, digest
+
+    def refuse(*args):
+        raise AssertionError("P(t) built on a path that does not read it")
+
+    reports = [beta_report(m, spec) for m, spec in _builtin_beta_candidates()]
+    monkeypatch.setattr(positivity, "_minus_combination", refuse)
+    assert [beta_report(m, spec) for m, spec in _builtin_beta_candidates()] == reports
+    verdicts = {}
+    for name in ("dP3", "dP8", "P(1,1,2)", "P(1,1,2)+1/2Q"):
+        rep = semistable_via_flags(catalog(name), builtin_flags(catalog(name)))
+        verdicts[name] = rep.verdict, rep.bounds, rep.destabilizer
+    assert verdicts == {
+        "dP3": (True, (("generic", 1),), None),
+        "dP8": (False, (), ("E1", F(-1, 6))),
+        "P(1,1,2)": (False, (), ("exceptional", F(-1, 3))),
+        "P(1,1,2)+1/2Q": (True, (("generic", 1), ("on-Q", 1), ("vertex", 1)), None),
+    }
+    pinned = json.loads(DATA.read_text(encoding="utf-8"))
+    argvs = [["delta-flag", "--surface", "dP3", "--flag", "anticanonical-curve"]]
+    argvs += [["beta", "--surface", m.name, f"--divisor-spec={spec}"]
+              for m, spec in _builtin_beta_candidates()]
+    for argv in argvs:
+        assert digest(argv) == pinned[shlex.join(argv)], argv
+
+
+def test_chamber_records_reassemble_l_minus_t_e():
+    """On every chamber of every built-in beta candidate, at lo and at hi:
+    L - tE = P(t) + sum n_i(t) C_i, and P(t) . C_i = 0 on the support."""
+    for m, spec in _builtin_beta_candidates():
+        rd = resolve_divisor_spec(m, spec)
+        w = rd.work
+        for ch in volume_profile(w, rd.L, rd.E).chambers:
+            for t in (ch.lo, ch.hi):
+                p = ch.p_const + ch.p_slope.scale(t)
+                total = p
+                for label, n in ch.n_coeffs:
+                    total = total + w.curve(label).scale(n(t))
+                assert total == rd.L - rd.E.scale(t), (m.name, spec, t)
+                assert [w.intersect(p, w.curve(label)) for label in ch.support] \
+                    == [0] * len(ch.support), (m.name, spec, t)
+
+
+def test_chamber_derives_its_records_once_and_on_read():
+    prof = profile_for(catalog("dP7"), "Ltilde")
+    ch = prof.chambers[1]
+    assert not {"p_const", "p_slope", "n_coeffs"} & set(vars(ch))
+    assert ch.p_const is ch.p_const
+    assert ch.p_slope is ch.p_slope and ch.n_coeffs is ch.n_coeffs
+    assert ch.support == ("E1", "E2")
+
+
+def test_not_pseudoeffective_text_is_rendered_when_read(monkeypatch):
+    m = catalog("F1")
+    rendered = []
+    render = SurfaceModel.render
+
+    def counted(self, d):
+        rendered.append(d)
+        return render(self, d)
+
+    monkeypatch.setattr(SurfaceModel, "render", counted)
+    with pytest.raises(NotPseudoeffectiveError) as err:
+        zariski(m, DivClass.of([3, F(-7, 2)]))
+    assert rendered == []
+    assert (err.value.certificate, err.value.value) == (DivClass.of([1, -1]), F(-1, 2))
+    text = "3*H - 7/2*E1 is not pseudoeffective on dP8: nef class H - E1 pairs to -1/2 < 0"
+    assert str(err.value) == text
+    assert len(rendered) == 2
+    assert repr(err.value) == f"NotPseudoeffectiveError({text!r})"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,8 @@
 These are the forms that ``SurfaceModel`` used before its curve vectors
 and validation rows went to integers: G.C summed entry by entry as
 Fractions and then cleared to one denominator, and a ``validate`` whose
-generator loop reads each row of pairings as Fractions.
+generator loop reads each row of pairings as Fractions and whose del Pezzo
+Gram determinant comes from Fraction elimination.
 """
 
 from __future__ import annotations
@@ -24,6 +25,24 @@ def curve_vectors(m) -> tuple[int, tuple[tuple[int, ...], ...]]:
     q, flat = over_one_denominator([x for row in gc for x in row])
     n = len(m.neg_curves)
     return q, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(len(gc)))
+
+
+def determinant(a) -> Fraction:
+    """det(a) by Gaussian elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        piv = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for r in range(k + 1, len(rows)):
+            f = rows[r][k] / rows[k][k]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[k])]
+    return det
 
 
 def validate(m) -> list[str]:
@@ -76,13 +95,23 @@ def validate(m) -> list[str]:
                     f"pair negatively ({rat_str(v)})")
     if mk is not None:
         degree = m.intersect(mk, mk)
-        want = _DEL_PEZZO_LINES.get(degree)
-        if want is None:
+        if degree not in _DEL_PEZZO_LINES:
             problems.append(f"{m.name}: del Pezzo degree {degree} outside 1..9")
-        elif len(lines) not in want:
+        elif (any(x.denominator != 1 for row in m.gram for x in row) or n != 10 - degree
+              or abs(determinant(m.gram)) != 1):
             problems.append(
-                f"{m.name}: {len(lines)} (-1)-curves listed, a del Pezzo "
-                f"surface of degree {degree} has {' or '.join(map(str, want))}")
+                f"{m.name}: gram is not a unimodular integer matrix of rank "
+                f"{10 - degree}, as a del Pezzo surface of degree {degree} has")
+        else:
+            want, kind = _DEL_PEZZO_LINES[degree], ""
+            if degree == 8:
+                odd = any(m.gram[i][i] % 2 for i in range(n))
+                want = 1 if odd else 0
+                kind = " with an odd lattice" if odd else " with an even lattice"
+            if len(lines) != want:
+                problems.append(
+                    f"{m.name}: {len(lines)} (-1)-curves listed, a del Pezzo "
+                    f"surface of degree {degree}{kind} has {want}")
     for b in m.boundary:
         if not 0 <= b.coeff < 1:
             problems.append(

@@ -4,24 +4,39 @@ This is the walk that ``delpezzo.positivity.volume_profile`` ran before it
 moved to integers: P_const and P_slope rebuilt as Fraction classes in each
 chamber, every curve paired and tested in Fractions, and the support
 solved by Fraction elimination with a signature certificate.  It returns
-the same ``VolumeProfile`` records and raises the same errors with the same
-texts, so a comparison checks the whole walk: chambers, support order,
-pieces, tau and the chamber classes.  At the start of a chamber it lets
-curves enter first, solves again and only then lets support curves leave,
-where the integer walk moves both at once, so a comparison also checks
-that the two rules agree.
+a ``VolumeProfile`` whose chambers are its own ``ChamberRecord``s, with
+P(t) and N(t) built in the walk, and raises the same errors with the same
+texts, so a comparison of every chamber's derived records checks the
+whole walk: chambers, support order, pieces, tau and the chamber classes.
+At the start of a chamber it lets curves enter first, solves again and
+only then lets support curves leave, where the integer walk moves both at
+once, so a comparison also checks that the two rules agree.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from delpezzo.exactnum import Poly, PiecewisePoly, Rat, rat_str, rational_roots
 from delpezzo.lattice import DivClass, LabeledCurve, SurfaceModel, is_nef
 from delpezzo.linalg import is_negative_definite
-from delpezzo.positivity import Chamber, ConeDataError, VolumeProfile
+from delpezzo.positivity import ConeDataError, VolumeProfile
 from solve_oracle import solve
+
+
+@dataclass(frozen=True)
+class ChamberRecord:
+    """A chamber with the values ``positivity.Chamber`` derives on read."""
+
+    lo: Rat
+    hi: Rat
+    support: tuple[str, ...]
+    p_const: DivClass
+    p_slope: DivClass
+    n_coeffs: tuple[tuple[str, Poly], ...]
+    vol: Poly
 
 
 def _solve_support(m: SurfaceModel, support: Sequence[LabeledCurve],
@@ -63,7 +78,7 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
     t_cur = Fraction(0)
     breakpoints: list[Rat] = [t_cur]
     pieces: list[Poly] = []
-    chambers: list[Chamber] = []
+    chambers: list[ChamberRecord] = []
 
     for _ in range(2 * len(m.neg_curves) + 6):
         c0, c1 = _solve_support(m, support, [L, -E])
@@ -129,7 +144,7 @@ def volume_profile(m: SurfaceModel, L: DivClass, E: DivClass) -> VolumeProfile:
                 f"t = {rat_str(t_end)}; cone data possibly incomplete")
         breakpoints.append(t_end)
         pieces.append(vol)
-        chambers.append(Chamber(
+        chambers.append(ChamberRecord(
             lo=t_cur, hi=t_end, support=tuple(c.label for c in support),
             p_const=p_const, p_slope=p_slope,
             n_coeffs=tuple((c.label, n) for c, n in zip(support, n_polys)),

@@ -2,7 +2,7 @@
 
 from .exactnum import DomainError, PiecewisePoly, Poly, Rat, rat, rat_str
 from .lattice import DivClass, SurfaceModel, enumerate_neg_curves, is_nef, load_models
-from .catalog import catalog, catalog_names
+from .catalog import catalog_names, get_model
 from .positivity import (ConeDataError, NotPseudoeffectiveError, VolumeProfile,
                          ZariskiDecomp, pseff_threshold, volume, volume_profile,
                          zariski)

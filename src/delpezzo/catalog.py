@@ -1,5 +1,6 @@
-"""Built-in surface catalog: construction, lookup by name, the list of names
-and the checks of a model's links against the models they name.
+"""Built-in surface catalog: construction, lookup by name (``get_model``,
+the lookup's only name), the list of names and the checks of a model's
+links against the models they name.
 
 Canonical names are degree-based: "dP9" (= "P2") down to "dP1" for the
 blow-ups of the plane at general points, "P1xP1", weighted planes
@@ -184,7 +185,8 @@ def _wps_model(a: int, b: int, c: int) -> SurfaceModel:
         basis_labels=("O1",),
         gram=((Fraction(1, a * b * c),),),
         canonical=DivClass.of([-(a + b + c)]),
-        neg_curves=(LabeledCurve("O1", DivClass.of([1])),),
+        # the coordinate curve of least weight w spans the cone, in class O(w)
+        neg_curves=(LabeledCurve(f"O{weights[0]}", DivClass.of([weights[0]])),),
         sings=sings,
         point_classes=("generic",) + tuple(s.location for s in sings),
     )
@@ -283,9 +285,6 @@ def get_model(name: str, extra: Mapping[str, SurfaceModel] | None = None) -> Sur
     if model is None:
         raise UnknownSurfaceError(f"unknown surface {name!r}")
     return model
-
-
-catalog = get_model  # the name the package and the engine look models up by
 
 
 def validate_links(m: SurfaceModel) -> list[str]:

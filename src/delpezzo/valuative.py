@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .catalog import catalog
+from .catalog import get_model
 from .exactnum import Rat, over_one_denominator, rat, rat_str
 from .lattice import (MAX_GRAPH_VERTICES, DivClass, GraphVertex, ModelLink, ResolutionGraph,
                       StrictTransform, SurfaceModel)
@@ -286,7 +286,7 @@ def _link_log_discrepancy(m: SurfaceModel, link: ModelLink) -> Rat:
 
 
 def _linked(m: SurfaceModel, link: ModelLink, kind: str) -> ResolvedDivisor:
-    return ResolvedDivisor(m, catalog(link.target), link.pull(m.polarization()),
+    return ResolvedDivisor(m, get_model(link.target), link.pull(m.polarization()),
                            link.exceptional, link.exceptional_label,
                            _link_log_discrepancy(m, link), kind)
 
@@ -314,6 +314,9 @@ def resolve_divisor_spec(m: SurfaceModel, spec: "str | DivClass") -> ResolvedDiv
     if name in ("exceptional", "e") and m.resolution is not None:
         return _linked(m, m.resolution, "resolution")
     cls = m.named(name)
+    if name in m.basis_labels and name not in m.named_divisors and all(
+            x.label != name for x in (*m.neg_curves, *m.boundary)):
+        return _raw(m, cls)  # a basis class need not be a prime divisor
     if cls is None:
         if name == "exceptional":
             raise DivisorSpecError(f"{m.name} has no catalogued resolution")
@@ -394,30 +397,22 @@ def p114_pair_report(d: int) -> dict:
     """Worked boundary-pair study on P(1,1,4) with curves in |O(4d)|.
 
     Part (a): for a boundary curve through the singular point with the
-    minimal multiplicity 4 there, beta at the exceptional divisor of the
-    weighted blow-up is computed by exact integration for sample values
-    of the coefficient c and interpolated (it is linear in c).  Part (b):
-    if the curve misses the singular point, the volume bound at the
-    1/4(1,1) point caps the log-Fano range.  All values are produced by
-    this package's own integration and flagged self-certified.
+    minimal multiplicity 4 there, beta at the exceptional divisor e of the
+    weighted blow-up.  On F4, -K - cD pulls back to (6 - 4cd) L1, with
+    L1 = e/4 + f the pullback of O(1), and S is homogeneous of degree 1 in
+    L, so beta(e)(c) = 1/2 - c - (6 - 4cd) S1 with S1 = S(e) for L1: one
+    exact integration gives the constant 1/2 - 6 S1 and the slope
+    4d S1 - 1.  Part (b): if the curve misses the singular point, the
+    volume bound at the 1/4(1,1) point caps the log-Fano range.  All
+    values are produced by this package's own integration and flagged
+    self-certified.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-
-    work = catalog("F4~P(1,1,4)")
-
-    def beta_at(c: Rat) -> Rat:
-        s = Fraction(6) - 4 * c * d  # degree of -K - cD in O(1) units
-        if s <= 0:
-            raise ValueError("pair is not log Fano for this c")
-        L = DivClass((s / 4, s))  # pullback of O(s)
-        S = volume_profile(work, L, work.curve("e")).S
-        A = Fraction(1, 2) - c  # log discrepancy 2/4, minus c * ord_e(pullback of D)
-        return A - S
-
-    c1, c2 = Fraction(0), Fraction(3, 8 * d)
-    b1, b2 = beta_at(c1), beta_at(c2)
-    slope = (b2 - b1) / (c2 - c1)
+    work = get_model("F4~P(1,1,4)")
+    s1 = volume_profile(work, DivClass((Fraction(1, 4), Fraction(1))), work.curve("e")).S
+    # A = 1/2 - c: log discrepancy 2/4, minus c * ord_e(pullback of D)
+    b1, slope = Fraction(1, 2) - 6 * s1, 4 * d * s1 - 1
     log_fano_sup = Fraction(3, 2 * d)
     beta_zero = -b1 / slope if slope != 0 else None
     if slope < 0:

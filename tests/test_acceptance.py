@@ -10,7 +10,7 @@ import random
 from fractions import Fraction as F
 
 from delpezzo import azflag, gitcubic, localvol, positivity, valuative
-from delpezzo.catalog import catalog
+from delpezzo.catalog import get_model
 from delpezzo.cli import run
 from delpezzo.exactnum import Poly
 from delpezzo.lattice import enumerate_neg_curves
@@ -24,13 +24,13 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_beta_of_plane_exceptional():
-    rep = beta_report(catalog("P2"), "exceptional:pt")
+    rep = beta_report(get_model("P2"), "exceptional:pt")
     ok = (rep["A"], rep["S"], rep["beta"]) == (F(2), F(2), F(0))
     _report(1, ok, f"beta_P2(exceptional): A={rep['A']} S={rep['S']} beta={rep['beta']}")
 
 
 def test_criterion_02_plane_volume_profile():
-    prof = profile_for(catalog("P2"), "exceptional:pt")
+    prof = profile_for(get_model("P2"), "exceptional:pt")
     ok = (prof.profile.breakpoints == (0, 3)
           and prof.profile.pieces == (Poly([9, 0, -1]),)
           and prof.tau == 3)
@@ -38,7 +38,7 @@ def test_criterion_02_plane_volume_profile():
 
 
 def test_criterion_03_cubic_surface_flag():
-    m = catalog("dP3")
+    m = get_model("dP3")
     (flag, _), = azflag.builtin_flags(m)
     s_wp = azflag.restricted_S(flag, "generic")
     bound = azflag.delta_p_lower_bound(flag, "generic")
@@ -49,7 +49,7 @@ def test_criterion_03_cubic_surface_flag():
 
 
 def test_criterion_04_quadric_cone_pair_flags():
-    m = catalog("P(1,1,2)+1/2Q")
+    m = get_model("P(1,1,2)+1/2Q")
     flags = azflag.builtin_flags(m)
     ruling, exc = flags[0][0], flags[1][0]
     vals = (ruling.inv.S, azflag.restricted_S(ruling, "generic"),
@@ -66,7 +66,7 @@ def test_criterion_05_quadric_cone_pair_betas():
     ok = True
     seen = []
     for c in (F(0), F(1, 4), F(1, 2), F(3, 4)):
-        m = catalog(f"P(1,1,2)+{c}Q")
+        m = get_model(f"P(1,1,2)+{c}Q")
         be = valuative.invariants(m, "exceptional").beta
         bq = valuative.invariants(m, "Q").beta
         ok = ok and be == (2 * c - 1) / 3 and bq == (1 - 2 * c) / 3
@@ -76,9 +76,9 @@ def test_criterion_05_quadric_cone_pair_betas():
 
 
 def test_criterion_06_destabilizers():
-    b_f1 = valuative.invariants(catalog("F1"), "E1").beta
-    b_dp7 = valuative.invariants(catalog("dP7"), "Ltilde").beta
-    prof = profile_for(catalog("dP7"), "Ltilde")
+    b_f1 = valuative.invariants(get_model("F1"), "E1").beta
+    b_dp7 = valuative.invariants(get_model("dP7"), "Ltilde").beta
+    prof = profile_for(get_model("dP7"), "Ltilde")
     ok = (b_f1 == F(-1, 6) and b_dp7 == F(-4, 21)
           and prof.profile.breakpoints == (0, 1, 3))
     breaks = [str(b) for b in prof.profile.breakpoints]
@@ -188,7 +188,7 @@ def test_criterion_13_property_suites():
     for name in ("P2", "P1xP1", "dP8", "dP7", "dP6", "dP5", "dP4", "dP3", "dP2",
                  "P(1,1,2)", "P(1,1,3)", "P(1,1,4)", "P(1,1,5)", "P(1,1,6)",
                  "P(1,1,2)+1/2Q"):
-        m = catalog(name)
+        m = get_model(name)
         pairs.extend((m, spec) for spec in m.beta_candidates)
     for m, spec in pairs:
         rd = resolve_divisor_spec(m, spec)
@@ -208,7 +208,7 @@ def test_criterion_13_property_suites():
     notes.append(f"{len(pairs)} catalogued (L,E) certificates and identities")
     # smooth-point lower bound
     for name in ("P2", "P1xP1", "dP8", "dP7", "dP6", "dP5", "dP4", "dP3", "dP2"):
-        m = catalog(name)
+        m = get_model(name)
         prof = profile_for(m, "exceptional:pt")
         l2 = m.intersect(m.polarization(), m.polarization())
         pts = list(prof.profile.breakpoints)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delpezzo import valuative
-from delpezzo.catalog import catalog
+from delpezzo.catalog import get_model
 from delpezzo.cli import main, run
 from delpezzo.lattice import MAX_GRAPH_VERTICES, model_to_dict
 
@@ -74,7 +74,7 @@ def test_unverified_nef_certificate_exits_3(monkeypatch, capsys, y, failure):
     from delpezzo import lp, positivity
     bogus = lp.LPFeasibility(False, tuple(map(F, y)))
     monkeypatch.setattr(positivity.lp, "eq_feasibility", lambda a, b: bogus)
-    m = catalog("dP7")
+    m = get_model("dP7")
     with pytest.raises(positivity.ConeDataError):
         positivity.pseff_certificate(m, m.minus_k())
     # the LP runs only where the loop does not decide: a class that is not
@@ -315,11 +315,11 @@ def test_catalog_list_and_show_round_trip():
     payload, _ = _json_run(["catalog", "list"])
     assert "dP7" in payload["results"]["surfaces"]
     payload, _ = _json_run(["catalog", "show", "dP7"])
-    assert payload["results"] == model_to_dict(catalog("dP7"))
+    assert payload["results"] == model_to_dict(get_model("dP7"))
 
 
 def test_external_catalog_override(tmp_path):
-    model = model_to_dict(catalog("dP7"))
+    model = model_to_dict(get_model("dP7"))
     model["name"] = "myquadric"
     path = tmp_path / "models.json"
     path.write_text(json.dumps({"models": [model]}))
@@ -352,10 +352,10 @@ def test_reproduce_sections_only_contain_requested_rows():
 
 
 def test_incomplete_catalog_model_is_refused(tmp_path):
-    model = model_to_dict(catalog("dP7"))
+    model = model_to_dict(get_model("dP7"))
     model["name"] = "dP7-no-E2"
     model["neg_curves"] = [c for c in model["neg_curves"] if c["label"] != "E2"]
-    asym = {**model_to_dict(catalog("dP7")), "name": "dP7-asym",
+    asym = {**model_to_dict(get_model("dP7")), "name": "dP7-asym",
             "gram": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "-1"]]}
     path = tmp_path / "incomplete.json"
     path.write_text(json.dumps({"models": [model, asym]}))
@@ -368,7 +368,7 @@ def test_incomplete_catalog_model_is_refused(tmp_path):
 
 
 def test_reproduce_with_corrupted_catalog_fails_signature_row(tmp_path):
-    model = model_to_dict(catalog("dP7"))
+    model = model_to_dict(get_model("dP7"))
     model["gram"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"models": [model]}))
@@ -401,7 +401,7 @@ def test_flag_file_loading(tmp_path):
 
 
 def _missing_model_field(tmp_path):
-    model = {**model_to_dict(catalog("dP7")), "name": "dP7-no-gram"}
+    model = {**model_to_dict(get_model("dP7")), "name": "dP7-no-gram"}
     del model["gram"]
     path = tmp_path / "models.json"
     path.write_text(json.dumps({"models": [model]}))
@@ -459,7 +459,7 @@ def _wrong_typed_graph_edge(tmp_path):
 
 
 def _wrong_typed_gram_entry(tmp_path):
-    model = {**model_to_dict(catalog("dP7")), "name": "dP7-bad-gram", "gram": [[{}]]}
+    model = {**model_to_dict(get_model("dP7")), "name": "dP7-bad-gram", "gram": [[{}]]}
     path = tmp_path / "models.json"
     path.write_text(json.dumps({"models": [model]}))
     return (["--catalog", str(path), "catalog", "list"],
@@ -467,7 +467,7 @@ def _wrong_typed_gram_entry(tmp_path):
 
 
 def _model_file(tmp_path, edit):
-    model = {**model_to_dict(catalog("dP7")), "name": "dP7x"}
+    model = {**model_to_dict(get_model("dP7")), "name": "dP7x"}
     edit(model)
     path = tmp_path / "models.json"
     path.write_text(json.dumps({"models": [model]}))
@@ -581,7 +581,7 @@ def test_engine_fault_while_a_model_loads_is_an_internal_error(tmp_path, capsys,
 
     monkeypatch.setattr(lattice, "parse_sing", broken)
     path = tmp_path / "models.json"
-    path.write_text(json.dumps(model_to_dict(catalog("P(1,1,2)"))))
+    path.write_text(json.dumps(model_to_dict(get_model("P(1,1,2)"))))
     report, code = run(["--catalog", str(path), "catalog", "list"])
     assert report is None and code == 4
     assert capsys.readouterr().err == "internal error: TypeError: broken parse_sing\n"
@@ -621,7 +621,7 @@ def _with_leaf(doc, path, value):
     return doc
 
 
-_FUZZ_MODEL = {**model_to_dict(catalog("dP7")), "name": "dP7x"}
+_FUZZ_MODEL = {**model_to_dict(get_model("dP7")), "name": "dP7x"}
 _FUZZ_FLAG = {"name": "u", "divisor_spec": "anticanonical-curve",
               "points": [{"label": "generic", "diff_coeff": "1/2", "under_n": False,
                           "deg_corrections": [[0, 0]]}],
@@ -782,7 +782,7 @@ def _relabel_l12_as_e1(model):
 def test_catalog_model_that_repeats_a_generator_is_refused(tmp_path, capsys, edit, argvs,
                                                            problems):
     # Each command used to exit 3, "cannot certify", on the repeated generator.
-    model = {**model_to_dict(catalog("dP7")), "name": "dP7dup"}
+    model = {**model_to_dict(get_model("dP7")), "name": "dP7dup"}
     edit(model)
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(model))
@@ -795,7 +795,7 @@ def test_catalog_model_that_repeats_a_generator_is_refused(tmp_path, capsys, edi
 def test_degree_8_model_without_its_line_is_refused(tmp_path, capsys):
     # F1 without E1 used to give volume 0 for H + E1 (the volume is 1) and
     # beta 0 for f (the built-in gives -1/12), both with exit 0.
-    model = {**model_to_dict(catalog("dP8")), "name": "myF1"}
+    model = {**model_to_dict(get_model("dP8")), "name": "myF1"}
     model["neg_curves"] = [c for c in model["neg_curves"] if c["label"] != "E1"]
     path = tmp_path / "f1.json"
     path.write_text(json.dumps(model))
@@ -806,6 +806,34 @@ def test_degree_8_model_without_its_line_is_refused(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "error: invalid --catalog model: myF1: 0 (-1)-curves listed, a del Pezzo "
             "surface of degree 8 with an odd lattice has 1\n")
+
+
+@pytest.mark.parametrize("degree", range(9, 0, -1))
+def test_del_pezzo_catalog_model_without_its_first_line_is_refused(tmp_path, capsys, degree):
+    model = {**model_to_dict(get_model(f"dP{degree}")), "name": "mydP"}
+    del model["neg_curves"][0]  # dP9's line, E1 otherwise
+    path = tmp_path / "dp.json"
+    path.write_text(json.dumps(model))
+    report, code = run(["--catalog", str(path), "catalog", "show", "mydP"])
+    assert report is None and code == 2
+    assert capsys.readouterr().err.startswith("error: invalid --catalog model: mydP: ")
+
+
+def test_a_basis_label_that_is_not_a_curve_is_a_raw_class():
+    # O(1) on P(2,3,5) has no effective member: its beta is no certificate.
+    # The cone generator is the coordinate curve {x = 0} of class O(2).
+    payload, _ = _json_run(["beta", "--surface", "P(2,3,5)",
+                            "--divisor-spec", "O1", "--divisor-spec", "O2"])
+    rows = payload["results"]["divisors"]
+    assert [(r["divisor"], r["kind"], r["beta"]) for r in rows] == \
+        [("O1", "raw", "-7/3"), ("O2", "on-surface", "-2/3")]
+    assert payload["results"]["first_destabilizer"] == {"divisor_spec": "O2", "beta": "-2/3"}
+    assert payload["notes"] == ["'O1' is a raw class, not known to be a prime divisor: its A "
+                                "is taken as 1, so its beta is reported but certifies nothing"]
+    payload, code = _json_run(["beta", "--surface", "P(2,3,5)", "--divisor-spec", "O1"])
+    assert "first_destabilizer" not in payload["results"] and code == 0
+    payload, _ = _json_run(["beta", "--surface", "dP7", "--divisor-spec", "H"])
+    assert payload["results"]["divisors"][0]["kind"] == "raw"
 
 
 def test_discontinuous_profile_exits_3(monkeypatch, capsys):
@@ -878,10 +906,10 @@ def test_git_destab_applies_a_coordinate_change():
 def test_catalog_links_are_checked_against_their_targets(tmp_path, capsys, blowup, problem):
     # Each edit used to give a certified beta, a traceback or a mid-command
     # refusal; the model is now refused up front.
-    plane = model_to_dict(catalog("dP9"))
+    plane = model_to_dict(get_model("dP9"))
     plane["name"] = "myP2"
     plane["blowup"].update(blowup)
-    f1 = {**model_to_dict(catalog("dP8")), "name": "myF1"}
+    f1 = {**model_to_dict(get_model("dP8")), "name": "myF1"}
     path = tmp_path / "links.json"
     path.write_text(json.dumps({"models": [plane, f1]}))
     flags = ["--catalog", str(path)]
@@ -898,7 +926,7 @@ def test_catalog_links_are_checked_against_their_targets(tmp_path, capsys, blowu
 
 def test_pair_over_a_catalog_base_has_its_links_checked(tmp_path, capsys):
     # The pair inherits the broken pullback; it used to certify beta = -1.
-    cone = model_to_dict(catalog("P(1,1,2)"))
+    cone = model_to_dict(get_model("P(1,1,2)"))
     cone["name"] = "myP112"
     cone["resolution"]["pullback"] = [["1"], ["2"]]
     path = tmp_path / "cone.json"
@@ -932,7 +960,7 @@ def test_unusable_keyword_spec_reports_its_cause(capsys, cmd):
 
 def test_dp1_semistability_is_decided_by_flag_coverage(capsys):
     """dP1 has no point to blow up, so it lists no beta candidate."""
-    assert catalog("dP1").beta_candidates == ()
+    assert get_model("dP1").beta_candidates == ()
     report, code = run(["semistable", "--surface", "dP1"])
     assert report is None and code == 2
     assert capsys.readouterr().err == (

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 import print_oracle
-from delpezzo.catalog import builtin_names, catalog
+from delpezzo.catalog import builtin_names, get_model
 from delpezzo.exactnum import (DomainError, PiecewisePoly, Poly, rat, rat_str,
                                rational_roots)
 from delpezzo.gitcubic import CubicForm
@@ -178,7 +178,7 @@ def test_printer_examples():
     assert Poly([0, -1]).format() == "-t"
     assert Poly([-2, 1, F(-3, 4)]).format() == "-3/4*t^2 + t - 2"
     assert Poly([0, 0]).format() == "0"
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     assert dp7.render(DivClass.of([0, 0, 0])) == "0"
     assert dp7.render(DivClass.of([-1, F(1, 2), 1])) == "-H + 1/2*E1 + E2"
     cubic = CubicForm.from_terms({(0, 1, 1, 1): -1, (3, 0, 0, 0): F(2, 3), (0, 0, 0, 3): 1})
@@ -193,7 +193,7 @@ def test_poly_format_matches_the_reference_printer(coeffs):
 
 @given(st.sampled_from(builtin_names()), st.data())
 def test_render_matches_the_reference_printer(name, data):
-    m = catalog(name)
+    m = get_model(name)
     coeffs = data.draw(st.lists(_PRINTED, min_size=m.rank, max_size=m.rank))
     assert m.render(DivClass(tuple(coeffs))) == print_oracle.render(coeffs, m.basis_labels)
 

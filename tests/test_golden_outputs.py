@@ -27,7 +27,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from delpezzo.azflag import builtin_flags
-from delpezzo.catalog import catalog, catalog_names
+from delpezzo.catalog import catalog_names, get_model
 from delpezzo.cli import main
 from test_cli import _readme_commands
 
@@ -58,7 +58,7 @@ def commands() -> list[list[str]]:
     names = catalog_names()
     out += [["catalog", "show", name, "--format", "json"] for name in names]
     for name in names:
-        for spec in catalog(name).beta_candidates:
+        for spec in get_model(name).beta_candidates:
             out.append(["volfn", "--surface", name, f"--divisor-spec={spec}",
                         "--format", "json"])
             out.append(["beta", "--surface", name, f"--divisor-spec={spec}"])
@@ -69,7 +69,7 @@ def commands() -> list[list[str]]:
                 out.append(["zariski", "--surface", surface, f"--div={div}"])
     for name in names + list(FLAG_SURFACES):
         out.append(["semistable", "--surface", name])
-        for flag, _ in builtin_flags(catalog(name)):
+        for flag, _ in builtin_flags(get_model(name)):
             for point in flag.points:
                 out.append(["delta-flag", "--surface", name, "--flag", flag.name,
                             "--point", point.label])

@@ -1,7 +1,6 @@
 import dataclasses
 import fractions
 import hashlib
-import importlib
 import json
 import os
 import subprocess
@@ -15,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 import intersect_oracle
 import neg_curves_oracle
 import validate_oracle
-from delpezzo.catalog import (UnknownSurfaceError, builtin_names, canonical_name, catalog,
-                              catalog_names, validate_links)
+import delpezzo.catalog as cat
+from delpezzo.catalog import (UnknownSurfaceError, builtin_names, canonical_name,
+                              catalog_names, get_model, validate_links)
 from delpezzo.lattice import (DivClass, ModelInvariantError, SurfaceModel, _pair_numerators,
                               enumerate_neg_curves, is_nef, load_models, model_from_dict,
                               model_to_dict)
@@ -32,10 +32,15 @@ def test_neg_curve_counts():
 
 
 def test_neg_curves_stable_under_larger_bound():
+    # The Cauchy-Schwarz bound on c0 that the search derives: an oracle search
+    # up to c0 = 8 finds nothing beyond it.
+    def largest_c0(k):
+        return max(c0 for c0 in range(9) if (3 * c0 - 1) ** 2 <= k * (c0 * c0 + 1))
+
+    assert [largest_c0(k) for k in range(1, 9)] == [0, 1, 1, 1, 2, 2, 3, 7]
     for k in range(1, 9):
-        std = {c.coeffs for c in enumerate_neg_curves(k)}
-        big = {c.coeffs for c in enumerate_neg_curves(k, c0_bound=8)}
-        assert std == big
+        big = neg_curves_oracle.enumerate_neg_curves(k, 8)
+        assert max(c.coeffs[0] for c in big) <= largest_c0(k)
 
 
 def test_neg_curves_k2_explicit():
@@ -49,16 +54,16 @@ def test_enumerate_out_of_range():
 
 
 def test_intersect_examples():
-    p2 = catalog("P2")
+    p2 = get_model("P2")
     h = DivClass.of([1])
     assert p2.intersect(h, h) == 1
     assert p2.intersect(p2.minus_k(), p2.minus_k()) == 9
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     assert dp7.intersect(dp7.minus_k(), dp7.minus_k()) == 7
 
 
 def test_intersect_rank_mismatch():
-    p2 = catalog("P2")
+    p2 = get_model("P2")
     with pytest.raises(ValueError):
         p2.intersect(DivClass.of([1, 0]), DivClass.of([1]))
     with pytest.raises(ValueError):
@@ -68,32 +73,32 @@ def test_intersect_rank_mismatch():
 
 
 def test_is_nef_examples():
-    f1 = catalog("F1")
+    f1 = get_model("F1")
     assert is_nef(f1, DivClass.of([3, -2]))        # t = 2
     assert not is_nef(f1, DivClass.of([3, F(-7, 2)]))
     assert is_nef(f1, DivClass.of([0, 0]))
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     assert not is_nef(dp7, DivClass.of([1, 1, 1]))  # -K - 2*Ltilde pairs -1 with E1
 
 
 def test_catalog_degrees():
     for d in range(1, 10):
-        m = catalog(f"dP{d}")
+        m = get_model(f"dP{d}")
         assert m.intersect(m.minus_k(), m.minus_k()) == d
         for c in m.neg_curves:
             sq = m.intersect(c.cls, c.cls)
             if sq == -1:
                 assert m.intersect(m.minus_k(), c.cls) == 1
-    q = catalog("P1xP1")
+    q = get_model("P1xP1")
     assert q.intersect(q.minus_k(), q.minus_k()) == 8
 
 
 def test_catalog_wps_entries():
-    p112 = catalog("P(1,1,2)")
+    p112 = get_model("P(1,1,2)")
     assert p112.rank == 1 and p112.gram == ((F(1, 2),),)
     assert p112.canonical == DivClass.of([-4])
     assert p112.intersect(p112.minus_k(), p112.minus_k()) == 8
-    f2 = catalog("F2~P(1,1,2)")
+    f2 = get_model("F2~P(1,1,2)")
     assert f2.basis_labels == ("e", "f")
     assert f2.intersect(f2.curve("e"), f2.curve("e")) == -2
     assert f2.intersect(f2.curve("f"), f2.curve("f")) == 0
@@ -101,39 +106,39 @@ def test_catalog_wps_entries():
 
 
 def test_catalog_aliases():
-    assert catalog("P2").name == "dP9"
-    assert catalog("F1").name == "dP8"
-    assert catalog("cubic").name == "dP3"
+    assert get_model("P2").name == "dP9"
+    assert get_model("F1").name == "dP8"
+    assert get_model("cubic").name == "dP3"
     assert canonical_name("P(1,1,2)+Q/2") == "P(1,1,2)+1/2Q"
-    assert catalog("P(1,1,2)+Q/2").boundary[0].coeff == F(1, 2)
+    assert get_model("P(1,1,2)+Q/2").boundary[0].coeff == F(1, 2)
 
 
 def test_catalog_signature_validated_everywhere():
     for name in catalog_names():
-        assert catalog(name).validate() == []
+        assert get_model(name).validate() == []
 
 
 def test_catalog_unknown():
     with pytest.raises(UnknownSurfaceError):
-        catalog("dP10")
+        get_model("dP10")
     with pytest.raises(UnknownSurfaceError):
-        catalog("P(2,4,5)")   # not well-formed
+        get_model("P(2,4,5)")   # not well-formed
 
 
 def test_nested_pairs_and_zero_denominators_are_unknown():
     for name in ("P(1,1,2)+1/2Q+1/4Q", "F2~P(1,1,2)+1/2Q+1/4Q", "P(1,1,2)+1/0Q"):
         with pytest.raises(UnknownSurfaceError):
-            catalog(name)
+            get_model(name)
 
 
 def test_builtin_links_pass_the_link_checks():
     pairs = [f"P(1,1,{n})+{c}Q" for n in range(2, 7) for c in ("0", "1/2", "5/6")]
     for name in builtin_names() + pairs:
-        assert validate_links(catalog(name)) == [], name
+        assert validate_links(get_model(name)) == [], name
 
 
 def test_link_checks_report_each_broken_link():
-    pair = catalog("P(1,1,2)+1/2Q")
+    pair = get_model("P(1,1,2)+1/2Q")
     link = pair.resolution
     for broken, problems in (
             (dataclasses.replace(link, boundary_mults=()),
@@ -153,7 +158,7 @@ def test_link_checks_report_each_broken_link():
 
 
 def test_parametrized_wps():
-    m = catalog("P(1,4,25)")
+    m = get_model("P(1,4,25)")
     assert m.intersect(m.minus_k(), m.minus_k()) == 9
     tags = sorted(s.sing.display for s in m.sings)
     assert tags == ["1/25(1,4)", "1/4(1,1)"]
@@ -161,12 +166,12 @@ def test_parametrized_wps():
 
 def test_pair_models_track_coefficient():
     for c in ("0", "1/4", "1/2", "3/4"):
-        m = catalog(f"P(1,1,2)+{c}Q")
+        m = get_model(f"P(1,1,2)+{c}Q")
         assert m.boundary[0].coeff == F(c)
         pol = m.polarization()
         assert m.intersect(pol, pol) == 2 * (2 - F(c)) ** 2
     with pytest.raises(UnknownSurfaceError):
-        catalog("P(1,1,2)+5/4Q")
+        get_model("P(1,1,2)+5/4Q")
 
 
 def _counted_validations(monkeypatch) -> list[str]:
@@ -183,34 +188,31 @@ def _counted_validations(monkeypatch) -> list[str]:
 
 
 def test_builtin_pairs_are_built_once(monkeypatch):
-    cat = importlib.import_module("delpezzo.catalog")
     calls = _counted_validations(monkeypatch)
     cat._builtin.cache_clear()
-    first = catalog("P(1,1,2)+1/2Q")
-    assert catalog("P(1,1,2)+Q/2") is first
-    assert catalog("P(1,1,2)+2/4Q") is first
+    first = get_model("P(1,1,2)+1/2Q")
+    assert get_model("P(1,1,2)+Q/2") is first
+    assert get_model("P(1,1,2)+2/4Q") is first
     assert calls == ["P(1,1,2)+1/2Q"]
     # a pair over a --catalog base is built and validated on every lookup
-    base = model_from_dict(model_to_dict(catalog("P(1,1,2)")))
+    base = model_from_dict(model_to_dict(get_model("P(1,1,2)")))
     extra = {"P(1,1,2)": base}
     calls.clear()
-    pair = catalog("P(1,1,2)+1/2Q", extra=extra)
-    assert catalog("P(1,1,2)+1/2Q", extra=extra) is not pair
+    pair = get_model("P(1,1,2)+1/2Q", extra=extra)
+    assert get_model("P(1,1,2)+1/2Q", extra=extra) is not pair
     assert calls == ["P(1,1,2)+1/2Q"] * 2
 
 
 def test_weighted_planes_are_built_once(monkeypatch):
-    cat = importlib.import_module("delpezzo.catalog")
     calls = _counted_validations(monkeypatch)
     cat._builtin.cache_clear()
-    first = catalog("P(1,2,3)")
-    assert catalog("P(1, 2, 3)") is first
+    first = get_model("P(1,2,3)")
+    assert get_model("P(1, 2, 3)") is first
     assert calls == ["P(1,2,3)"]
-    assert catalog("P2") is catalog("P(1,1,1)")
+    assert get_model("P2") is get_model("P(1,1,1)")
 
 
 def test_fixed_models_are_built_on_first_lookup(monkeypatch):
-    cat = importlib.import_module("delpezzo.catalog")
     built = []
 
     def counted(**fields):
@@ -221,15 +223,18 @@ def test_fixed_models_are_built_on_first_lookup(monkeypatch):
     cat._builtin.cache_clear()
     assert len(builtin_names()) == 20
     assert built == []
-    assert catalog("dP7").name == "dP7"
+    assert get_model("dP7").name == "dP7"
     assert built == ["dP7"]
 
 
-def test_package_catalog_stays_the_lookup_function():
-    # The first lookup must not rebind ``delpezzo.catalog`` to the submodule;
-    # a fresh interpreter is the only place where that first import happens.
-    code = ("import delpezzo; delpezzo.catalog('dP7'); "
-            "print(delpezzo.catalog('dP6').name)")
+@pytest.mark.parametrize("first", ["import delpezzo", "import delpezzo.catalog as c"],
+                         ids=["package-first", "submodule-first"])
+def test_package_catalog_is_the_module_in_either_import_order(first):
+    # Import order decides which binding wins, and only a fresh interpreter
+    # imports for the first time.
+    code = (f"{first}; import sys, delpezzo; import delpezzo.catalog as c; "
+            "assert delpezzo.catalog is sys.modules['delpezzo.catalog'] is c; "
+            "print(delpezzo.get_model('dP6').name)")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
@@ -238,10 +243,8 @@ def test_package_catalog_stays_the_lookup_function():
 
 
 def test_neg_curves_match_the_permutation_oracle():
-    for bound in (6, 8):
-        for k in range(9):
-            assert enumerate_neg_curves(k, bound) == \
-                neg_curves_oracle.enumerate_neg_curves(k, bound)
+    for k in range(9):
+        assert enumerate_neg_curves(k) == neg_curves_oracle.enumerate_neg_curves(k, 8)
 
 
 @pytest.mark.parametrize("name", builtin_names() + ["P(1,1,2)+1/2Q", "P(1,2,3)"])
@@ -250,7 +253,7 @@ def test_neg_curves_match_the_permutation_oracle():
 def test_curve_pairings_match_intersect(name, data):
     """The integer numerators that the per-curve sign tests read are d . C
     over one positive denominator, curve by curve."""
-    m = catalog(name)
+    m = get_model(name)
     coeffs = data.draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
                                 min_size=m.rank, max_size=m.rank))
     d = DivClass(tuple(coeffs))
@@ -269,7 +272,7 @@ _COORDS = st.one_of(st.just(F(0)),
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_intersect_matches_the_dense_oracle(name, data):
-    m = catalog(name)
+    m = get_model(name)
     d1, d2 = (DivClass(tuple(data.draw(st.lists(_COORDS, min_size=m.rank,
                                                  max_size=m.rank))))
               for _ in range(2))
@@ -277,13 +280,13 @@ def test_intersect_matches_the_dense_oracle(name, data):
 
 
 def test_builtin_catalog_digest_is_pinned():
-    text = json.dumps([model_to_dict(catalog(n)) for n in builtin_names()],
+    text = json.dumps([model_to_dict(get_model(n)) for n in builtin_names()],
                       sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_DIGEST
 
 
 def test_incomplete_del_pezzo_model_is_invalid():
-    data = model_to_dict(catalog("dP7"))
+    data = model_to_dict(get_model("dP7"))
     data["neg_curves"] = [c for c in data["neg_curves"] if c["label"] != "E2"]
     m = model_from_dict(data)
     assert any("2 (-1)-curves" in p for p in m.validate())
@@ -291,15 +294,28 @@ def test_incomplete_del_pezzo_model_is_invalid():
         model_from_dict(data).validate_strict()
 
 
+@pytest.mark.parametrize("degree", range(9, 0, -1))
+def test_del_pezzo_model_without_a_generator_is_invalid(degree):
+    # Dropping F1's ruling f (or a ruling of P1xP1) is still accepted: the
+    # lattice counts (-1)-curves only, so a missing curve of square 0 is not
+    # seen until the catalogued set is compared with the lattice's.
+    m = get_model(f"dP{degree}")
+    for i, c in enumerate(m.neg_curves):
+        if (degree, c.label) == (8, "f"):
+            continue
+        dropped = dataclasses.replace(m, neg_curves=m.neg_curves[:i] + m.neg_curves[i + 1:])
+        assert dropped.validate(), f"dP{degree} without {c.label} validates"
+
+
 def test_model_round_trip_through_dict():
     for name in ("dP7", "P(1,1,2)", "F2~P(1,1,2)"):
-        m = catalog(name)
+        m = get_model(name)
         again = model_from_dict(model_to_dict(m)).validate_strict()
         assert model_to_dict(again) == model_to_dict(m)
 
 
 def test_load_models_external_file(tmp_path):
-    m = catalog("dP7")
+    m = get_model("dP7")
     path = tmp_path / "one.json"
     path.write_text(json.dumps(model_to_dict(m)))
     loaded = [m.validate_strict() for m in load_models(path)]
@@ -307,7 +323,7 @@ def test_load_models_external_file(tmp_path):
 
 
 def test_invalid_gram_rejected():
-    data = model_to_dict(catalog("dP7"))
+    data = model_to_dict(get_model("dP7"))
     data["gram"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
     with pytest.raises(ModelInvariantError):
         model_from_dict(data).validate_strict()
@@ -329,14 +345,14 @@ _ORACLE_MODELS = builtin_names() + ["P(1,1,2)+1/2Q", "P(1,2,3)"]
 
 @pytest.mark.parametrize("name", _ORACLE_MODELS)
 def test_curve_vectors_match_the_fraction_construction(name):
-    m = catalog(name)
+    m = get_model(name)
     fresh = model_from_dict(model_to_dict(m))
     assert fresh._curve_vectors == validate_oracle.curve_vectors(m)
 
 
 @pytest.mark.parametrize("name", _ORACLE_MODELS)
 def test_validate_matches_the_fraction_oracle(name):
-    m = catalog(name)
+    m = get_model(name)
     assert m.validate() == validate_oracle.validate(m) == []
 
 
@@ -366,7 +382,7 @@ def _without_curve(label):
 ], ids=["positive-square", "minus-K-degree", "negative-pair", "missing-line",
         "wrong-length", "repeated-label", "repeated-class"])
 def test_validate_matches_the_fraction_oracle_on_corrupt_models(corrupt, problem):
-    data = model_to_dict(catalog("dP7"))
+    data = model_to_dict(get_model("dP7"))
     corrupt(data)
     m = model_from_dict(data)
     problems = m.validate()
@@ -397,7 +413,7 @@ def _dp7_with_a_double_line(data):
 def test_validate_checks_the_del_pezzo_lattice(name, corrupt, problem):
     """A del Pezzo model needs a unimodular integer Gram of rank 10 - K^2; in
     degree 8 its parity fixes the number of (-1)-curves (F1 odd, P1xP1 even)."""
-    data = model_to_dict(catalog(name))
+    data = model_to_dict(get_model(name))
     corrupt(data)
     m = model_from_dict(data)
     problems = m.validate()
@@ -409,7 +425,7 @@ def test_validate_builds_no_fraction_per_pairing():
     """dP1's 240 rows of up to 240 pairings are checked as integers: the
     Fractions that validate builds itself (-K and its square) do not grow
     with the number of generators; the oracle builds one per pairing."""
-    m = model_from_dict(model_to_dict(catalog("dP1")))
+    m = model_from_dict(model_to_dict(get_model("dP1")))
     lattice_file = sys.modules[SurfaceModel.__module__].__file__
     built = []
 

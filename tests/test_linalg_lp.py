@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 from delpezzo import lp
-from delpezzo.catalog import catalog
+from delpezzo.catalog import get_model
 from delpezzo.linalg import (SingularMatrixError, bareiss, is_negative_definite, solve,
                              sylvester_negative_definite, symmetric_signature)
 from delpezzo.lp import eq_feasibility
@@ -314,7 +314,7 @@ def test_fraction_free_simplex_matches_fraction_oracle(system):
 def test_pivot_loop_does_no_fraction_arithmetic():
     """The dP1 refusal of -K - E1 takes 188 pivots on a 9 x 250 tableau; the
     only Fraction arithmetic is mapping y back through the row signs."""
-    m = catalog("dP1")
+    m = get_model("dP1")
     gens = [c.cls.coeffs for c in m.neg_curves]
     a = [[g[i] for g in gens] for i in range(m.rank)]
     b = list((m.minus_k() - m.curve("E1")).coeffs)

@@ -3,10 +3,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from delpezzo import valuative
+from delpezzo.catalog import get_model
+from delpezzo.lattice import DivClass
 from delpezzo.localvol import (MARKOV_MAX_DEPTH, MarkovTriple, QuotientSing,
                                is_T_singularity, local_global_check, markov_tree,
                                monomial_nvol, nvol_quotient, parse_sing, singularity_budget,
                                wps_volume)
+from delpezzo.positivity import volume_profile
 from delpezzo.valuative import p114_pair_report
 
 
@@ -173,3 +177,40 @@ def test_p114_pair_report():
     assert rep4["certified_unstable_range"] == (0, F(3, 10))
     assert rep4["index_bound_semistable_needs"] == F(3, 16)
     assert rep4["self_certified"]
+
+
+def _p114_two_sample_interpolation(d):
+    """beta(e)(c) = (1/2 - c) - S(e) of the pullback of O(6 - 4cd), sampled at
+    c = 0 and c = 3/(8d) and interpolated."""
+    work = get_model("F4~P(1,1,4)")
+
+    def beta_at(c):
+        s = 6 - 4 * c * d
+        return F(1, 2) - c - volume_profile(work, DivClass((s / 4, s)), work.curve("e")).S
+
+    c2 = F(3, 8 * d)
+    b1 = beta_at(F(0))
+    return b1, (beta_at(c2) - b1) / c2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_p114_pair_report_is_the_two_sample_interpolation_from_one_walk(d, monkeypatch):
+    constant, slope = _p114_two_sample_interpolation(d)
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return volume_profile(*args)
+
+    monkeypatch.setattr(valuative, "volume_profile", counted)
+    rep = p114_pair_report(d)
+    assert len(walks) == 1
+    assert (rep["beta_exceptional"]["constant"], rep["beta_exceptional"]["slope_in_c"]) \
+        == (constant, slope)
+    sup = F(3, 2 * d)
+    if slope < 0:  # d = 1: beta(e) < 0 on the whole log-Fano range
+        assert d == 1 and rep["beta_negative_for_c_below"] == -constant / slope
+        assert rep["certified_unstable_range"] == (0, sup)
+    else:
+        assert rep["certified_unstable_range"] == (0, min(sup, -constant / slope))
+    assert rep["covers_full_log_fano_range"] == (rep["certified_unstable_range"][1] >= sup)

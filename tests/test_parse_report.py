@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import div_expr_oracle
 import poly_parse_oracle
-from delpezzo.catalog import catalog
+from delpezzo.catalog import get_model
 from delpezzo.lattice import model_from_dict, model_to_dict
 from delpezzo.parse import MAX_EXPONENT, POLY_VARS, ParseError, div_from_expr, poly_terms
 from delpezzo.report import Report
@@ -119,7 +119,7 @@ def test_first_syntax_error_wins_over_an_unknown_variable():
 
 
 def test_parse_div_expr():
-    data = model_to_dict(catalog("dP7"))
+    data = model_to_dict(get_model("dP7"))
     data["named_divisors"]["Q"] = ["0", "0", "1"]
     m = model_from_dict(data)
     h, e1, e2 = (m.named(label) for label in ("H", "E1", "E2"))
@@ -142,7 +142,7 @@ def test_parse_div_expr():
     ("-K - 2Q", "unknown divisor label 'Q' on dP7 (column 7)"),
 ])
 def test_divisor_expression_is_a_linear_polynomial_in_the_labels(src, want):
-    m = catalog("dP7")
+    m = get_model("dP7")
     try:
         got = m.render(div_from_expr(m, src))
     except ParseError as exc:
@@ -164,7 +164,7 @@ def _div_exprs(draw):
     the old grammar's shape, or any sequence of labels, digits, operators,
     parentheses and spaces."""
     name = draw(st.sampled_from(_DIV_EXPR_MODELS))
-    labels = _labels(catalog(name))
+    labels = _labels(get_model(name))
     if draw(st.booleans()):
         coeff = st.sampled_from(["", "2", "0", "3/4", "1/2*", "5 ", "0/7"])
         term = st.tuples(st.sampled_from(["", "+", "-", "+ ", "- "]), coeff,
@@ -179,7 +179,7 @@ def _div_exprs(draw):
 @given(_div_exprs())
 def test_divisor_expression_matches_the_old_grammar_where_it_accepts(case):
     name, src = case
-    m = catalog(name)
+    m = get_model(name)
     try:
         want = div_expr_oracle.div_from_expr(m, src)
     except ParseError:

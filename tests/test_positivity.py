@@ -13,7 +13,7 @@ import solve_oracle
 import walk_oracle
 import zariski_oracle
 from delpezzo import lp, positivity
-from delpezzo.catalog import builtin_names, catalog
+from delpezzo.catalog import builtin_names, get_model
 from delpezzo.cli import run
 from delpezzo.exactnum import Poly
 from delpezzo.lattice import DivClass, LabeledCurve, SurfaceModel, is_nef
@@ -23,14 +23,14 @@ from delpezzo.valuative import profile_for, resolve_divisor_spec
 
 
 def test_zariski_nef_input_is_trivial():
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     dec = zariski(dp7, dp7.minus_k())
     assert dec.negative == () and dec.positive == dp7.minus_k()
     assert dec.verify(dp7, dp7.minus_k()) == []
 
 
 def test_zariski_dp7_line_example():
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     d = DivClass.of([1, 1, 1])  # -K - 2*(H - E1 - E2)
     dec = zariski(dp7, d)
     assert dec.positive == DivClass.of([1, 0, 0])
@@ -42,7 +42,7 @@ def test_zariski_dp7_line_example():
 def test_verify_refuses_a_support_that_is_not_negative_definite():
     """2H - 2E2 = (H - E2) + E1 + L12 with H - E2 nef and orthogonal to E1
     and L12, but E1 and L12 meet: their Gram [[-1, 1], [1, -1]] is singular."""
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     dec = ZariskiDecomp(DivClass.of([1, 0, -1]), (("E1", F(1)), ("L12", F(1))))
     assert dec.support_gram(dp7) == ((-1, 1), (1, -1))
     assert dec.verify(dp7, DivClass.of([2, 0, -2])) == [
@@ -52,14 +52,14 @@ def test_verify_refuses_a_support_that_is_not_negative_definite():
 def test_refusal_whose_gram_has_a_zero_leading_minor():
     """The Farkas class W on P1xP1 is solved from the Gram [[0, 1], [1, 0]],
     whose D_1 = 0: the elimination exchanges rows."""
-    m = catalog("P1xP1")
+    m = get_model("P1xP1")
     with pytest.raises(NotPseudoeffectiveError) as err:
         zariski(m, DivClass.of([1, -1]))
     assert m.render(err.value.certificate) == "f1" and err.value.value == -1
 
 
 def test_zariski_rejects_non_pseudoeffective_with_certificate():
-    f1 = catalog("F1")
+    f1 = get_model("F1")
     d = DivClass.of([3, F(-7, 2)])  # -K_Y + (1-t)E at t = 5/2
     assert not pseff_certificate(f1, d)[0]
     with pytest.raises(NotPseudoeffectiveError) as err:
@@ -85,7 +85,7 @@ def test_pseff_lp_calls_match_fraction_oracle(monkeypatch):
 
     monkeypatch.setattr(positivity.lp, "eq_feasibility", recorded)
     for name in builtin_names():
-        m = catalog(name)
+        m = get_model(name)
         if name == "dP1":
             grid = [(F(3), m.neg_curves[0])]
         else:
@@ -99,10 +99,10 @@ def test_pseff_lp_calls_match_fraction_oracle(monkeypatch):
 
 
 def test_volume_examples():
-    p2 = catalog("P2")
+    p2 = get_model("P2")
     assert volume(p2, p2.minus_k()) == 9
     assert volume(p2, DivClass.of([0])) == 0
-    p112 = catalog("P(1,1,2)")
+    p112 = get_model("P(1,1,2)")
     assert volume(p112, p112.minus_k()) == 8
     assert volume(p112, DivClass.of([-1])) == 0
 
@@ -122,7 +122,7 @@ def _recorded_lp_calls(monkeypatch) -> list:
 
 def test_volume_runs_the_lp_only_where_the_loop_does_not_decide(monkeypatch):
     calls = _recorded_lp_calls(monkeypatch)
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     # pseudoeffective but not nef: the loop decides; not pseudoeffective
     # (and not nef): one LP
     for d, vol, lps in ((DivClass.of([1, 1, 1]), 1, []),
@@ -142,7 +142,7 @@ def test_pseff_threshold_does_not_integrate(monkeypatch):
         return original(self, a, b)
 
     monkeypatch.setattr(PiecewisePoly, "integrate", counted)
-    m = catalog("dP7")
+    m = get_model("dP7")
     rd = resolve_divisor_spec(m, "Ltilde")
     assert pseff_threshold(rd.work, rd.L, rd.E) == 3
     assert calls == []
@@ -152,7 +152,7 @@ def test_pseff_threshold_does_not_integrate(monkeypatch):
 
 
 def test_gram_cert_is_the_support_gram():
-    dp7, dp5 = catalog("dP7"), catalog("dP5")
+    dp7, dp5 = get_model("dP7"), get_model("dP5")
     cases = [(dp7, dp7.minus_k()), (dp7, DivClass.of([1, 1, 1])),
              (dp5, DivClass.of([3, 1, 1, 1, -1]))]
     sizes = []
@@ -166,14 +166,14 @@ def test_gram_cert_is_the_support_gram():
 
 
 def test_volume_nef_fast_path_matches_decomposition():
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     for d in (dp7.minus_k(), DivClass.of([2, -1, 0]), DivClass.of([3, -1, -1])):
         dec = zariski(dp7, d)
         assert volume(dp7, d) == dp7.intersect(dec.positive, dec.positive)
 
 
 def test_profile_p2_exceptional():
-    prof = profile_for(catalog("P2"), "exceptional:pt")
+    prof = profile_for(get_model("P2"), "exceptional:pt")
     assert prof.tau == 3
     assert prof.profile.pieces == (Poly([9, 0, -1]),)
     assert prof.profile.breakpoints == (0, 3)
@@ -181,14 +181,14 @@ def test_profile_p2_exceptional():
 
 
 def test_profile_p2_line_stays_nef():
-    prof = profile_for(catalog("P2"), "line")
+    prof = profile_for(get_model("P2"), "line")
     assert prof.tau == 3
     assert prof.profile.pieces == (Poly([9, -6, 1]),)
     assert prof.chambers[0].support == ()
 
 
 def test_profile_dp7_two_chambers():
-    prof = profile_for(catalog("dP7"), "Ltilde")
+    prof = profile_for(get_model("dP7"), "Ltilde")
     assert prof.profile.breakpoints == (0, 1, 3)
     assert prof.profile.pieces == (Poly([7, -2, -1]), Poly([9, -6, 1]))
     assert prof.tau == 3
@@ -202,7 +202,7 @@ def test_profile_dp7_two_chambers():
 def test_profile_enters_a_curve_that_turns_negative_at_zero():
     # L.e = 0 and f.e = 1 on F2: e is orthogonal to L and falls below zero
     # just after t = 0, so it is in the support of the first chamber.
-    m = catalog("F2~P(1,1,2)")
+    m = get_model("F2~P(1,1,2)")
     prof = profile_for(m, "f")
     assert prof.profile.breakpoints == (0, 4)
     assert prof.profile.pieces == (Poly([8, -4, F(1, 2)]),)
@@ -214,18 +214,18 @@ def test_profile_enters_a_curve_that_turns_negative_at_zero():
 
 
 def test_pseff_thresholds():
-    p2 = catalog("P2")
+    p2 = get_model("P2")
     assert pseff_threshold(*(lambda rd: (rd.work, rd.L, rd.E))(
         resolve_divisor_spec(p2, "exceptional:pt"))) == 3
-    dp3 = catalog("dP3")
+    dp3 = get_model("dP3")
     assert pseff_threshold(dp3, dp3.minus_k(), dp3.minus_k()) == 1
-    pair = catalog("P(1,1,2)+1/2Q")
+    pair = get_model("P(1,1,2)+1/2Q")
     rd = resolve_divisor_spec(pair, "exceptional")
     assert pseff_threshold(rd.work, rd.L, rd.E) == F(3, 2)
 
 
 def test_profile_requires_big_nef_L():
-    f1 = catalog("F1")
+    f1 = get_model("F1")
     with pytest.raises(ValueError):
         volume_profile(f1, DivClass.of([3, F(-7, 2)]), DivClass.of([0, 1]))
     with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ def test_profile_requires_big_nef_L():
 def _suite():
     for name in ("P2", "P1xP1", "dP8", "dP7", "dP6", "dP5", "dP4", "dP3", "dP2",
                  "P(1,1,2)", "P(1,1,4)", "P(1,1,2)+1/2Q", "P(1,1,2)+1/4Q"):
-        m = catalog(name)
+        m = get_model(name)
         for spec in m.beta_candidates:
             yield name, m, spec
 
@@ -293,7 +293,7 @@ def test_zariski_fuzz_random_classes():
     import random
     rng = random.Random(2718)
     for name in ("dP7", "dP5", "dP4"):
-        m = catalog(name)
+        m = get_model(name)
         gens = [c.cls for c in m.neg_curves]
         for _ in range(40):
             # random effective class: nonnegative combination of generators
@@ -347,7 +347,7 @@ def _threshold(m, c):
 def test_zariski_matches_the_fraction_oracle_on_minus_k_minus_t_c(name, i, scale, shift):
     """-K - tC for a catalogued curve C, with t below, at and above the
     threshold tau: t = scale * tau + shift."""
-    m = catalog(name)
+    m = get_model(name)
     c = m.neg_curves[i % len(m.neg_curves)].cls
     t = scale * _threshold(m, c) + shift
     _assert_zariski_matches_the_oracle(m, m.minus_k() - c.scale(t))
@@ -358,7 +358,7 @@ def test_zariski_matches_the_fraction_oracle_on_every_curve(name):
     """-K - tC for every catalogued curve C, at t = tau / 2 (a decomposition
     or nef) and t = tau + 1 (a refusal).  dP1, whose 240 LPs take about 15 s
     here, is left to the drawn cases above."""
-    m = catalog(name)
+    m = get_model(name)
     outcomes = set()
     for c in m.neg_curves:
         tau = _threshold(m, c.cls)
@@ -372,7 +372,7 @@ def test_zariski_matches_the_fraction_oracle_on_every_curve(name):
 def test_zariski_matches_the_fraction_oracle_on_dp1_c120(u):
     """-K - t C120 on dP1 at t = u * tau: a decomposition, then refusals
     whose loops fail on supports of 57 and 183 curves."""
-    m = catalog("dP1")
+    m = get_model("dP1")
     c = m.curve("C120")
     _assert_zariski_matches_the_oracle(m, m.minus_k() - c.scale(u * _threshold(m, c)))
 
@@ -385,7 +385,7 @@ def test_zariski_runs_the_lp_only_above_the_threshold(monkeypatch):
     calls = _recorded_lp_calls(monkeypatch)
     curves = 0
     for name in builtin_names():
-        m = catalog(name)
+        m = get_model(name)
         if name == "dP1" or not is_nef(m, m.minus_k()):
             continue
         for c in m.neg_curves:
@@ -405,7 +405,7 @@ def test_support_of_rank_curves_is_refused_before_its_rows_are_read(monkeypatch)
     """Hodge index: a negative-definite set of curves has fewer than rank
     members, so a support of rank curves is refused with the text of the
     Sylvester test, and of the signature oracle, without reading a row."""
-    m = catalog("dP7")
+    m = get_model("dP7")
     support = list(range(m.rank))
     with pytest.raises(positivity.ConeDataError) as want:
         walk_oracle._solve_support(m, [m.neg_curves[k] for k in support], [])
@@ -423,7 +423,7 @@ def test_zariski_falls_back_to_the_lp_outside_the_positive_cone(monkeypatch):
     """With a polarization H of square <= 0, or one that P pairs negatively
     with, the loop's decomposition is not accepted alone: one LP runs, and
     the same decomposition is returned."""
-    m = catalog("dP7")
+    m = get_model("dP7")
     d = DivClass.of([1, 1, 1])
     want = zariski(m, d)
     calls = _recorded_lp_calls(monkeypatch)
@@ -439,7 +439,7 @@ def test_zariski_falls_back_to_the_lp_outside_the_positive_cone(monkeypatch):
 @given(st.sampled_from(builtin_names()), st.integers(0, 300), st.integers(0, 300),
        st.sampled_from([F(1), F(1, 2), F(3)]))
 def test_zariski_matches_the_fraction_oracle_on_curve_sums(name, i, j, scale):
-    m = catalog(name)
+    m = get_model(name)
     curves = m.neg_curves
     d = curves[i % len(curves)].cls + curves[j % len(curves)].cls.scale(scale)
     _assert_zariski_matches_the_oracle(m, d)
@@ -456,7 +456,7 @@ def test_zariski_builds_p_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(positivity, "_minus_combination", counted)
-    m = catalog("dP7")
+    m = get_model("dP7")
     dec = zariski(m, m.minus_k() - m.named("Ltilde").scale(2))
     assert [label for label, _ in dec.negative] == ["E1", "E2"]
     assert len(built) == 1
@@ -484,7 +484,7 @@ def test_support_solves_match_the_dense_oracle(monkeypatch):
     calls = _recorded_support_solves(monkeypatch)
     solved = []
     for name in ("dP3", "dP2"):
-        m = catalog(name)
+        m = get_model(name)
         curves = m.neg_curves
         table = [[intersect_oracle.intersect(m, a.cls, b.cls) for b in curves] for a in curves]
         minus_k = [intersect_oracle.intersect(m, m.minus_k(), c.cls) for c in curves]
@@ -515,7 +515,7 @@ def test_support_solves_match_the_dense_oracle(monkeypatch):
 def test_support_solves_make_no_intersect_calls(monkeypatch):
     """A dP2 walk builds its support Gram matrices and right-hand sides from
     the cached curve vectors, without a single SurfaceModel.intersect call."""
-    m = catalog("dP2")
+    m = get_model("dP2")
     inside, from_solves = [False], []
     solve_support, intersect = positivity._solve_support, SurfaceModel.intersect
 
@@ -573,7 +573,7 @@ def _assert_walk_matches_the_oracle(m, spec, scale=1):
 def test_walk_matches_the_fraction_oracle_on_catalog_specs(name):
     """Every beta candidate and curve label (every 10th curve on dP1) of a
     built-in model, at L and 2L."""
-    m = catalog(name)
+    m = get_model(name)
     labels = m.curve_labels()[::10 if name == "dP1" else 1]
     for spec in m.beta_candidates + labels:
         for scale in (1, 2):
@@ -623,7 +623,7 @@ def test_walk_lets_a_support_curve_leave(monkeypatch):
 def test_walk_matches_the_fraction_oracle_on_pairs(n, c, resolved, pick, scale):
     """P(1,1,n)+cQ and its resolution Fn~P(1,1,n)+cQ, n = 2..4."""
     name = f"{'F%d~' % n if resolved else ''}P(1,1,{n})+{c}Q"
-    m = catalog(name)
+    m = get_model(name)
     specs = m.beta_candidates + m.curve_labels()
     _assert_walk_matches_the_oracle(m, specs[pick % len(specs)], scale)
 
@@ -633,7 +633,7 @@ def test_walk_matches_the_fraction_oracle_on_pairs(n, c, resolved, pick, scale):
        st.integers(0, 300), st.sampled_from([1, 2]))
 def test_walk_matches_the_fraction_oracle_on_curve_sums(name, i, j, scale):
     """A raw E = C + C' of two catalogued curves at L and 2L."""
-    m = catalog(name)
+    m = get_model(name)
     curves = m.neg_curves
     e = curves[i % len(curves)].cls + curves[j % len(curves)].cls
     _assert_walk_matches_the_oracle(m, e, scale)
@@ -644,7 +644,7 @@ def test_walk_builds_fractions_for_its_records_only():
     per catalogued curve: only its records, walls and volume pieces.  The
     nef test of L reads integers, and the lattice builds a Fraction only
     for the value an ``intersect`` call returns."""
-    m = catalog("dP2")
+    m = get_model("dP2")
     pairings, other = [], []
 
     def profile(frame, event, arg):
@@ -666,9 +666,9 @@ def test_walk_builds_fractions_for_its_records_only():
 
 
 def _builtin_beta_candidates():
-    return [(catalog(name), spec) for name in builtin_names()
-            for spec in catalog(name).beta_candidates
-            if not (spec == "exceptional:pt" and catalog(name).blowup is None)]
+    return [(get_model(name), spec) for name in builtin_names()
+            for spec in get_model(name).beta_candidates
+            if not (spec == "exceptional:pt" and get_model(name).blowup is None)]
 
 
 def test_beta_and_flag_paths_never_build_p_or_n(monkeypatch):
@@ -687,7 +687,7 @@ def test_beta_and_flag_paths_never_build_p_or_n(monkeypatch):
     assert [beta_report(m, spec) for m, spec in _builtin_beta_candidates()] == reports
     verdicts = {}
     for name in ("dP3", "dP8", "P(1,1,2)", "P(1,1,2)+1/2Q"):
-        rep = semistable_via_flags(catalog(name), builtin_flags(catalog(name)))
+        rep = semistable_via_flags(get_model(name), builtin_flags(get_model(name)))
         verdicts[name] = rep.verdict, rep.bounds, rep.destabilizer
     assert verdicts == {
         "dP3": (True, (("generic", 1),), None),
@@ -721,7 +721,7 @@ def test_chamber_records_reassemble_l_minus_t_e():
 
 
 def test_chamber_derives_its_records_once_and_on_read():
-    prof = profile_for(catalog("dP7"), "Ltilde")
+    prof = profile_for(get_model("dP7"), "Ltilde")
     ch = prof.chambers[1]
     assert not {"p_const", "p_slope", "n_coeffs"} & set(vars(ch))
     assert ch.p_const is ch.p_const
@@ -730,7 +730,7 @@ def test_chamber_derives_its_records_once_and_on_read():
 
 
 def test_not_pseudoeffective_text_is_rendered_when_read(monkeypatch):
-    m = catalog("F1")
+    m = get_model("F1")
     rendered = []
     render = SurfaceModel.render
 

@@ -8,8 +8,8 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from delpezzo.azflag import builtin_flags, semistable_via_flags
-from delpezzo.catalog import catalog
-from delpezzo.lattice import DivClass
+from delpezzo.catalog import get_model, validate_links
+from delpezzo.lattice import DivClass, LabeledCurve
 from delpezzo.valuative import (DivisorSpecError, PlaneCurveGerm, ResolutionGraph,
                                 beta_report, classify, degenerate_edge, diagonal_parameter,
                                 discrepancies, invariants, lct_n_lines, lct_newton,
@@ -180,61 +180,104 @@ def test_germ_is_degenerate_exactly_when_an_edge_discriminant_vanishes(terms):
 
 
 def test_A_values():
-    assert invariants(catalog("P2"), "exceptional:pt").A == 2
+    assert invariants(get_model("P2"), "exceptional:pt").A == 2
     for c in (F(0), F(1, 4), F(1, 2)):
-        pair = catalog(f"P(1,1,2)+{c}Q" if c else "P(1,1,2)+0Q")
+        pair = get_model(f"P(1,1,2)+{c}Q" if c else "P(1,1,2)+0Q")
         assert invariants(pair, "Q").A == 1 - c
         assert invariants(pair, "exceptional").A == 1
     for n in range(2, 7):
-        assert invariants(catalog(f"P(1,1,{n})"), "exceptional").A == F(2, n)
+        assert invariants(get_model(f"P(1,1,{n})"), "exceptional").A == F(2, n)
 
 
 def test_S_values():
-    assert invariants(catalog("P2"), "exceptional:pt").S == 2
-    assert invariants(catalog("dP3"), "anticanonical-curve").S == F(1, 3)
+    assert invariants(get_model("P2"), "exceptional:pt").S == 2
+    assert invariants(get_model("dP3"), "anticanonical-curve").S == F(1, 3)
     for c in (F(0), F(1, 2), F(3, 4)):
-        pair = catalog(f"P(1,1,2)+{c}Q" if c else "P(1,1,2)+0Q")
+        pair = get_model(f"P(1,1,2)+{c}Q" if c else "P(1,1,2)+0Q")
         assert invariants(pair, "exceptional").S == F(2, 3) * (2 - c)
 
 
 def test_beta_examples():
-    assert invariants(catalog("P2"), "exceptional:pt").beta == 0
-    assert invariants(catalog("F1"), "E1").beta == F(-1, 6)
-    rep = beta_report(catalog("F1"), "E1")
+    assert invariants(get_model("P2"), "exceptional:pt").beta == 0
+    assert invariants(get_model("F1"), "E1").beta == F(-1, 6)
+    rep = beta_report(get_model("F1"), "E1")
     assert rep["S"] == F(7, 6) and rep["delta"] == F(6, 7)
     for c in (F(0), F(1, 4), F(1, 2), F(3, 4)):
-        pair = catalog(f"P(1,1,2)+{c}Q" if c else "P(1,1,2)+0Q")
+        pair = get_model(f"P(1,1,2)+{c}Q" if c else "P(1,1,2)+0Q")
         assert invariants(pair, "Q").beta == (1 - 2 * c) / 3
         assert invariants(pair, "exceptional").beta == (2 * c - 1) / 3
-    assert invariants(catalog("P2"), "exceptional:pt").delta == 1
+    assert invariants(get_model("P2"), "exceptional:pt").delta == 1
 
 
 def test_beta_model_independence():
     # same pair presented on the cone and on its resolution
-    pair = catalog("P(1,1,2)+1/2Q")
-    f2pair = catalog("F2~P(1,1,2)+1/2Q")
+    pair = get_model("P(1,1,2)+1/2Q")
+    f2pair = get_model("F2~P(1,1,2)+1/2Q")
     assert invariants(pair, "Q").S == invariants(f2pair, "Q").S == F(1, 2)
     # the ruling pulls back to f + e/2 on the resolution side
     ruling_up = DivClass.of([F(1, 2), 1])
     assert invariants(pair, "ruling").S == invariants(f2pair, ruling_up).S == 1
 
 
+def _in_new_basis(m, ops):
+    """m in the basis whose j-th class is sum_i P[i][j] * (old class i), for P
+    the product of the elementary matrices I + a*e_ij listed in ``ops``: the
+    Gram becomes P^T G P, a class v becomes P^-1 v, and the blow-up link's
+    pullback M becomes M P.  The basis labels are renamed B0, B1, ..."""
+    n = m.rank
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    P_inv = [row[:] for row in P]
+    for i, j, a in ops:
+        for row in P:  # P (I + a e_ij): column j gains a times column i
+            row[j] += a * row[i]
+        P_inv[i] = [x - a * y for x, y in zip(P_inv[i], P_inv[j])]  # (I - a e_ij) P^-1
+
+    def new(v):
+        return DivClass(tuple(F(sum(r[c] * v.coeffs[c] for c in range(n))) for r in P_inv))
+
+    def times_p(rows):
+        return tuple(tuple(F(sum(row[k] * P[k][c] for k in range(n))) for c in range(n))
+                     for row in rows)
+
+    gram = times_p(tuple(zip(*times_p(m.gram))))  # (G P)^T P = P^T G P, G symmetric
+    return dataclasses.replace(
+        m, basis_labels=tuple(f"B{i}" for i in range(n)), gram=gram,
+        canonical=new(m.canonical),
+        neg_curves=tuple(LabeledCurve(c.label, new(c.cls)) for c in m.neg_curves),
+        named_divisors={k: new(v) for k, v in m.named_divisors.items()},
+        blowup=dataclasses.replace(m.blowup, pullback=times_p(m.blowup.pullback)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_beta_is_invariant_under_a_unimodular_change_of_basis(data):
+    m = get_model(f"dP{data.draw(st.integers(4, 7))}")
+    pairs = st.tuples(st.integers(0, m.rank - 1), st.integers(0, m.rank - 1)).filter(
+        lambda ij: ij[0] != ij[1])
+    ops = data.draw(st.lists(st.tuples(pairs, st.integers(-2, 2)).map(lambda p: (*p[0], p[1])),
+                             min_size=1, max_size=4))
+    moved = _in_new_basis(m, ops)
+    assert moved.validate() == [] and validate_links(moved) == []
+    for spec in [c.label for c in m.neg_curves] + ["exceptional:pt"]:
+        assert invariants(moved, spec).beta == invariants(m, spec).beta, spec
+
+
 def test_unstable_certificates():
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     assert unstable_certificate(dp7, dp7.beta_candidates) == ("L12", F(-4, 21))
     assert unstable_certificate(dp7, ["E1", "L12"]) == ("E1", F(-2, 21))
-    assert unstable_certificate(catalog("P2"), ["exceptional:pt", "line"]) is None
-    got = unstable_certificate(catalog("P(1,1,2)"), ["exceptional"])
+    assert unstable_certificate(get_model("P2"), ["exceptional:pt", "line"]) is None
+    got = unstable_certificate(get_model("P(1,1,2)"), ["exceptional"])
     assert got == ("exceptional", F(-1, 3))
 
 
 def test_a_raw_class_certifies_no_instability():
     # H - E1 - E2 on dP7 is the class of the line L12 (beta -4/21), and E1 - E2
     # on dP5 is not effective (beta -2/15): read with A = 1, neither certifies.
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     assert unstable_certificate(dp7, ["H - E1 - E2", "E1"]) == ("E1", F(-2, 21))
-    assert unstable_certificate(catalog("dP5"), ["E1 - E2"]) is None
-    dp8 = dataclasses.replace(catalog("dP8"), beta_candidates=("2E1 - E1",))
+    assert unstable_certificate(get_model("dP5"), ["E1 - E2"]) is None
+    dp8 = dataclasses.replace(get_model("dP8"), beta_candidates=("2E1 - E1",))
     assert invariants(dp8, "2E1 - E1").beta == F(-1, 6)
     rep = semistable_via_flags(dp8, builtin_flags(dp8))
     assert rep.destabilizer is None and rep.bounds == (("generic", F(6, 7)),)
@@ -242,20 +285,20 @@ def test_a_raw_class_certifies_no_instability():
 
 def test_unknown_divisor_spec():
     with pytest.raises(DivisorSpecError):
-        invariants(catalog("P2"), "nonsense")
+        invariants(get_model("P2"), "nonsense")
     with pytest.raises(DivisorSpecError):
-        invariants(catalog("P2"), "exceptional")   # no resolution link on a smooth plane
+        invariants(get_model("P2"), "exceptional")   # no resolution link on a smooth plane
 
 
 def test_unusable_keyword_reports_its_cause():
     with pytest.raises(DivisorSpecError, match="^dP9 has no catalogued resolution$"):
-        invariants(catalog("P2"), "exceptional")
+        invariants(get_model("P2"), "exceptional")
     with pytest.raises(DivisorSpecError, match="^dP1 has no catalogued point blow-up$"):
-        invariants(catalog("dP1"), "exceptional:pt")
+        invariants(get_model("dP1"), "exceptional:pt")
 
 
 def test_divisor_expression_spec_is_its_raw_class():
-    dp7 = catalog("dP7")
+    dp7 = get_model("dP7")
     got = invariants(dp7, "3H - E1 - E2")
     raw = invariants(dp7, DivClass.of([3, -1, -1]))
     assert got.divisor == raw.divisor and got.divisor.kind == "raw"
@@ -268,8 +311,8 @@ def test_divisor_expression_spec_is_its_raw_class():
 def test_f2_fibre_matches_the_ruling_of_the_cone(pair, beta, tau):
     # The fibre f of F2 is the strict transform of a ruling through the
     # vertex of P(1,1,2), so the two divisors have the same A, S and beta.
-    up = invariants(catalog("F2~P(1,1,2)" + pair), "f")
-    down = invariants(catalog("P(1,1,2)" + pair), "ruling")
+    up = invariants(get_model("F2~P(1,1,2)" + pair), "f")
+    down = invariants(get_model("P(1,1,2)" + pair), "ruling")
     assert (up.A, up.S, up.beta) == (down.A, down.S, down.beta)
     assert up.beta == beta and up.profile.tau == tau
 
@@ -284,15 +327,15 @@ def test_closed_form_integral_oracles_for_destabilizers():
     # independent antiderivative route for the headline S-values
     from delpezzo.exactnum import Poly
     s_f1 = Poly([8, -2, -1]).integrate(0, 2) / 8          # 9 - (1+t)^2 over [0,2]
-    assert s_f1 == F(7, 6) == invariants(catalog("F1"), "E1").S
+    assert s_f1 == F(7, 6) == invariants(get_model("F1"), "E1").S
     two_chamber = Poly([7, -2, -1]).integrate(0, 1) + Poly([9, -6, 1]).integrate(1, 3)
-    assert two_chamber / 7 == F(25, 21) == invariants(catalog("dP7"), "Ltilde").S
+    assert two_chamber / 7 == F(25, 21) == invariants(get_model("dP7"), "Ltilde").S
 
 
 def test_S_is_profile_integral_over_L_squared():
     for name, spec in (("P2", "exceptional:pt"), ("dP7", "Ltilde"), ("dP3", "E1"),
                        ("P(1,1,2)+1/2Q", "Q"), ("P(1,1,3)", "exceptional")):
-        inv = invariants(catalog(name), spec)
+        inv = invariants(get_model(name), spec)
         rd, prof = inv.divisor, inv.profile
         integral = sum((piece.integrate(lo, hi) for piece, lo, hi in zip(
             prof.profile.pieces, prof.profile.breakpoints, prof.profile.breakpoints[1:])),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .exactnum import Poly, Rat, rat_str
+from .exactnum import Poly, Rat
 from .lattice import JsonValue, SurfaceModel
 from .valuative import Invariants, invariants, unstable_certificate
 
@@ -123,11 +123,11 @@ class SemistableReport:
         out = {
             "verdict": "K-semistable (certified by flags)" if self.verdict
             else "not K-semistable",
-            "bounds": {label: rat_str(b) for label, b in self.bounds},
+            "bounds": dict(self.bounds),
         }
         if self.destabilizer is not None:
             spec, b = self.destabilizer
-            out["destabilizer"] = {"divisor": str(spec), "beta": rat_str(b)}
+            out["destabilizer"] = {"divisor": str(spec), "beta": b}
         if self.notes:
             out["notes"] = list(self.notes)
         return out

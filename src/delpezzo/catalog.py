@@ -32,9 +32,8 @@ from math import gcd
 from typing import Mapping
 
 from .exactnum import rat, rat_str
-from .lattice import (BoundaryPart, DivClass, GraphVertex, LabeledCurve, ModelLink,
-                      ResolutionGraph, SingularPoint, SurfaceModel, curve_label,
-                      enumerate_neg_curves)
+from .lattice import (BoundaryPart, DivClass, LabeledCurve, ModelLink, SingularPoint,
+                      SurfaceModel, curve_label, enumerate_neg_curves)
 from .localvol import QuotientSing
 
 
@@ -93,7 +92,6 @@ def _dp_model(degree: int) -> SurfaceModel:
             target=target, pullback=pullback,
             exceptional_label=f"E{k + 1}",
             exceptional=DivClass.of([0] * (k + 1) + [1]),
-            graph=ResolutionGraph((GraphVertex(f"E{k + 1}", 0, -1),)),
         )
     return SurfaceModel(
         name=f"dP{degree}",
@@ -118,7 +116,6 @@ def _p1xp1_model() -> SurfaceModel:
                   (Fraction(0), Fraction(-1))),
         exceptional_label="L12",
         exceptional=DivClass.of([1, -1, -1]),
-        graph=ResolutionGraph((GraphVertex("L12", 0, -1),)),
     )
     return SurfaceModel(
         name="P1xP1",
@@ -140,7 +137,6 @@ def _wps11n_model(n: int) -> SurfaceModel:
         pullback=((Fraction(1, n),), (Fraction(1),)),
         exceptional_label="e",
         exceptional=DivClass.of([1, 0]),
-        graph=ResolutionGraph((GraphVertex("e", 0, -n),)),
     )
     return SurfaceModel(
         name=f"P(1,1,{n})",
@@ -306,6 +302,7 @@ def validate_links(m: SurfaceModel) -> list[str]:
             problems.append(f"{where}: target is not a built-in surface")
             continue
         pulled: list[DivClass] = []
+        seen = len(problems)
         if (len(link.pullback) != target.rank
                 or any(len(row) != m.rank for row in link.pullback)):
             problems.append(f"{where}: pullback is not {target.rank} x {m.rank}")
@@ -330,10 +327,18 @@ def validate_links(m: SurfaceModel) -> list[str]:
                 if target.intersect(e, a) != 0:
                     problems.append(
                         f"{where}: exceptional class meets the pullback of {label}")
-        if link.exceptional_label not in (v.label for v in link.graph.vertices):
-            problems.append(
-                f"{where}: exceptional label {link.exceptional_label} is not a "
-                "vertex of its graph")
+            # then E is the target curve it names (a multiple would scale A and
+            # S), and K_Y = f*K_X + aE holds, the identity a is read from
+            if pulled and len(problems) == seen:
+                if next((c.cls for c in target.neg_curves
+                         if c.label == link.exceptional_label), None) != e:
+                    problems.append(f"{where}: exceptional class is not the class of "
+                                    f"{target.name}'s curve {link.exceptional_label}")
+                elif (link.pull(m.canonical) + e.scale(link.discrepancy(target))
+                      != target.canonical):
+                    problems.append(
+                        f"{where}: the target's canonical class is not the pullback of "
+                        "the model's plus a multiple of the exceptional class")
         if len(link.boundary_mults) != len(m.boundary):
             problems.append(
                 f"{where}: {len(link.boundary_mults)} boundary multiplicities for "

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import azflag, gitcubic, localvol, positivity, valuative
 from .catalog import catalog_names, get_model, validate_links
-from .exactnum import rat, rat_str
+from .exactnum import rat
 from .lattice import JsonValue, SurfaceModel, load_models, model_to_dict, read_json
 from .localvol import parse_sing
 from .parse import div_from_expr, poly_terms
@@ -239,7 +239,7 @@ def cmd_zariski(args, extra):
         "positive": m.render(dec.positive),
         "negative": [{"curve": label, "coeff": coeff} for label, coeff in dec.negative],
         "volume": m.intersect(dec.positive, dec.positive),
-        "gram_certificate": [[rat_str(x) for x in row] for row in dec.support_gram(m)],
+        "gram_certificate": dec.support_gram(m),
     }
     return results, True, inputs, [m.name]
 
@@ -254,7 +254,7 @@ def cmd_volfn(args, extra):
         "E": f"{rd.label} = {rd.work.render(rd.E)}",
         "profile": prof.profile,
         "tau": prof.tau,
-        "chambers": [{"from": rat_str(ch.lo), "to": rat_str(ch.hi), "support": ch.support,
+        "chambers": [{"from": ch.lo, "to": ch.hi, "support": ch.support,
                       "negative_part": [{"curve": label, "coeff": poly}
                                         for label, poly in ch.n_coeffs]}
                      for ch in prof.chambers],

@@ -30,7 +30,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from . import lp
-from .exactnum import Rat, combination_str, over_one_denominator, poly_mul, rat, rat_str
+from .exactnum import Rat, combination_str, over_one_denominator, poly_mul, rat
 from .linalg import bareiss
 
 VARS = ("x", "y", "z", "w")
@@ -211,7 +211,7 @@ def catalog_verdicts() -> list[dict]:
         }
         if witness is not None:
             row["witness"] = list(witness.weights)
-            row["witness_weight"] = rat_str(hm_weight(form, witness))
+            row["witness_weight"] = hm_weight(form, witness)
         if flag:
             row["flag"] = flag
         out.append(row)

@@ -211,7 +211,6 @@ class StrictTransform:
 
     coeff: Rat
     incidences: tuple[tuple[int, int], ...]
-    label: str = "D"
 
     def __post_init__(self):
         if not 0 <= self.coeff <= 1:
@@ -228,9 +227,8 @@ MAX_GRAPH_VERTICES = 100
 
 @dataclass(frozen=True)
 class ResolutionGraph:
-    """Exceptional dual graph; a model link carries the one of the divisor it
-    extracts, and discrepancies are solved from it by adjunction.  A graph of
-    more than ``MAX_GRAPH_VERTICES`` vertices is refused."""
+    """Exceptional dual graph; discrepancies are solved from it by adjunction.
+    A graph of more than ``MAX_GRAPH_VERTICES`` vertices is refused."""
 
     vertices: tuple[GraphVertex, ...]
     edges: tuple[tuple[int, int, int], ...] = ()
@@ -270,8 +268,7 @@ class ResolutionGraph:
                            for v in r.get("vertices").items()),
             edges=_int_rows(r.get("edges", []), 3),
             strict_transforms=tuple(
-                StrictTransform(st.get("coeff").rat(), _int_rows(st.get("incidences"), 2),
-                                st.get("label", "D").of(str))
+                StrictTransform(st.get("coeff").rat(), _int_rows(st.get("incidences"), 2))
                 for st in r.get("strict_transforms", []).items()),
         )
 
@@ -286,22 +283,25 @@ class ModelLink:
 
     ``pullback`` maps divisor coordinates on the source model to the
     target model (rank_target x rank_source); ``exceptional`` is the
-    class of the extracted divisor on the target; ``boundary_mults[i]``
+    class of the extracted divisor E on the target; ``boundary_mults[i]``
     is the multiplicity of the i-th boundary part's pullback along it.
+    E is the one divisor extracted, so K_Y = f*K_X + aE on the target.
     """
 
     target: str
     pullback: Matrix
     exceptional_label: str
     exceptional: DivClass
-    graph: ResolutionGraph
     boundary_mults: tuple[Rat, ...] = ()
 
     def pull(self, d: DivClass) -> DivClass:
-        rows = self.pullback
-        return DivClass(tuple(
-            sum((row[j] * d.coeffs[j] for j in range(len(d))), Fraction(0))
-            for row in rows))
+        return DivClass(tuple(sum((x * c for x, c in zip(row, d.coeffs) if x), Fraction(0))
+                              for row in self.pullback))
+
+    def discrepancy(self, target: SurfaceModel) -> Rat:
+        """a in K_Y = f*K_X + aE: K_Y.E / E^2, as f*K_X.E = 0."""
+        e = self.exceptional
+        return target.intersect(target.canonical, e) / target.intersect(e, e)
 
 
 @dataclass(frozen=True)
@@ -577,10 +577,6 @@ def model_to_dict(m: SurfaceModel) -> dict:
             "pullback": [[rat_str(x) for x in row] for row in link.pullback],
             "exceptional_label": link.exceptional_label,
             "exceptional": [rat_str(x) for x in link.exceptional.coeffs],
-            "graph": {
-                "vertices": [[v.label, v.genus, v.self_int] for v in link.graph.vertices],
-                "edges": [list(e) for e in link.graph.edges],
-            },
             "boundary_mults": [rat_str(x) for x in link.boundary_mults],
         }
 
@@ -611,15 +607,11 @@ def model_to_dict(m: SurfaceModel) -> dict:
 def _link_from(r: JsonValue) -> ModelLink | None:
     if r.value is None:
         return None
-    g = r.get("graph")
-    vertices = tuple(GraphVertex(*(x.of(kind) for x, kind in zip(v.items(3), (str, int, int))))
-                     for v in g.get("vertices").items())
     return ModelLink(
         target=r.get("target").of(str),
         pullback=r.get("pullback").rows(),
         exceptional_label=r.get("exceptional_label").of(str),
         exceptional=DivClass(r.get("exceptional").rats()),
-        graph=ResolutionGraph(vertices, _int_rows(g.get("edges"), 3)),
         boundary_mults=r.get("boundary_mults", []).rats(),
     )
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .exactnum import Rat, rat, rat_str
+from .exactnum import Rat, rat
 
 _SING_RE = re.compile(r"^1/(\d+)\((\d+),(\d+)\)$")
 
@@ -148,9 +148,9 @@ class LocalGlobalReport:
     def as_dict(self) -> dict:
         return {
             "verdict": "pass" if self.passed else "fail",
-            "vol": rat_str(self.vol),
-            "threshold": rat_str(self.threshold),
-            "margin": rat_str(self.margin),
+            "vol": self.vol,
+            "threshold": self.threshold,
+            "margin": self.margin,
             "binding_singularity": self.binding,
         }
 

@@ -13,11 +13,13 @@ rule.  The divisorial invariants reduce to volume profiles:
     S(E) = (1/L^2) * integral_0^tau vol(L - tE) dt,
     beta(E) = A(E) - S(E),        delta(E) = A(E)/S(E),
 
-with A(E) the log discrepancy resolved from catalogue links.  A negative
-beta certifies instability of the pair.  ``invariants(m, spec)`` resolves
-a divisor spec once and walks its profile once; the ``Invariants`` record
-it returns carries A, the profile, S, beta and delta, and every report
-and flag bound reads them from there.
+with A(E) the log discrepancy: 1 + a - sum_i c_i mult_i for the divisor
+that a catalogue link extracts, with a read from K_Y = f*K_X + aE on the
+link's target (``ModelLink.discrepancy``).  A negative beta certifies
+instability of the pair.  ``invariants(m, spec)`` resolves a divisor
+spec once and walks its profile once; the ``Invariants`` record it
+returns carries A, the profile, S, beta and delta, and every report and
+flag bound reads them from there.
 
 ``p114_pair_report`` is the P(1,1,4) study: beta = A - S at the exceptional
 curve of its resolution F_4, as the boundary coefficient moves.
@@ -125,7 +127,7 @@ def named_graph(spec: str) -> ResolutionGraph:
         n = int(rest[:-len("+ruling")] if with_ruling else rest)
         if n < 1:
             raise ValueError("rational normal curve degree must be >= 1")
-        st = (StrictTransform(Fraction(1), ((0, 1),), "ruling"),) if with_ruling else ()
+        st = (StrictTransform(Fraction(1), ((0, 1),)),) if with_ruling else ()
         return ResolutionGraph((GraphVertex("E", 0, -n),), strict_transforms=st)
     raise ValueError(f"unknown graph {spec!r}")
 
@@ -276,19 +278,13 @@ class ResolvedDivisor:
     kind: str            # "on-surface" | "blowup" | "resolution" | "raw"
 
 
-def _link_log_discrepancy(m: SurfaceModel, link: ModelLink) -> Rat:
-    a = discrepancies(link.graph)
-    idx = next(i for i, v in enumerate(link.graph.vertices) if v.label == link.exceptional_label)
-    val = Fraction(1) + a[idx]
-    for part, mult in zip(m.boundary, link.boundary_mults):
-        val -= part.coeff * mult
-    return val
-
-
 def _linked(m: SurfaceModel, link: ModelLink, kind: str) -> ResolvedDivisor:
-    return ResolvedDivisor(m, get_model(link.target), link.pull(m.polarization()),
-                           link.exceptional, link.exceptional_label,
-                           _link_log_discrepancy(m, link), kind)
+    target = get_model(link.target)
+    A = 1 + link.discrepancy(target)
+    for part, mult in zip(m.boundary, link.boundary_mults):
+        A -= part.coeff * mult
+    return ResolvedDivisor(m, target, link.pull(m.polarization()),
+                           link.exceptional, link.exceptional_label, A, kind)
 
 
 def _raw(m: SurfaceModel, cls: DivClass) -> ResolvedDivisor:

@@ -529,17 +529,17 @@ def _string_asserted_plt(tmp_path):
     _catalog_leaf(["catalog", "show", "dP7x"], lambda m: m.update(del_pezzo="false"),
                   "model 'dP7x': del_pezzo is a string, not a boolean"),
     _catalog_leaf(["beta", "--surface", "dP7x", "--divisor-spec", "exceptional:pt"],
-                  lambda m: m["blowup"]["graph"]["vertices"][0].__setitem__(2, -1.5),
-                  "model 'dP7x': blowup.graph.vertices[0][2] is a float, not an integer"),
+                  lambda m: m["blowup"]["pullback"][0].__setitem__(0, 1.0),
+                  "model 'dP7x': blowup.pullback[0][0] is a float, not a rational"),
     _catalog_leaf(["catalog", "show", "dP7x"],
-                  lambda m: m["blowup"]["graph"]["vertices"][0].__setitem__(1, 0.0),
-                  "model 'dP7x': blowup.graph.vertices[0][1] is a float, not an integer"),
+                  lambda m: m["blowup"]["exceptional"].__setitem__(3, 1.0),
+                  "model 'dP7x': blowup.exceptional[3] is a float, not a rational"),
     _string_asserted_plt,
     _graph_vertex({"self_int": -2.5}, "vertices[0].self_int is a float, not an integer"),
     _graph_vertex({"genus": 0.5}, "vertices[0].genus is a float, not an integer"),
     _graph_vertex({"genus": "1"}, "vertices[0].genus is a string, not an integer"),
 ], ids=["graph-edge", "gram-entry", "list-name", "number-target", "list-curve-label",
-        "list-basis-label", "string-del-pezzo", "float-link-self-int", "float-link-genus",
+        "list-basis-label", "string-del-pezzo", "float-link-pullback", "float-link-exceptional",
         "string-asserted-plt", "float-self-int", "float-genus", "string-genus"])
 def test_json_input_with_a_wrong_typed_value_names_file_and_object(tmp_path, capsys, make):
     argv, message = make(tmp_path)
@@ -900,8 +900,15 @@ def test_git_destab_applies_a_coordinate_change():
     ({"pullback": [["2"], ["0"]]},
      "blowup link to dP8: pullback changes the pairing of H and H"),
     ({"exceptional_label": "X"},
-     "blowup link to dP8: exceptional label X is not a vertex of its graph"),
+     "blowup link to dP8: exceptional class is not the class of dP8's curve X"),
     ({"target": "myF1"}, "blowup link to myF1: target is not a built-in surface"),
+    # -H keeps the pairing, so only K_Y = f*K_X + aE fails
+    ({"pullback": [["-1"], ["0"]]},
+     "blowup link to dP8: the target's canonical class is not the pullback of the "
+     "model's plus a multiple of the exceptional class"),
+    # E1/2 passes the other checks, and it certified beta = -1 (A = 3, S = 4)
+    ({"exceptional": ["0", "1/2"]},
+     "blowup link to dP8: exceptional class is not the class of dP8's curve E1"),
 ])
 def test_catalog_links_are_checked_against_their_targets(tmp_path, capsys, blowup, problem):
     # Each edit used to give a certified beta, a traceback or a mid-command
@@ -937,6 +944,67 @@ def test_pair_over_a_catalog_base_has_its_links_checked(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: invalid --catalog model: myP112+1/2Q: resolution link to "
         "F2~P(1,1,2)+1/2Q: pullback changes the pairing of O1 and O1\n")
+
+
+def _plane_copy(tmp_path, edit):
+    plane = {**model_to_dict(get_model("dP9")), "name": "myP2"}
+    edit(plane)
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(plane))
+    return ["--catalog", str(path)]
+
+
+def test_a_link_graph_in_a_catalog_file_is_ignored(tmp_path):
+    # A's value comes from the target lattice: the graph's E^2 = -2 used to
+    # give A = 1, beta = -1 and "K-unstable (certified)".
+    flags = _plane_copy(tmp_path, lambda p: p["blowup"].update(
+        graph={"vertices": [["E1", 0, -2]], "edges": []}))
+    payload, code = _json_run(flags + ["beta", "--surface", "myP2",
+                                       "--divisor-spec", "exceptional:pt"])
+    assert code == 0
+    row = payload["results"]["divisors"][0]
+    assert (row["A"], row["S"], row["beta"]) == ("2", "2", "0")
+    assert payload["results"]["verdict"] == "no destabilizer among the tested divisors"
+
+
+@pytest.mark.parametrize("spec", ["line", "exceptional:pt"])
+def test_a_catalog_canonical_class_that_its_link_contradicts_is_refused(tmp_path, capsys,
+                                                                        spec):
+    # K = -4H used to certify beta(line) = -1/3 and beta(exceptional:pt) = -2/3.
+    flags = _plane_copy(tmp_path, lambda p: p.update(canonical=["-4"], del_pezzo=False))
+    report, code = run(flags + ["beta", "--surface", "myP2", "--divisor-spec", spec])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid --catalog model: myP2: blowup link to dP8: the target's canonical "
+        "class is not the pullback of the model's plus a multiple of the exceptional class\n")
+
+
+def _approx(exact):
+    return {"exact": exact, "approx": float(F(exact)), "approx_note": "non-authoritative"}
+
+
+@pytest.mark.parametrize("argv, path, exact", [
+    (["semistable", "--surface", "P(1,1,2)+Q/2"], ("bounds", "vertex"), "1"),
+    (["semistable", "--surface", "F1"], ("destabilizer", "beta"), "-1/6"),
+    (["local-global", "--surface", "P(1,1,2)"], ("vol",), "8"),
+    (["local-global", "--surface", "P(1,1,2)"], ("threshold",), "9/2"),
+    (["local-global", "--surface", "P(1,1,2)"], ("margin",), "7/2"),
+    (["volfn", "--surface", "dP7", "--divisor-spec", "Ltilde"], ("chambers", 0, "to"), "1"),
+    (["zariski", "--surface", "dP7", "--div", "-K - 2Ltilde"],
+     ("gram_certificate", 1, 1), "-1"),
+    (["git-destab", "--verdict-table"], ("table", 2, "witness_weight"), "3"),
+], ids=["semistable-bound", "semistable-beta", "local-global-vol",
+        "local-global-threshold", "local-global-margin", "volfn-chamber",
+        "zariski-gram", "git-witness-weight"])
+def test_decimal_approximates_every_rational(argv, path, exact):
+    # Each of these values used to reach the report already as text, so
+    # --decimal left it without its approximation.
+    payload, code = _json_run(argv + ["--decimal", "--format", "json"])
+    assert code == 0
+    value = payload["results"]
+    for key in path:
+        value = value[key]
+    assert value == _approx(exact)
 
 
 @pytest.mark.parametrize("argv, message", [

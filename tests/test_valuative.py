@@ -8,8 +8,8 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from delpezzo.azflag import builtin_flags, semistable_via_flags
-from delpezzo.catalog import get_model, validate_links
-from delpezzo.lattice import DivClass, LabeledCurve
+from delpezzo.catalog import builtin_names, get_model, validate_links
+from delpezzo.lattice import DivClass, GraphVertex, LabeledCurve
 from delpezzo.valuative import (DivisorSpecError, PlaneCurveGerm, ResolutionGraph,
                                 beta_report, classify, degenerate_edge, diagonal_parameter,
                                 discrepancies, invariants, lct_n_lines, lct_newton,
@@ -187,6 +187,40 @@ def test_A_values():
         assert invariants(pair, "exceptional").A == 1
     for n in range(2, 7):
         assert invariants(get_model(f"P(1,1,{n})"), "exceptional").A == F(2, n)
+
+
+# Every built-in model with a link, and pairs over a cone, where a link
+# carries a boundary multiplicity.
+_LINKED = [(name, kind) for name in builtin_names() + [f"P(1,1,2)+{c}Q" for c in
+                                                         ("0", "1/4", "1/2", "3/4")]
+           for kind in ("blowup", "resolution")
+           if getattr(get_model(name), kind) is not None]
+
+
+def test_the_linked_models_are_the_expected_ones():
+    assert sorted(name for name, _ in _LINKED) == sorted(
+        [f"dP{d}" for d in range(2, 10)] + ["P1xP1"] + [f"P(1,1,{n})" for n in range(2, 7)]
+        + [f"P(1,1,2)+{c}Q" for c in ("0", "1/4", "1/2", "3/4")])
+
+
+@pytest.mark.parametrize("name, kind", _LINKED)
+def test_link_discrepancy_is_the_adjunction_solve_of_its_one_vertex_graph(name, kind):
+    # The graph of E has E^2 read on the target and the genus g that adjunction
+    # gives, 2g - 2 = E^2 + K_Y.E; ``discrepancies`` solves it independently.
+    m = get_model(name)
+    link = getattr(m, kind)
+    target = get_model(link.target)
+    e = link.exceptional
+    sq, ke = target.intersect(e, e), target.intersect(target.canonical, e)
+    genus = (sq + ke + 2) / 2
+    assert genus.denominator == 1 and sq.denominator == 1
+    graph = ResolutionGraph((GraphVertex(link.exceptional_label, int(genus), int(sq)),))
+    assert link.discrepancy(target) == discrepancies(graph)[0]
+    # A = 2 for a point blow-up, and 2/n for e on F_n over P(1,1,n) (e^2 = -n)
+    if kind == "blowup":
+        assert invariants(m, "exceptional:pt").A == 2
+    else:
+        assert invariants(m, "exceptional").A == 2 / -sq
 
 
 def test_S_values():

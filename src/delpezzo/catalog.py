@@ -343,4 +343,17 @@ def validate_links(m: SurfaceModel) -> list[str]:
             problems.append(
                 f"{where}: {len(link.boundary_mults)} boundary multiplicities for "
                 f"{len(m.boundary)} boundary parts")
+            continue
+        # mult_i is read into A; where the target carries B~_i it is
+        # (f*B_i - B~_i) / E, else only its sign is known
+        for part, mult in zip(m.boundary, link.boundary_mults):
+            strict = next((b.cls for b in target.boundary if b.label == part.label), None)
+            if strict is None:
+                if mult < 0:
+                    problems.append(f"{where}: boundary multiplicity of {part.label} "
+                                    f"is {rat_str(mult)} < 0")
+            elif len(problems) == seen and link.pull(part.cls) - strict != e.scale(mult):
+                problems.append(
+                    f"{where}: the pullback of {part.label} is not its strict "
+                    f"transform plus {rat_str(mult)} times the exceptional class")
     return problems

@@ -7,7 +7,8 @@ that exchanges rows at a zero pivot.  Until the first exchange its pivots
 are the leading principal minors, which certify negative definiteness by
 Sylvester's criterion (``sylvester_negative_definite``), and the right-hand
 sides come out as integer solutions over the last pivot.  ``solve`` clears
-a rational system to integers row by row and divides by that pivot.  One
+a rational system to integers row by row and divides by that pivot; the
+engine's own callers run ``bareiss`` on integer data they already hold.  One
 symmetric (congruence) elimination, an independent second kernel, gives
 the signature for the lattice checks and for re-checking decompositions.
 """
@@ -27,7 +28,12 @@ class SingularMatrixError(ValueError):
 
 
 def solve(m: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> list[Rat]:
-    """Solve m x = b exactly; raises SingularMatrixError if singular."""
+    """Solve m x = b exactly; raises SingularMatrixError if singular.
+
+    No runtime code calls it: ``pseff_certificate`` reads its Farkas class
+    from ``bareiss`` on the model's integer Gram.  It is kept because the
+    benchmark's tracer binds it by name and the tests use it as an oracle,
+    until the benchmark's count gate retires it (ROADMAP item 1)."""
     n = len(m)
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("shape mismatch in linear solve")

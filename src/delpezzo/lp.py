@@ -9,13 +9,17 @@ a nef class pairing negatively).
 The tableau is fraction-free (Bareiss, Math. Comp. 22 (1968); Edmonds,
 J. Res. NBS 71B (1967)):
 
-- Each column, the right-hand side included, is multiplied by the LCM
-  of its own denominators, so the tableau is integral.  A positive
-  column scale changes no sign and no ratio-test argmin, so Bland's
-  rule takes exactly the pivots of the rational simplex.  The
-  artificial identity columns keep scale 1, so the starting basis has
-  determinant 1; one common denominator for the whole tableau would
-  scale them too and break the exact division below.
+- The tableau is integral.  The caller passes integer columns: a
+  rational column is multiplied by the LCM of its own denominators
+  first, as ``SurfaceModel._generator_rows`` does once per model.  Here
+  only the right-hand side is cleared, the same way.  A positive column
+  scale changes no sign and no ratio-test argmin, so Bland's rule takes
+  exactly the pivots of the rational simplex on the unscaled columns,
+  and a Farkas vector y keeps the signs of y.A_j, so it is one for the
+  rational system too.  The artificial identity columns keep scale 1,
+  so the starting basis has determinant 1; one common denominator for
+  the whole tableau would scale them too and break the exact division
+  below.
 - The integer tableau is d times the column-scaled rational tableau,
   where d is the previous pivot (1 at the start), the determinant of
   the current basis.  A pivot p updates every other row, the objective
@@ -52,20 +56,21 @@ class LPFeasibility:
     pivots: int = 0
 
 
-def eq_feasibility(a: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> LPFeasibility:
+def eq_feasibility(a: Sequence[Sequence[int]], b: Sequence[Rat]) -> LPFeasibility:
     """Feasibility of {x >= 0 : a x = b}, with a Farkas vector when empty.
-    The entries of a and b are ints or Fractions; each column and b are
-    cleared to integer numerators with ``over_one_denominator``."""
+    The entries of a are ints: clearing a rational column to integers over
+    a positive scale is the caller's job, and leaves the verdict, the
+    Farkas vector and the pivots unchanged.  The entries of b are ints or
+    Fractions, cleared to integer numerators with ``over_one_denominator``."""
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a) or len(b) != m:
         raise ValueError("shape mismatch in LP")
 
-    columns = [over_one_denominator([row[j] for row in a])[1] for j in range(n)]
     _, rhs_nums = over_one_denominator(b)
     signs = [1 if v >= 0 else -1 for v in rhs_nums]
-    rows = [[col[i] * sign for col in columns] + [0] * m + [v * sign]
-            for i, (v, sign) in enumerate(zip(rhs_nums, signs))]
+    rows = [[x * sign for x in row] + [0] * m + [v * sign]
+            for row, v, sign in zip(a, rhs_nums, signs)]
     for i in range(m):
         rows[i][n + i] = 1
     basis = [n + i for i in range(m)]

@@ -36,7 +36,9 @@ only when a caller reads them: the S, beta and flag paths never do.
 Every per-curve sign test reads integers: the walk's nef test of L,
 ``ZariskiDecomp.verify`` and the check of a Farkas class W read the signs
 of D . C from the numerators ``lattice._pair_numerators`` returns over one
-positive denominator, and build no Fraction per catalogued curve.
+positive denominator, and build no Fraction per catalogued curve.  The LP
+reads the generators as integer columns cleared once per model, and W
+comes from one Bareiss elimination of the integer Gram.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .exactnum import (Poly, PiecewisePoly, Rat, over_one_denominator, rat_str,
                        rational_roots)
 from .lattice import (DivClass, LabeledCurve, ModelInvariantError, SurfaceModel,
                       _pair_numerators)
-from .linalg import (Matrix, bareiss, is_negative_definite, solve,
+from .linalg import (Matrix, SingularMatrixError, bareiss, is_negative_definite,
                      sylvester_negative_definite)
 
 
@@ -85,21 +87,29 @@ class ConeDataError(RuntimeError):
 def pseff_certificate(m: SurfaceModel, d: DivClass) -> tuple[bool, DivClass | None]:
     """LP membership of d in the cone of catalogued generators.
 
+    The LP's columns are the generators' coordinate vectors, cleared to
+    integers once per model (``SurfaceModel._generator_rows``).  On a
+    refusal, W solves G W = -y for the Farkas vector y, read from one
+    fraction-free Bareiss elimination of the integer Gram (q, g), G = g / q:
+    with y = Y / s, g X = det * Y gives W = -q X / (det s).
+
     Returns (True, None) or (False, W) with W nef and W . d < 0.  W is
     re-checked before it is returned: it pairs >= 0 with every generator
     and with the polarization, W^2 >= 0 and W . d < 0; ConeDataError if
     any of these fails.
     """
-    # the LP columns are the generators' coordinate vectors
-    a = [[c.cls.coeffs[i] for c in m.neg_curves] for i in range(m.rank)]
-    res = lp.eq_feasibility(a, d.coeffs)
+    res = lp.eq_feasibility(m._generator_rows, d.coeffs)
     if res.feasible:
         return True, None
     # Farkas functional y: y.gen <= 0 for all generators, y.d > 0.
     # Convert to a divisor class W with G * coeffs(W) = -y, so that
     # W . C = -y . coeffs(C).
-    y = res.farkas
-    w = DivClass(tuple(solve(m.gram, [-v for v in y])))
+    q, g = m._int_gram
+    s, ys = over_one_denominator(res.farkas)
+    _, det, xs = bareiss(g, [ys])
+    if det == 0:
+        raise SingularMatrixError("singular matrix in exact solve")
+    w = DivClass(tuple(Fraction(-q * x, det * s) for x in xs[0]))
     _, w_dot = _pair_numerators(w, *m._curve_vectors)  # signs of W . C
     problems = [f"W.{c.label} < 0" for c, v in zip(m.neg_curves, w_dot) if v < 0]
     if m.intersect(w, m.polarization()) < 0:

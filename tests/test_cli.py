@@ -979,6 +979,43 @@ def test_a_catalog_canonical_class_that_its_link_contradicts_is_refused(tmp_path
         "class is not the pullback of the model's plus a multiple of the exceptional class\n")
 
 
+def _pair_copy(tmp_path, mults, target="F2~P(1,1,2)+1/2Q"):
+    pair = {**model_to_dict(get_model("P(1,1,2)+1/2Q")), "name": "myPair"}
+    pair["resolution"].update(boundary_mults=mults, target=target)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    return ["--catalog", str(path), "beta", "--surface", "myPair",
+            "--divisor-spec", "exceptional"]
+
+
+@pytest.mark.parametrize("mult", ["1", "4"])
+def test_a_boundary_multiplicity_the_target_contradicts_is_refused(tmp_path, capsys,
+                                                                   mult):
+    # Q misses the vertex; mult 1 used to certify beta = -1/2, and 4 beta = -2.
+    report, code = run(_pair_copy(tmp_path, [mult]))
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2)+1/2Q: "
+        f"the pullback of Q is not its strict transform plus {mult} times the "
+        "exceptional class\n")
+
+
+def test_a_negative_boundary_multiplicity_is_refused(tmp_path, capsys):
+    # F2 carries no boundary, so only the sign of the multiplicity is known.
+    report, code = run(_pair_copy(tmp_path, ["-1"], target="F2~P(1,1,2)"))
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2): "
+        "boundary multiplicity of Q is -1 < 0\n")
+
+
+def test_the_boundary_multiplicity_the_target_gives_is_accepted(tmp_path):
+    payload, code = _json_run(_pair_copy(tmp_path, ["0"]))
+    assert code == 0
+    row = payload["results"]["divisors"][0]
+    assert (row["A"], row["beta"]) == ("1", "0")
+
+
 def _approx(exact):
     return {"exact": exact, "approx": float(F(exact)), "approx_note": "non-authoritative"}
 

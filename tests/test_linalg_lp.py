@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from delpezzo import lp
 from delpezzo.catalog import get_model
+from delpezzo.exactnum import over_one_denominator
 from delpezzo.linalg import (SingularMatrixError, bareiss, is_negative_definite, solve,
                              sylvester_negative_definite, symmetric_signature)
 from delpezzo.lp import eq_feasibility
@@ -277,6 +278,12 @@ def test_empty_cone():
     assert not outside.feasible and outside.farkas == (1, 1)
 
 
+def _cleared_columns(a):
+    """The integer rows of a with each column over its least denominator."""
+    columns = [over_one_denominator(col)[1] for col in zip(*a)]
+    return [list(row) for row in zip(*columns)] if columns else [[] for _ in a]
+
+
 _lp_entries = st.one_of(st.just(F(0)), st.integers(-2, 2).map(F),
                         st.fractions(min_value=-3, max_value=3, max_denominator=6))
 
@@ -307,16 +314,21 @@ def lp_systems(draw):
 @example(([[F(2, 3), F(-1, 5)], [F(1, 7), F(3, 2)]], [F(1, 3), F(5, 4)]))
 @example(([], []))
 def test_fraction_free_simplex_matches_fraction_oracle(system):
+    """The engine reads each column cleared to integers over its own least
+    denominator, the oracle the Fraction column: a positive column scale
+    leaves the verdict, the Farkas vector and the pivot count unchanged."""
     a, b = system
-    assert eq_feasibility(a, b) == simplex_oracle.eq_feasibility(a, b)
+    assert eq_feasibility(_cleared_columns(a), b) == simplex_oracle.eq_feasibility(a, b)
 
 
 def test_pivot_loop_does_no_fraction_arithmetic():
     """The dP1 refusal of -K - E1 takes 188 pivots on a 9 x 250 tableau; the
-    only Fraction arithmetic is mapping y back through the row signs."""
+    only Fraction arithmetic is mapping y back through the row signs.  The
+    engine reads the integer columns the model caches."""
     m = get_model("dP1")
     gens = [c.cls.coeffs for c in m.neg_curves]
-    a = [[g[i] for g in gens] for i in range(m.rank)]
+    a = _cleared_columns([[g[i] for g in gens] for i in range(m.rank)])
+    assert a == [list(row) for row in m._generator_rows]
     b = list((m.minus_k() - m.curve("E1")).coeffs)
     ops = []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import json
 import shlex
@@ -12,11 +13,12 @@ import simplex_oracle
 import solve_oracle
 import walk_oracle
 import zariski_oracle
-from delpezzo import lp, positivity
-from delpezzo.catalog import builtin_names, get_model
+from delpezzo import catalog, lattice, linalg, lp, positivity
+from delpezzo.catalog import builtin_names, get_model, validate_links
 from delpezzo.cli import run
-from delpezzo.exactnum import Poly
+from delpezzo.exactnum import Poly, over_one_denominator
 from delpezzo.lattice import DivClass, LabeledCurve, SurfaceModel, is_nef
+from delpezzo.linalg import solve
 from delpezzo.positivity import (NotPseudoeffectiveError, ZariskiDecomp, pseff_certificate,
                                  pseff_threshold, volume, volume_profile, zariski)
 from delpezzo.valuative import profile_for, resolve_divisor_spec
@@ -96,6 +98,84 @@ def test_pseff_lp_calls_match_fraction_oracle(monkeypatch):
     for m, a, b, res in calls:
         assert [tuple(col) for col in zip(*a)] == [c.cls.coeffs for c in m.neg_curves]
         assert res == simplex_oracle.eq_feasibility(a, b)
+
+
+# The refusals of the certify workload's strata: every curve of dP6-dP2 at
+# t = u * tau(-K, C), with u cycling through the workload's fractions above 1,
+# and the fixed dP1 request.
+_OUTSIDE = (F(5, 4), F(4, 3), F(3, 2), F(2), F(3))
+
+
+def _certify_refusals():
+    for name in ("dP6", "dP5", "dP4", "dP3", "dP2"):
+        m = get_model(name)
+        for i, c in enumerate(m.neg_curves):
+            yield m, c, _OUTSIDE[i % len(_OUTSIDE)]
+    m = get_model("dP1")
+    yield m, next(c for c in m.neg_curves if c.label == "C120"), F(3, 2)
+
+
+def test_farkas_class_matches_the_fraction_solve(monkeypatch):
+    """On every refusal W, read from one integer Bareiss, equals the Fraction
+    solve of G W = -y, and the LP on the model's cached integer columns
+    equals the Fraction simplex on the generator matrix, pivots included."""
+    calls = []
+    original = lp.eq_feasibility
+
+    def recorded(a, b):
+        calls.append((b, original(a, b)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(positivity.lp, "eq_feasibility", recorded)
+    seen = 0
+    for m, c, u in _certify_refusals():
+        L = m.polarization()
+        d = L - c.cls.scale(pseff_threshold(m, L, c.cls) * u)
+        calls.clear()
+        ok, w = pseff_certificate(m, d)
+        ((b, res),) = calls
+        assert not ok and not res.feasible
+        assert list(w.coeffs) == solve(m.gram, [-v for v in res.farkas])
+        gens = [[g.cls.coeffs[i] for g in m.neg_curves] for i in range(m.rank)]
+        assert res == simplex_oracle.eq_feasibility(gens, b)
+        seen += 1
+    assert seen == 6 + 10 + 16 + 27 + 56 + 1
+
+
+def test_a_refusal_clears_the_generator_columns_once_per_model(monkeypatch):
+    """The LP columns are cleared once per model: a second refusal clears no
+    generator, and W comes from no linalg.solve call."""
+    m = dataclasses.replace(get_model("dP3"))  # a fresh model, no cached state
+    L = m.polarization()
+    d1, d2 = (L - m.curve(label).scale(3) for label in ("E1", "E2"))
+    assert not pseff_certificate(m, d1)[0]
+    cleared = []
+
+    def counted(values):
+        cleared.append(tuple(values))
+        return over_one_denominator(values)
+
+    for module in (lattice, lp, positivity):
+        monkeypatch.setattr(module, "over_one_denominator", counted)
+    monkeypatch.setattr(linalg, "solve", None)  # a call would raise TypeError
+    assert not hasattr(positivity, "solve")
+    assert not pseff_certificate(m, d2)[0]
+    assert cleared and len(cleared) < len(m.neg_curves)
+    assert not {c.cls.coeffs for c in m.neg_curves} & set(cleared)
+
+
+def test_generator_rows_are_built_on_first_use_per_model():
+    """Looking a model up and validating it builds no LP columns, so listing
+    the catalog pays nothing; a copy with other curves builds its own."""
+    for name in builtin_names():
+        m = catalog._builtin.__wrapped__(name)  # built as get_model builds it
+        assert m.validate() == [] and validate_links(m) == []
+        assert "_generator_rows" not in vars(m), name
+    m = get_model("dP4")
+    fewer = dataclasses.replace(m, neg_curves=m.neg_curves[:3])
+    assert len(m._generator_rows[0]) == 16
+    assert fewer._generator_rows == tuple(row[:3] for row in m._generator_rows)
+    assert "_generator_rows" not in vars(dataclasses.replace(m))
 
 
 def test_volume_examples():

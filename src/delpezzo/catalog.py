@@ -344,14 +344,11 @@ def validate_links(m: SurfaceModel) -> list[str]:
                 f"{where}: {len(link.boundary_mults)} boundary multiplicities for "
                 f"{len(m.boundary)} boundary parts")
             continue
-        # mult_i is read into A; where the target carries B~_i it is
-        # (f*B_i - B~_i) / E, else only its sign is known
+        # mult_i is read into A, and is (f*B_i - B~_i) / E for the target's B~_i
         for part, mult in zip(m.boundary, link.boundary_mults):
             strict = next((b.cls for b in target.boundary if b.label == part.label), None)
             if strict is None:
-                if mult < 0:
-                    problems.append(f"{where}: boundary multiplicity of {part.label} "
-                                    f"is {rat_str(mult)} < 0")
+                problems.append(f"{where}: the target has no boundary part {part.label}")
             elif len(problems) == seen and link.pull(part.cls) - strict != e.scale(mult):
                 problems.append(
                     f"{where}: the pullback of {part.label} is not its strict "

@@ -17,6 +17,9 @@ and since sum(p) = 3 the centred w = u - (sum(u)/4)(1,1,1,1) has
 w.p > 0 on the whole support.  Scaled to a primitive integer vector, it
 is re-verified against the support before being returned.
 
+Every verdict rests on the LP's own certificate: the convex combination
+that ``lp.eq_feasibility`` re-checks, or a witness of positive weight.
+
 Full GIT (quantifying over all coordinate systems) is out of scope:
 verdicts for smooth normal forms in the shipped table carry a literature
 flag for the coordinate quantifier.
@@ -34,7 +37,7 @@ from .exactnum import Rat, combination_str, over_one_denominator, poly_mul, rat
 from .linalg import bareiss
 
 VARS = ("x", "y", "z", "w")
-WEIGHT_BOUND = 9
+WEIGHT_BOUND = 9  # bound on the weights ``brute_force_destabilizer`` searches
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,8 @@ def hm_weight(f: CubicForm, lam: OnePS) -> Rat:
 
 
 def barycenter_in_hull(f: CubicForm) -> bool:
-    """Exact membership of (3/4,...,3/4) in the convex hull of the support."""
+    """Exact membership of (3/4,...,3/4) in the convex hull of the support.
+    No engine caller; kept for the benchmark tracer (ROADMAP item 1)."""
     return torus_destabilizer(f) is None
 
 
@@ -106,7 +110,9 @@ def brute_force_destabilizer(f: CubicForm) -> OnePS | None:
     passes or rules out the pair, and |w3|, |w4| <= WEIGHT_BOUND bound w3
     from both.  The first witness is the low end of the first nonempty
     interval; the zero vector pairs to 0 and so is never in one.
-    """
+
+    A test oracle with no engine caller, kept for the benchmark tracer
+    until ROADMAP item 1 moves it to the tests."""
     diffs = [(e[0] - e[3], e[1] - e[3], e[2] - e[3]) for e in f.support]
     bound = WEIGHT_BOUND
     rng = range(-bound, bound + 1)

@@ -365,14 +365,6 @@ class SurfaceModel:
         columns = [[x * (q // d) for x in col] for col, d in zip(columns, dens)]
         return q, tuple(tuple(col[i] for col in columns) for i in range(len(self.gram)))
 
-    @cached_property
-    def _generator_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The catalogued curves' coordinates as integer rows (rank x n): the
-        k-th column is the k-th curve's class cleared to integer numerators
-        over its least denominator, the LP's columns in ``pseff_certificate``."""
-        columns = [over_one_denominator(c.cls.coeffs)[1] for c in self.neg_curves]
-        return tuple(tuple(col[i] for col in columns) for i in range(self.rank))
-
     def minus_k(self) -> DivClass:
         return -self.canonical
 

@@ -10,16 +10,16 @@ The tableau is fraction-free (Bareiss, Math. Comp. 22 (1968); Edmonds,
 J. Res. NBS 71B (1967)):
 
 - The tableau is integral.  The caller passes integer columns: a
-  rational column is multiplied by the LCM of its own denominators
-  first, as ``SurfaceModel._generator_rows`` does once per model.  Here
-  only the right-hand side is cleared, the same way.  A positive column
-  scale changes no sign and no ratio-test argmin, so Bland's rule takes
-  exactly the pivots of the rational simplex on the unscaled columns,
-  and a Farkas vector y keeps the signs of y.A_j, so it is one for the
-  rational system too.  The artificial identity columns keep scale 1,
-  so the starting basis has determinant 1; one common denominator for
-  the whole tableau would scale them too and break the exact division
-  below.
+  rational column is multiplied by a positive integer first, as
+  ``SurfaceModel._curve_vectors`` clears the pairing columns G.C once
+  per model.  Here only the right-hand side is cleared, over its least
+  denominator.  A positive column scale changes no sign and no
+  ratio-test argmin, so Bland's rule takes exactly the pivots of the
+  rational simplex on the unscaled columns, and a Farkas vector y keeps
+  the signs of y.A_j, so it is one for the rational system too.  The
+  artificial identity columns keep scale 1, so the starting basis has
+  determinant 1; one common denominator for the whole tableau would
+  scale them too and break the exact division below.
 - The integer tableau is d times the column-scaled rational tableau,
   where d is the previous pivot (1 at the start), the determinant of
   the current basis.  A pivot p updates every other row, the objective

@@ -37,8 +37,9 @@ Every per-curve sign test reads integers: the walk's nef test of L,
 ``ZariskiDecomp.verify`` and the check of a Farkas class W read the signs
 of D . C from the numerators ``lattice._pair_numerators`` returns over one
 positive denominator, and build no Fraction per catalogued curve.  The LP
-reads the generators as integer columns cleared once per model, and W
-comes from one Bareiss elimination of the integer Gram.
+is written in pairing coordinates, on the model's integer columns G.C, so
+its Farkas vector is minus the nef class W: the nef cone is dual to the
+cone of curves under the pairing.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ from .exactnum import (Poly, PiecewisePoly, Rat, over_one_denominator, rat_str,
                        rational_roots)
 from .lattice import (DivClass, LabeledCurve, ModelInvariantError, SurfaceModel,
                       _pair_numerators)
-from .linalg import (Matrix, SingularMatrixError, bareiss, is_negative_definite,
-                     sylvester_negative_definite)
+from .linalg import Matrix, bareiss, is_negative_definite, sylvester_negative_definite
 
 
 class NotPseudoeffectiveError(ValueError):
@@ -87,29 +87,23 @@ class ConeDataError(RuntimeError):
 def pseff_certificate(m: SurfaceModel, d: DivClass) -> tuple[bool, DivClass | None]:
     """LP membership of d in the cone of catalogued generators.
 
-    The LP's columns are the generators' coordinate vectors, cleared to
-    integers once per model (``SurfaceModel._generator_rows``).  On a
-    refusal, W solves G W = -y for the Farkas vector y, read from one
-    fraction-free Bareiss elimination of the integer Gram (q, g), G = g / q:
-    with y = Y / s, g X = det * Y gives W = -q X / (det s).
+    The LP is written in pairing coordinates: its columns are the integer
+    columns G.C the model caches (``SurfaceModel._curve_vectors``), its
+    right-hand side G.d.  G is nonsingular (``validate`` requires signature
+    (1, rank - 1, 0)), so sum x_k G.C_k = G.d has the solutions of
+    sum x_k C_k = d and the verdict is that of the LP on the generators'
+    coordinates.  Its Farkas vector y has y.G.C <= 0 < y.G.d, so W = -y is
+    the nef certificate, read with no elimination of the Gram.
 
     Returns (True, None) or (False, W) with W nef and W . d < 0.  W is
     re-checked before it is returned: it pairs >= 0 with every generator
     and with the polarization, W^2 >= 0 and W . d < 0; ConeDataError if
     any of these fails.
     """
-    res = lp.eq_feasibility(m._generator_rows, d.coeffs)
+    res = lp.eq_feasibility(m._curve_vectors[1], _pair_numerators(d, *m._int_gram)[1])
     if res.feasible:
         return True, None
-    # Farkas functional y: y.gen <= 0 for all generators, y.d > 0.
-    # Convert to a divisor class W with G * coeffs(W) = -y, so that
-    # W . C = -y . coeffs(C).
-    q, g = m._int_gram
-    s, ys = over_one_denominator(res.farkas)
-    _, det, xs = bareiss(g, [ys])
-    if det == 0:
-        raise SingularMatrixError("singular matrix in exact solve")
-    w = DivClass(tuple(Fraction(-q * x, det * s) for x in xs[0]))
+    w = -DivClass(res.farkas)
     _, w_dot = _pair_numerators(w, *m._curve_vectors)  # signs of W . C
     problems = [f"W.{c.label} < 0" for c, v in zip(m.neg_curves, w_dot) if v < 0]
     if m.intersect(w, m.polarization()) < 0:

@@ -1001,12 +1001,21 @@ def test_a_boundary_multiplicity_the_target_contradicts_is_refused(tmp_path, cap
 
 
 def test_a_negative_boundary_multiplicity_is_refused(tmp_path, capsys):
-    # F2 carries no boundary, so only the sign of the multiplicity is known.
+    # F2 carries no boundary, so no multiplicity of Q can be checked.
     report, code = run(_pair_copy(tmp_path, ["-1"], target="F2~P(1,1,2)"))
     assert report is None and code == 2
     assert capsys.readouterr().err == (
         "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2): "
-        "boundary multiplicity of Q is -1 < 0\n")
+        "the target has no boundary part Q\n")
+
+
+def test_a_boundary_part_the_target_lacks_is_refused(tmp_path, capsys):
+    # On F2, which carries no boundary, mult 1 used to certify beta = -1/2.
+    report, code = run(_pair_copy(tmp_path, ["1"], target="F2~P(1,1,2)"))
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2): "
+        "the target has no boundary part Q\n")
 
 
 def test_the_boundary_multiplicity_the_target_gives_is_accepted(tmp_path):

@@ -146,6 +146,36 @@ def test_destabilizer_is_one_lp_and_never_the_brute_force(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("seed", [20250810, 20261017])
+def test_reproduce_rows_never_run_the_brute_force(monkeypatch, seed):
+    """Every reproduce-paper row passes with the brute force unavailable: the
+    GIT row checks the LP's own certificates on its 100 seeded forms."""
+    from delpezzo import gitcubic
+    from delpezzo.reproduce import run_corpus
+
+    def forbidden(f):
+        raise AssertionError("brute force called on the runtime path")
+
+    monkeypatch.setattr(gitcubic, "brute_force_destabilizer", forbidden)
+    out = run_corpus(seed)
+    assert (out["total"], out["passed"]) == (64, 64)
+    (row,) = (r for r in out["rows"] if r["id"] == "git:lp-certificates")
+    if seed == 20250810:
+        assert row["result"].startswith("68 unstable") and "32 semistable" in row["result"]
+
+
+def test_a_witness_that_fails_its_check_fails_the_certificate_row(monkeypatch):
+    from delpezzo import gitcubic, lp
+    from delpezzo.reproduce import run_corpus
+    # a Farkas vector whose witness (-3, 1, 1, 1) is negative on any x^3 term
+    bogus = lp.LPFeasibility(False, tuple(map(F, (1, 0, 0, 0, 0))))
+    monkeypatch.setattr(gitcubic.lp, "eq_feasibility", lambda a, b: bogus)
+    rows = {r["id"]: r for r in run_corpus(20250810, section=6)["rows"]}
+    row = rows["git:lp-certificates"]
+    assert row["status"] == "FAIL"
+    assert row["result"].startswith("error: Farkas witness (-3, 1, 1, 1)")
+
+
 def test_membership_matches_destabilizer_absence():
     for f in (FERMAT, TRIPLE_A2, CONE_PLANE_CUBIC):
         assert barycenter_in_hull(f) == (brute_force_destabilizer(f) is None)

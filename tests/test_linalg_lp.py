@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from delpezzo import lp
 from delpezzo.catalog import get_model
 from delpezzo.exactnum import over_one_denominator
+from delpezzo.lattice import _pair_numerators
 from delpezzo.linalg import (SingularMatrixError, bareiss, is_negative_definite, solve,
                              sylvester_negative_definite, symmetric_signature)
 from delpezzo.lp import eq_feasibility
@@ -324,12 +325,11 @@ def test_fraction_free_simplex_matches_fraction_oracle(system):
 def test_pivot_loop_does_no_fraction_arithmetic():
     """The dP1 refusal of -K - E1 takes 188 pivots on a 9 x 250 tableau; the
     only Fraction arithmetic is mapping y back through the row signs.  The
-    engine reads the integer columns the model caches."""
+    engine reads the integer pairing columns G.C the model caches, and the
+    right-hand side G.d as integer numerators."""
     m = get_model("dP1")
-    gens = [c.cls.coeffs for c in m.neg_curves]
-    a = _cleared_columns([[g[i] for g in gens] for i in range(m.rank)])
-    assert a == [list(row) for row in m._generator_rows]
-    b = list((m.minus_k() - m.curve("E1")).coeffs)
+    a = m._curve_vectors[1]
+    b = _pair_numerators(m.minus_k() - m.curve("E1"), *m._int_gram)[1]
     ops = []
 
     def profile(frame, event, arg):

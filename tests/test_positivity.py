@@ -13,12 +13,13 @@ import simplex_oracle
 import solve_oracle
 import walk_oracle
 import zariski_oracle
-from delpezzo import catalog, lattice, linalg, lp, positivity
-from delpezzo.catalog import builtin_names, get_model, validate_links
+from delpezzo import lattice, linalg, lp, positivity
+from delpezzo.catalog import builtin_names, get_model
 from delpezzo.cli import run
 from delpezzo.exactnum import Poly, over_one_denominator
 from delpezzo.lattice import DivClass, LabeledCurve, SurfaceModel, is_nef
 from delpezzo.linalg import solve
+from delpezzo.parse import div_from_expr
 from delpezzo.positivity import (NotPseudoeffectiveError, ZariskiDecomp, pseff_certificate,
                                  pseff_threshold, volume, volume_profile, zariski)
 from delpezzo.valuative import profile_for, resolve_divisor_spec
@@ -52,8 +53,9 @@ def test_verify_refuses_a_support_that_is_not_negative_definite():
 
 
 def test_refusal_whose_gram_has_a_zero_leading_minor():
-    """The Farkas class W on P1xP1 is solved from the Gram [[0, 1], [1, 0]],
-    whose D_1 = 0: the elimination exchanges rows."""
+    """On P1xP1 the Gram [[0, 1], [1, 0]] has D_1 = 0, so an elimination of
+    it would exchange rows; the Farkas class W needs none, as it is read
+    off the Farkas vector of the LP in pairing coordinates."""
     m = get_model("P1xP1")
     with pytest.raises(NotPseudoeffectiveError) as err:
         zariski(m, DivClass.of([1, -1]))
@@ -72,9 +74,21 @@ def test_zariski_rejects_non_pseudoeffective_with_certificate():
     assert f1.intersect(cert, d) < 0
 
 
+def _pairing_system(m, d):
+    """The pseff LP of d in Fraction pairing coordinates, summed entry by
+    entry from the Gram: column k is G.C_k for the k-th catalogued curve,
+    and the right-hand side is G.d."""
+    def pair(c):
+        return [sum((g * x for g, x in zip(row, c.coeffs)), F(0)) for row in m.gram]
+
+    columns = [pair(c.cls) for c in m.neg_curves]
+    return [list(row) for row in zip(*columns)], pair(d)
+
+
 def test_pseff_lp_calls_match_fraction_oracle(monkeypatch):
     """Each LP of pseff_certificate(m, -K - tC) on a built-in model has the
-    generators as its columns and equals the Fraction simplex, pivots
+    pairing columns G.C the model caches as its columns, and equals the
+    Fraction simplex on the Fraction matrix of G.C columns, pivots
     included.  dP1 gets one refusal: its LP takes 188 pivots, about 2 s in
     the oracle."""
     calls = []
@@ -82,7 +96,7 @@ def test_pseff_lp_calls_match_fraction_oracle(monkeypatch):
 
     def recorded(a, b):
         res = original(a, b)
-        calls.append((m, a, b, res))
+        calls.append((m, d, a, res))
         return res
 
     monkeypatch.setattr(positivity.lp, "eq_feasibility", recorded)
@@ -93,11 +107,12 @@ def test_pseff_lp_calls_match_fraction_oracle(monkeypatch):
         else:
             grid = [(t, c) for t in (F(1, 2), F(3, 2), F(3)) for c in m.neg_curves[:2]]
         for t, c in grid:
-            pseff_certificate(m, m.minus_k() - c.cls.scale(t))
+            d = m.minus_k() - c.cls.scale(t)
+            pseff_certificate(m, d)
     assert {res.feasible for *_, res in calls} == {True, False}
-    for m, a, b, res in calls:
-        assert [tuple(col) for col in zip(*a)] == [c.cls.coeffs for c in m.neg_curves]
-        assert res == simplex_oracle.eq_feasibility(a, b)
+    for m, d, a, res in calls:
+        assert a is m._curve_vectors[1]
+        assert res == simplex_oracle.eq_feasibility(*_pairing_system(m, d))
 
 
 # The refusals of the certify workload's strata: every curve of dP6-dP2 at
@@ -115,36 +130,71 @@ def _certify_refusals():
     yield m, next(c for c in m.neg_curves if c.label == "C120"), F(3, 2)
 
 
+def _refusals():
+    """(m, d) for every refusal of the certify strata, then for the class
+    outside the catalogued cone that the pinned zariski outputs refuse on
+    each other model family."""
+    for m, c, u in _certify_refusals():
+        L = m.polarization()
+        yield m, L - c.cls.scale(pseff_threshold(m, L, c.cls) * u)
+    others = [("F1", "-K - 3E1"), ("P1xP1", "f1 - f2")]
+    others += [(f"P(1,1,{n})", "-O1") for n in range(2, 7)]
+    others += [("P(1,1,2)+1/2Q", "-O1"), ("P(2,3,5)", "-O1")]
+    others += [(f"F{n}~P(1,1,{n})", "f - e") for n in range(2, 7)]
+    for name, div in others:
+        m = get_model(name)
+        yield m, div_from_expr(m, div)
+
+
 def test_farkas_class_matches_the_fraction_solve(monkeypatch):
-    """On every refusal W, read from one integer Bareiss, equals the Fraction
-    solve of G W = -y, and the LP on the model's cached integer columns
-    equals the Fraction simplex on the generator matrix, pivots included."""
+    """On every refusal the LP on the model's cached integer pairing
+    columns equals the Fraction simplex on the Fraction matrix of G.C
+    columns, pivots included, and W is minus its Farkas vector."""
     calls = []
     original = lp.eq_feasibility
 
     def recorded(a, b):
-        calls.append((b, original(a, b)))
-        return calls[-1][1]
+        calls.append(original(a, b))
+        return calls[-1]
 
     monkeypatch.setattr(positivity.lp, "eq_feasibility", recorded)
     seen = 0
-    for m, c, u in _certify_refusals():
-        L = m.polarization()
-        d = L - c.cls.scale(pseff_threshold(m, L, c.cls) * u)
+    for m, d in _refusals():
         calls.clear()
         ok, w = pseff_certificate(m, d)
-        ((b, res),) = calls
+        (res,) = calls
         assert not ok and not res.feasible
-        assert list(w.coeffs) == solve(m.gram, [-v for v in res.farkas])
-        gens = [[g.cls.coeffs[i] for g in m.neg_curves] for i in range(m.rank)]
-        assert res == simplex_oracle.eq_feasibility(gens, b)
+        assert res == simplex_oracle.eq_feasibility(*_pairing_system(m, d))
+        assert w.coeffs == tuple(-v for v in res.farkas)
         seen += 1
-    assert seen == 6 + 10 + 16 + 27 + 56 + 1
+    assert seen == 6 + 10 + 16 + 27 + 56 + 1 + 2 + 7 + 5
 
 
-def test_a_refusal_clears_the_generator_columns_once_per_model(monkeypatch):
-    """The LP columns are cleared once per model: a second refusal clears no
-    generator, and W comes from no linalg.solve call."""
+def test_farkas_class_is_a_positive_multiple_of_the_coordinate_lps():
+    """The LP on the generators' own coordinates, the one the engine ran
+    before it read the pairing columns, refuses the same classes, and its
+    nef class, solve(G, -y), is a positive multiple of W; on every del
+    Pezzo refusal the two are equal."""
+    multiples = set()
+    for m, d in _refusals():
+        gens = [[g.cls.coeffs[i] for g in m.neg_curves] for i in range(m.rank)]
+        old = simplex_oracle.eq_feasibility(gens, d.coeffs)
+        ok, w = pseff_certificate(m, d)
+        assert not ok and not old.feasible
+        w_old = solve(m.gram, [-v for v in old.farkas])
+        k = next(i for i, v in enumerate(w_old) if v)
+        scale = w.coeffs[k] / w_old[k]
+        assert scale > 0 and list(w.coeffs) == [scale * v for v in w_old], m.name
+        if m.del_pezzo:
+            assert scale == 1, m.name
+        multiples.add(scale)
+    assert min(multiples) < 1 == max(multiples)
+
+
+def test_a_refusal_clears_no_generator_column_and_solves_nothing(monkeypatch):
+    """The LP reads the pairing columns the model caches, and W is minus its
+    Farkas vector: once the model has built those columns, a refusal
+    clears no generator and calls neither bareiss nor linalg.solve."""
     m = dataclasses.replace(get_model("dP3"))  # a fresh model, no cached state
     L = m.polarization()
     d1, d2 = (L - m.curve(label).scale(3) for label in ("E1", "E2"))
@@ -155,27 +205,18 @@ def test_a_refusal_clears_the_generator_columns_once_per_model(monkeypatch):
         cleared.append(tuple(values))
         return over_one_denominator(values)
 
+    def forbidden(*args):
+        raise AssertionError("a refusal ran a linear solve")
+
     for module in (lattice, lp, positivity):
         monkeypatch.setattr(module, "over_one_denominator", counted)
-    monkeypatch.setattr(linalg, "solve", None)  # a call would raise TypeError
+    for module in (lattice, linalg, positivity):
+        monkeypatch.setattr(module, "bareiss", forbidden)
+    monkeypatch.setattr(linalg, "solve", forbidden)
     assert not hasattr(positivity, "solve")
     assert not pseff_certificate(m, d2)[0]
     assert cleared and len(cleared) < len(m.neg_curves)
     assert not {c.cls.coeffs for c in m.neg_curves} & set(cleared)
-
-
-def test_generator_rows_are_built_on_first_use_per_model():
-    """Looking a model up and validating it builds no LP columns, so listing
-    the catalog pays nothing; a copy with other curves builds its own."""
-    for name in builtin_names():
-        m = catalog._builtin.__wrapped__(name)  # built as get_model builds it
-        assert m.validate() == [] and validate_links(m) == []
-        assert "_generator_rows" not in vars(m), name
-    m = get_model("dP4")
-    fewer = dataclasses.replace(m, neg_curves=m.neg_curves[:3])
-    assert len(m._generator_rows[0]) == 16
-    assert fewer._generator_rows == tuple(row[:3] for row in m._generator_rows)
-    assert "_generator_rows" not in vars(dataclasses.replace(m))
 
 
 def test_volume_examples():

@@ -91,7 +91,6 @@ def _dp_model(degree: int) -> SurfaceModel:
         blowup = ModelLink(
             target=target, pullback=pullback,
             exceptional_label=f"E{k + 1}",
-            exceptional=DivClass.of([0] * (k + 1) + [1]),
         )
     return SurfaceModel(
         name=f"dP{degree}",
@@ -115,7 +114,6 @@ def _p1xp1_model() -> SurfaceModel:
                   (Fraction(-1), Fraction(0)),
                   (Fraction(0), Fraction(-1))),
         exceptional_label="L12",
-        exceptional=DivClass.of([1, -1, -1]),
     )
     return SurfaceModel(
         name="P1xP1",
@@ -136,7 +134,6 @@ def _wps11n_model(n: int) -> SurfaceModel:
         target=f"F{n}~P(1,1,{n})",
         pullback=((Fraction(1, n),), (Fraction(1),)),
         exceptional_label="e",
-        exceptional=DivClass.of([1, 0]),
     )
     return SurfaceModel(
         name=f"P(1,1,{n})",
@@ -228,10 +225,8 @@ def _pair(base: SurfaceModel, c: Fraction) -> SurfaceModel:
         fields = dict(
             point_classes=("generic", "on-Q", "vertex"),
             beta_candidates=("exceptional", "Q", "ruling"),
-            # Q misses the vertex
             resolution=base.resolution and replace(
-                base.resolution, target=base.resolution.target + suffix,
-                boundary_mults=(Fraction(0),)))
+                base.resolution, target=base.resolution.target + suffix))
     else:
         raise UnknownSurfaceError(f"{base.name} has no boundary section Q")
     return replace(base, name=base.name + suffix, boundary=(BoundaryPart("Q", q_cls, c),),
@@ -288,6 +283,12 @@ def validate_links(m: SurfaceModel) -> list[str]:
     when healthy), each checked against ``get_model(link.target)``, the
     built-in model that divisor specs are resolved on.
 
+    The pullback must keep the model's pairing, and E, the target's curve
+    the link names, must have negative square and meet no pulled-back
+    class.  Then A is read on the target pair (``ModelLink.extracted``),
+    and f*H_X - H_Y = (A - 1)E must hold for the polarizations H = -(K + D):
+    it ties the model's canonical class and boundary to the target's.
+
     Kept apart from ``SurfaceModel.validate`` so that building a pair does
     not also build and validate its resolution target.
     """
@@ -316,41 +317,21 @@ def validate_links(m: SurfaceModel) -> list[str]:
                         problems.append(
                             f"{where}: pullback changes the pairing of "
                             f"{m.basis_labels[i]} and {m.basis_labels[j]}")
-        e = link.exceptional
-        if len(e) != target.rank:
-            problems.append(f"{where}: exceptional class has wrong length")
-        else:
-            sq = target.intersect(e, e)
-            if sq >= 0:
-                problems.append(f"{where}: exceptional class has square {rat_str(sq)} >= 0")
-            for label, a in zip(m.basis_labels, pulled):
-                if target.intersect(e, a) != 0:
-                    problems.append(
-                        f"{where}: exceptional class meets the pullback of {label}")
-            # then E is the target curve it names (a multiple would scale A and
-            # S), and K_Y = f*K_X + aE holds, the identity a is read from
-            if pulled and len(problems) == seen:
-                if next((c.cls for c in target.neg_curves
-                         if c.label == link.exceptional_label), None) != e:
-                    problems.append(f"{where}: exceptional class is not the class of "
-                                    f"{target.name}'s curve {link.exceptional_label}")
-                elif (link.pull(m.canonical) + e.scale(link.discrepancy(target))
-                      != target.canonical):
-                    problems.append(
-                        f"{where}: the target's canonical class is not the pullback of "
-                        "the model's plus a multiple of the exceptional class")
-        if len(link.boundary_mults) != len(m.boundary):
-            problems.append(
-                f"{where}: {len(link.boundary_mults)} boundary multiplicities for "
-                f"{len(m.boundary)} boundary parts")
+        if link.exceptional_label not in target.curve_labels():
+            problems.append(f"{where}: exceptional label {link.exceptional_label} names "
+                            f"no curve of {target.name}")
             continue
-        # mult_i is read into A, and is (f*B_i - B~_i) / E for the target's B~_i
-        for part, mult in zip(m.boundary, link.boundary_mults):
-            strict = next((b.cls for b in target.boundary if b.label == part.label), None)
-            if strict is None:
-                problems.append(f"{where}: the target has no boundary part {part.label}")
-            elif len(problems) == seen and link.pull(part.cls) - strict != e.scale(mult):
+        e = target.curve(link.exceptional_label)
+        sq = target.intersect(e, e)
+        if sq >= 0:
+            problems.append(f"{where}: exceptional class has square {rat_str(sq)} >= 0")
+        for label, a in zip(m.basis_labels, pulled):
+            if target.intersect(e, a) != 0:
+                problems.append(f"{where}: exceptional class meets the pullback of {label}")
+        if pulled and len(problems) == seen:
+            _, A = link.extracted(target)
+            if link.pull(m.polarization()) - target.polarization() != e.scale(A - 1):
                 problems.append(
-                    f"{where}: the pullback of {part.label} is not its strict "
-                    f"transform plus {rat_str(mult)} times the exceptional class")
+                    f"{where}: the target's log canonical class is not the pullback of "
+                    "the model's plus a multiple of the exceptional class")
     return problems

@@ -38,6 +38,10 @@ from .localvol import QuotientSing, parse_sing
 # (-1)-class, and P1xP1's even lattice none.
 _DEL_PEZZO_LINES = {9: 0, 8: None, 7: 3, 6: 6, 5: 10, 4: 16, 3: 27, 2: 56, 1: 240}
 
+# The negatively pairing generator pairs a refusal names; it counts the rest,
+# so its length does not grow with the square of the generator count.
+_NAMED_PAIRS = 5
+
 
 def _pair_numerators(d: DivClass, q: int, vectors: Sequence[Sequence[int]],
                      start: int = 0) -> tuple[int, list[int]]:
@@ -282,26 +286,25 @@ class ModelLink:
     """Blow-up or resolution relation from a model to a catalogued model.
 
     ``pullback`` maps divisor coordinates on the source model to the
-    target model (rank_target x rank_source); ``exceptional`` is the
-    class of the extracted divisor E on the target; ``boundary_mults[i]``
-    is the multiplicity of the i-th boundary part's pullback along it.
-    E is the one divisor extracted, so K_Y = f*K_X + aE on the target.
+    target model (rank_target x rank_source); ``exceptional_label`` names
+    the target's curve E, the one divisor the link extracts.  The target
+    pair fixes E and its log discrepancy A, as K_Y + D_Y = f*(K_X + D) +
+    (A - 1)E there.
     """
 
     target: str
     pullback: Matrix
     exceptional_label: str
-    exceptional: DivClass
-    boundary_mults: tuple[Rat, ...] = ()
 
     def pull(self, d: DivClass) -> DivClass:
         return DivClass(tuple(sum((x * c for x, c in zip(row, d.coeffs) if x), Fraction(0))
                               for row in self.pullback))
 
-    def discrepancy(self, target: SurfaceModel) -> Rat:
-        """a in K_Y = f*K_X + aE: K_Y.E / E^2, as f*K_X.E = 0."""
-        e = self.exceptional
-        return target.intersect(target.canonical, e) / target.intersect(e, e)
+    def extracted(self, target: SurfaceModel) -> tuple[DivClass, Rat]:
+        """(E, A): A = 1 - H_Y.E/E^2 for the target's polarization H_Y, as
+        f*H_X.E = 0."""
+        e = target.curve(self.exceptional_label)
+        return e, 1 - target.intersect(target.polarization(), e) / target.intersect(e, e)
 
 
 @dataclass(frozen=True)
@@ -450,6 +453,7 @@ class SurfaceModel:
         if mk is not None:
             mk_den, mk_dot = _pair_numerators(mk, q, vectors)
         lines: set[tuple] = set()
+        negative = 0
         for i, c in enumerate(curves):
             den, row = _pair_numerators(c.cls, q, vectors, i)
             sq = row[0]
@@ -466,9 +470,14 @@ class SurfaceModel:
             # two distinct irreducible curves meet non-negatively
             for other, v in zip(curves[i + 1:], row[1:]):
                 if v < 0 and other.cls != c.cls:
-                    problems.append(
-                        f"{self.name}: generators {c.label} and {other.label} "
-                        f"pair negatively ({rat_str(Fraction(v, den))})")
+                    if negative < _NAMED_PAIRS:
+                        problems.append(
+                            f"{self.name}: generators {c.label} and {other.label} "
+                            f"pair negatively ({rat_str(Fraction(v, den))})")
+                    negative += 1
+        if negative > _NAMED_PAIRS:
+            problems.append(f"{self.name}: {negative - _NAMED_PAIRS} more generator "
+                            "pairs pair negatively")
         if mk is not None:
             degree = self.intersect(mk, mk)
             q, g = self._int_gram
@@ -576,8 +585,6 @@ def model_to_dict(m: SurfaceModel) -> dict:
             "target": link.target,
             "pullback": [[rat_str(x) for x in row] for row in link.pullback],
             "exceptional_label": link.exceptional_label,
-            "exceptional": [rat_str(x) for x in link.exceptional.coeffs],
-            "boundary_mults": [rat_str(x) for x in link.boundary_mults],
         }
 
     return {
@@ -611,8 +618,6 @@ def _link_from(r: JsonValue) -> ModelLink | None:
         target=r.get("target").of(str),
         pullback=r.get("pullback").rows(),
         exceptional_label=r.get("exceptional_label").of(str),
-        exceptional=DivClass(r.get("exceptional").rats()),
-        boundary_mults=r.get("boundary_mults", []).rats(),
     )
 
 

@@ -30,8 +30,8 @@ class SingularMatrixError(ValueError):
 def solve(m: Sequence[Sequence[Rat]], b: Sequence[Rat]) -> list[Rat]:
     """Solve m x = b exactly; raises SingularMatrixError if singular.
 
-    No runtime code calls it: ``pseff_certificate`` reads its Farkas class
-    from ``bareiss`` on the model's integer Gram.  It is kept because the
+    No runtime code calls it: ``pseff_certificate`` takes its nef class
+    W = -y straight from the LP's Farkas vector y.  It is kept because the
     benchmark's tracer binds it by name and the tests use it as an oracle,
     until the benchmark's count gate retires it (ROADMAP item 1)."""
     n = len(m)

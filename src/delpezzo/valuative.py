@@ -13,13 +13,13 @@ rule.  The divisorial invariants reduce to volume profiles:
     S(E) = (1/L^2) * integral_0^tau vol(L - tE) dt,
     beta(E) = A(E) - S(E),        delta(E) = A(E)/S(E),
 
-with A(E) the log discrepancy: 1 + a - sum_i c_i mult_i for the divisor
-that a catalogue link extracts, with a read from K_Y = f*K_X + aE on the
-link's target (``ModelLink.discrepancy``).  A negative beta certifies
-instability of the pair.  ``invariants(m, spec)`` resolves a divisor
-spec once and walks its profile once; the ``Invariants`` record it
-returns carries A, the profile, S, beta and delta, and every report and
-flag bound reads them from there.
+with A(E) the log discrepancy.  For the divisor E that a catalogue link
+extracts it is read on the link's target pair (Y, D_Y) alone, as
+A = 1 - H_Y.E/E^2 for H_Y = -(K_Y + D_Y) (``ModelLink.extracted``).
+A negative beta certifies instability of the pair.  ``invariants(m,
+spec)`` resolves a divisor spec once and walks its profile once; the
+``Invariants`` record it returns carries A, the profile, S, beta and
+delta, and every report and flag bound reads them from there.
 
 ``p114_pair_report`` is the P(1,1,4) study: beta = A - S at the exceptional
 curve of its resolution F_4, as the boundary coefficient moves.
@@ -280,11 +280,9 @@ class ResolvedDivisor:
 
 def _linked(m: SurfaceModel, link: ModelLink, kind: str) -> ResolvedDivisor:
     target = get_model(link.target)
-    A = 1 + link.discrepancy(target)
-    for part, mult in zip(m.boundary, link.boundary_mults):
-        A -= part.coeff * mult
-    return ResolvedDivisor(m, target, link.pull(m.polarization()),
-                           link.exceptional, link.exceptional_label, A, kind)
+    E, A = link.extracted(target)
+    return ResolvedDivisor(m, target, link.pull(m.polarization()), E,
+                           link.exceptional_label, A, kind)
 
 
 def _raw(m: SurfaceModel, cls: DivClass) -> ResolvedDivisor:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delpezzo import valuative
-from delpezzo.catalog import get_model
+from delpezzo.catalog import builtin_names, get_model
 from delpezzo.cli import main, run
 from delpezzo.lattice import MAX_GRAPH_VERTICES, model_to_dict
 
@@ -532,8 +532,8 @@ def _string_asserted_plt(tmp_path):
                   lambda m: m["blowup"]["pullback"][0].__setitem__(0, 1.0),
                   "model 'dP7x': blowup.pullback[0][0] is a float, not a rational"),
     _catalog_leaf(["catalog", "show", "dP7x"],
-                  lambda m: m["blowup"]["exceptional"].__setitem__(3, 1.0),
-                  "model 'dP7x': blowup.exceptional[3] is a float, not a rational"),
+                  lambda m: m["blowup"].update(exceptional_label=1.0),
+                  "model 'dP7x': blowup.exceptional_label is a float, not a string"),
     _string_asserted_plt,
     _graph_vertex({"self_int": -2.5}, "vertices[0].self_int is a float, not an integer"),
     _graph_vertex({"genus": 0.5}, "vertices[0].genus is a float, not an integer"),
@@ -896,19 +896,33 @@ def test_git_destab_applies_a_coordinate_change():
         "verdict": "torus-semistable (barycenter inside the support hull)"}
 
 
+def test_a_refusal_names_a_few_negative_pairs_and_counts_the_rest(tmp_path, capsys):
+    # Generators -(k+1)E pair negatively two by two: 31125 pairs, whose
+    # refusal used to print 1.7 MB.
+    big = {"name": "big", "basis": ["H", "E"], "gram": [["1", "0"], ["0", "-1"]],
+           "canonical": ["-3", "1"],
+           "neg_curves": [{"label": f"C{k}", "coeffs": ["0", str(-(k + 1))]}
+                          for k in range(250)]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big))
+    report, code = run(["--catalog", str(path), "catalog", "show", "big"])
+    err = capsys.readouterr().err
+    assert report is None and code == 2
+    assert len(err.encode()) < 4096
+    assert err.count("pair negatively (") == 5
+    assert err.endswith("big: 31120 more generator pairs pair negatively\n")
+
+
 @pytest.mark.parametrize("blowup, problem", [
     ({"pullback": [["2"], ["0"]]},
      "blowup link to dP8: pullback changes the pairing of H and H"),
     ({"exceptional_label": "X"},
-     "blowup link to dP8: exceptional class is not the class of dP8's curve X"),
+     "blowup link to dP8: exceptional label X names no curve of dP8"),
     ({"target": "myF1"}, "blowup link to myF1: target is not a built-in surface"),
-    # -H keeps the pairing, so only K_Y = f*K_X + aE fails
+    # -H keeps the pairing, so only f*H_X - H_Y = (A - 1)E fails
     ({"pullback": [["-1"], ["0"]]},
-     "blowup link to dP8: the target's canonical class is not the pullback of the "
+     "blowup link to dP8: the target's log canonical class is not the pullback of the "
      "model's plus a multiple of the exceptional class"),
-    # E1/2 passes the other checks, and it certified beta = -1 (A = 3, S = 4)
-    ({"exceptional": ["0", "1/2"]},
-     "blowup link to dP8: exceptional class is not the class of dP8's curve E1"),
 ])
 def test_catalog_links_are_checked_against_their_targets(tmp_path, capsys, blowup, problem):
     # Each edit used to give a certified beta, a traceback or a mid-command
@@ -975,47 +989,51 @@ def test_a_catalog_canonical_class_that_its_link_contradicts_is_refused(tmp_path
     report, code = run(flags + ["beta", "--surface", "myP2", "--divisor-spec", spec])
     assert report is None and code == 2
     assert capsys.readouterr().err == (
-        "error: invalid --catalog model: myP2: blowup link to dP8: the target's canonical "
-        "class is not the pullback of the model's plus a multiple of the exceptional class\n")
+        "error: invalid --catalog model: myP2: blowup link to dP8: the target's log "
+        "canonical class is not the pullback of the model's plus a multiple of the "
+        "exceptional class\n")
 
 
-def _pair_copy(tmp_path, mults, target="F2~P(1,1,2)+1/2Q"):
+def _pair_copy(tmp_path, mults, target="F2~P(1,1,2)+1/2Q", coeff="1/2"):
     pair = {**model_to_dict(get_model("P(1,1,2)+1/2Q")), "name": "myPair"}
     pair["resolution"].update(boundary_mults=mults, target=target)
+    pair["boundary"][0]["coeff"] = coeff
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(pair))
     return ["--catalog", str(path), "beta", "--surface", "myPair",
             "--divisor-spec", "exceptional"]
 
 
-@pytest.mark.parametrize("mult", ["1", "4"])
-def test_a_boundary_multiplicity_the_target_contradicts_is_refused(tmp_path, capsys,
-                                                                   mult):
-    # Q misses the vertex; mult 1 used to certify beta = -1/2, and 4 beta = -2.
-    report, code = run(_pair_copy(tmp_path, [mult]))
-    assert report is None and code == 2
-    assert capsys.readouterr().err == (
-        "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2)+1/2Q: "
-        f"the pullback of Q is not its strict transform plus {mult} times the "
-        "exceptional class\n")
+_NO_BOUNDARY_ON_THE_TARGET = (
+    "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2): the "
+    "target's log canonical class is not the pullback of the model's plus a multiple "
+    "of the exceptional class\n")
 
 
 def test_a_negative_boundary_multiplicity_is_refused(tmp_path, capsys):
-    # F2 carries no boundary, so no multiplicity of Q can be checked.
+    # The multiplicity is not read; F2 carries no boundary, so the pair's
+    # -(K + Q/2) does not pull back to F2's -K plus a multiple of e.
     report, code = run(_pair_copy(tmp_path, ["-1"], target="F2~P(1,1,2)"))
     assert report is None and code == 2
-    assert capsys.readouterr().err == (
-        "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2): "
-        "the target has no boundary part Q\n")
+    assert capsys.readouterr().err == _NO_BOUNDARY_ON_THE_TARGET
 
 
 def test_a_boundary_part_the_target_lacks_is_refused(tmp_path, capsys):
     # On F2, which carries no boundary, mult 1 used to certify beta = -1/2.
     report, code = run(_pair_copy(tmp_path, ["1"], target="F2~P(1,1,2)"))
     assert report is None and code == 2
+    assert capsys.readouterr().err == _NO_BOUNDARY_ON_THE_TARGET
+
+
+def test_a_target_pair_whose_boundary_is_not_the_models_is_refused(tmp_path, capsys):
+    # Q at 1/4 over a target with Q at 1/2: beta -1/6 was right, but it rested
+    # on the A of a mislabelled target.
+    report, code = run(_pair_copy(tmp_path, ["0"], coeff="1/4"))
+    assert report is None and code == 2
     assert capsys.readouterr().err == (
-        "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2): "
-        "the target has no boundary part Q\n")
+        "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2)+1/2Q: "
+        "the target's log canonical class is not the pullback of the model's plus a "
+        "multiple of the exceptional class\n")
 
 
 def test_the_boundary_multiplicity_the_target_gives_is_accepted(tmp_path):
@@ -1023,6 +1041,47 @@ def test_the_boundary_multiplicity_the_target_gives_is_accepted(tmp_path):
     assert code == 0
     row = payload["results"]["divisors"][0]
     assert (row["A"], row["beta"]) == ("1", "0")
+
+
+@pytest.mark.parametrize("copy, A", [
+    # E1/2 on a P2 copy used to certify beta = -1 (A = 3, S = 4)
+    (lambda tmp: _plane_copy(tmp, lambda p: p["blowup"].update(exceptional=["0", "1/2"]))
+     + ["beta", "--surface", "myP2", "--divisor-spec", "exceptional:pt"], "2"),
+    # Q misses the vertex; mult 1 used to certify beta = -1/2, and 4 beta = -2
+    (lambda tmp: _pair_copy(tmp, ["1"]), "1"),
+    (lambda tmp: _pair_copy(tmp, ["4"]), "1"),
+], ids=["exceptional", "mults-1", "mults-4"])
+def test_an_old_link_key_is_ignored(tmp_path, copy, A):
+    # E and A are read on the target, so a stored class or multiplicity that
+    # disagrees with it changes nothing.
+    payload, code = _json_run(copy(tmp_path))
+    assert code == 0
+    row = payload["results"]["divisors"][0]
+    assert (row["A"], row["beta"]) == (A, "0")
+    assert payload["results"]["verdict"] == "no destabilizer among the tested divisors"
+
+
+_LINKED_BUILTINS = [(name, spec) for name in builtin_names() + ["P(1,1,2)+1/2Q"]
+                    for spec, kind in (("exceptional:pt", "blowup"),
+                                       ("exceptional", "resolution"))
+                    if getattr(get_model(name), kind) is not None]
+
+
+@pytest.mark.parametrize("name, spec", _LINKED_BUILTINS)
+def test_a_linked_model_round_trips_through_its_file(tmp_path, name, spec):
+    # The file form of a link is its target, pullback and label; that must
+    # carry everything A needs.
+    model = {**model_to_dict(get_model(name)), "name": "myCopy"}
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(model))
+    want, code = _json_run(["beta", "--surface", name, "--divisor-spec", spec])
+    got, copy_code = _json_run(["--catalog", str(path), "beta", "--surface", "myCopy",
+                                "--divisor-spec", spec])
+    assert code == copy_code == 0
+    keys = ("A", "S", "beta")
+    assert ([got["results"]["divisors"][0][k] for k in keys]
+            == [want["results"]["divisors"][0][k] for k in keys])
+    assert got["results"]["verdict"] == want["results"]["verdict"]
 
 
 def _approx(exact):

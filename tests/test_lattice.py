@@ -23,7 +23,7 @@ from delpezzo.lattice import (DivClass, JsonValue, ModelInvariantError, SurfaceM
                               model_from_dict, model_to_dict)
 
 # sha256 of the built-in models in their declarative form, sorted by name.
-BUILTIN_DIGEST = "70a39871071149ffc3a03f5458f94215a2ff75a28c9748305f578c9d5b042cfa"
+BUILTIN_DIGEST = "74b827b94f9183bd0a0cb084aea14786b20634706ef253eb65c0e416ada28bca"
 
 
 def test_neg_curve_counts():
@@ -142,11 +142,9 @@ def test_link_checks_report_each_broken_link():
     pair = get_model("P(1,1,2)+1/2Q")
     link = pair.resolution
     for broken, problems in (
-            (dataclasses.replace(link, boundary_mults=()),
-             ["0 boundary multiplicities for 1 boundary parts"]),
-            (dataclasses.replace(link, exceptional=DivClass.of([2, 1])),
-             ["exceptional class meets the pullback of O1"]),
-            (dataclasses.replace(link, exceptional=DivClass.of([0, 1])),
+            (dataclasses.replace(link, exceptional_label="X"),
+             ["exceptional label X names no curve of F2~P(1,1,2)+1/2Q"]),
+            (dataclasses.replace(link, exceptional_label="f"),
              ["exceptional class has square 0 >= 0",
               "exceptional class meets the pullback of O1"]),
             (dataclasses.replace(link, pullback=((F(1, 2),),)),

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from delpezzo.azflag import builtin_flags, semistable_via_flags
 from delpezzo.catalog import builtin_names, get_model, validate_links
-from delpezzo.lattice import DivClass, GraphVertex, LabeledCurve
+from delpezzo.lattice import DivClass, GraphVertex, LabeledCurve, StrictTransform
 from delpezzo.valuative import (DivisorSpecError, PlaneCurveGerm, ResolutionGraph,
                                 beta_report, classify, degenerate_edge, diagonal_parameter,
                                 discrepancies, invariants, lct_n_lines, lct_newton,
@@ -189,8 +189,8 @@ def test_A_values():
         assert invariants(get_model(f"P(1,1,{n})"), "exceptional").A == F(2, n)
 
 
-# Every built-in model with a link, and pairs over a cone, where a link
-# carries a boundary multiplicity.
+# Every built-in model with a link, and pairs over a cone, whose link's
+# target pair carries the boundary.
 _LINKED = [(name, kind) for name in builtin_names() + [f"P(1,1,2)+{c}Q" for c in
                                                          ("0", "1/4", "1/2", "3/4")]
            for kind in ("blowup", "resolution")
@@ -206,16 +206,24 @@ def test_the_linked_models_are_the_expected_ones():
 @pytest.mark.parametrize("name, kind", _LINKED)
 def test_link_discrepancy_is_the_adjunction_solve_of_its_one_vertex_graph(name, kind):
     # The graph of E has E^2 read on the target and the genus g that adjunction
-    # gives, 2g - 2 = E^2 + K_Y.E; ``discrepancies`` solves it independently.
+    # gives, 2g - 2 = E^2 + K_Y.E, and each boundary part of the target pair
+    # meets E as a strict transform (coefficient c, incidence B~.E); so the
+    # adjunction solve of ``discrepancies`` carries the boundary term too.
     m = get_model(name)
     link = getattr(m, kind)
     target = get_model(link.target)
-    e = link.exceptional
+    e, A = link.extracted(target)
+    assert e == target.curve(link.exceptional_label)
     sq, ke = target.intersect(e, e), target.intersect(target.canonical, e)
     genus = (sq + ke + 2) / 2
+    meets = [target.intersect(b.cls, e) for b in target.boundary]
     assert genus.denominator == 1 and sq.denominator == 1
-    graph = ResolutionGraph((GraphVertex(link.exceptional_label, int(genus), int(sq)),))
-    assert link.discrepancy(target) == discrepancies(graph)[0]
+    assert all(x.denominator == 1 for x in meets)
+    graph = ResolutionGraph(
+        (GraphVertex(link.exceptional_label, int(genus), int(sq)),),
+        strict_transforms=tuple(StrictTransform(b.coeff, ((0, int(x)),))
+                                for b, x in zip(target.boundary, meets)))
+    assert A == 1 + discrepancies(graph)[0]
     # A = 2 for a point blow-up, and 2/n for e on F_n over P(1,1,n) (e^2 = -n)
     if kind == "blowup":
         assert invariants(m, "exceptional:pt").A == 2

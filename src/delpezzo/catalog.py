@@ -14,12 +14,12 @@ The constructors below are the only source of the catalog.  Every model
 is built on its first lookup and then kept, one per canonical name: the
 20 fixed models from the name -> constructor table, pairs over them
 and generic "P(a,b,c)" by the same constructors.  Listing the names
-builds nothing.  Fixed models are code, so they are not re-validated
-when they are built; the test suite and the ``catalog:<name>`` rows of
-reproduce-paper validate them.  Pairs and generic weighted planes are
-validated when they are built.  While a ``--catalog`` overlay is given,
-a pair (whose base the overlay may supply) is built and validated on
-every lookup instead.
+builds nothing.  Built-in models are code, so they are not validated
+when they are built: the test suite checks every built-in construction,
+and the ``catalog:<name>`` rows of reproduce-paper check the fixed ones.
+While a ``--catalog`` overlay is given, a pair (whose base the overlay
+may supply) is built on every lookup instead, and ``cli._surface``
+validates it as it does the overlay's own models.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def canonical_name(name: str) -> str:
 
 
 def _pair(base: SurfaceModel, c: Fraction) -> SurfaceModel:
-    """The validated pair (base, cQ) over P(1,1,n), or over its resolution F_n,
+    """The pair (base, cQ) over P(1,1,n), or over its resolution F_n,
     where Q pulls back to e + n f."""
     if not 0 <= c < 1:
         raise UnknownSurfaceError(
@@ -230,13 +230,13 @@ def _pair(base: SurfaceModel, c: Fraction) -> SurfaceModel:
     else:
         raise UnknownSurfaceError(f"{base.name} has no boundary section Q")
     return replace(base, name=base.name + suffix, boundary=(BoundaryPart("Q", q_cls, c),),
-                   named_divisors=dict(base.named_divisors), **fields).validate_strict()
+                   named_divisors=dict(base.named_divisors), **fields)
 
 
 @lru_cache(maxsize=None)
 def _builtin(name: str) -> SurfaceModel | None:
-    """The catalog model with canonical name ``name``, built (and a pair or a
-    weighted plane validated) on its first lookup; None for an unknown name."""
+    """The catalog model with canonical name ``name``, built on its first
+    lookup; None for an unknown name."""
     if name in _FIXED:
         return _FIXED[name]()
     pair = _PAIR_RE.match(name)
@@ -255,7 +255,7 @@ def _builtin(name: str) -> SurfaceModel | None:
             raise UnknownSurfaceError(
                 f"P(1,1,{c}) beyond the built-in range; load it with --catalog")
         try:
-            return _wps_model(a, b, c).validate_strict()
+            return _wps_model(a, b, c)
         except ValueError as exc:
             raise UnknownSurfaceError(str(exc)) from exc
     return None

@@ -34,34 +34,27 @@ class CommandError(Exception):
     """Usage-level failure: maps to exit code 2."""
 
 
-def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
-    d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--format", choices=("table", "json"),
-                   default=d if suppress else "table",
-                   help="output rendering (default: table)")
-    p.add_argument("--strict", action="store_true",
-                   default=d if suppress else False,
-                   help="exit 1 on fail/unstable verdicts")
-    p.add_argument("--seed", type=int, default=d if suppress else DEFAULT_SEED,
-                   help="seed for randomized property rows")
-    p.add_argument("--catalog", action="append", metavar="PATH",
-                   default=d if suppress else None,
-                   help="load additional surface models from a JSON file")
-    p.add_argument("--decimal", action="store_true",
-                   default=d if suppress else False,
-                   help="add approximate (non-authoritative) values")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # The global flags, shared by the program and every subcommand.  They
+    # carry no defaults (``run`` holds those), so a flag given before the
+    # subcommand is not overwritten by the subcommand's parse.
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--format", choices=("table", "json"),
+                       help="output rendering (default: table)")
+    flags.add_argument("--strict", action="store_true",
+                       help="exit 1 on fail/unstable verdicts")
+    flags.add_argument("--seed", type=int, help="seed for randomized property rows")
+    flags.add_argument("--catalog", action="append", metavar="PATH",
+                       help="load additional surface models from a JSON file")
+    flags.add_argument("--decimal", action="store_true",
+                       help="add approximate (non-authoritative) values")
     parser = argparse.ArgumentParser(
-        prog="delpezzo",
+        prog="delpezzo", parents=[flags],
         description="Exact K-stability invariants of log del Pezzo surfaces")
-    _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="cmd", required=True, metavar="COMMAND")
 
     def add(name: str, help_: str, fn) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        _add_global_flags(p, suppress=True)
+        p = sub.add_parser(name, help=help_, parents=[flags])
         p.set_defaults(fn=fn)
         return p
 
@@ -454,24 +447,11 @@ def cmd_reproduce(args, extra):
     return results, ok, inputs, ["built-in catalog"] + sorted(extra or ())
 
 
-def reproduce_paper(seed: int = DEFAULT_SEED, section: int | None = None,
-                    extra: dict[str, SurfaceModel] | None = None) -> Report:
-    """Run the full reproduction corpus and return its report.
-
-    Failures never raise; they appear as failing rows in the result.
-    """
-    argv = ["reproduce-paper", "--seed", str(seed)]
-    if section is not None:
-        argv += ["--section", str(section)]
-    results, _, inputs, provenance = cmd_reproduce(
-        argparse.Namespace(seed=seed, section=section), extra)
-    return Report(command=argv, inputs=inputs, results=results, provenance=provenance)
-
-
 def run(argv) -> tuple[Report | None, int]:
     """Dispatch a command line; returns (report, exit code)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv, argparse.Namespace(
+            format="table", strict=False, seed=DEFAULT_SEED, catalog=None, decimal=False))
     except SystemExit as exc:
         return None, 2 if exc.code not in (0, None) else 0
     try:

@@ -423,8 +423,10 @@ class SurfaceModel:
             if sig != (1, n - 1, 0):
                 problems.append(
                     f"{self.name}: gram signature {sig} is not (1, {n - 1}, 0)")
-        if len(self.canonical) != n:
-            problems.append(f"{self.name}: canonical class has wrong length")
+        held = ([("canonical class", self.canonical)]
+                + [(f"boundary part {b.label}", b.cls) for b in self.boundary]
+                + [(f"named divisor {k}", d) for k, d in self.named_divisors.items()])
+        problems += [f"{self.name}: {what} has wrong length" for what, d in held if len(d) != n]
         if not self.neg_curves:
             problems.append(f"{self.name}: no effective-cone generators listed")
         # a class is keyed by its (numerator, denominator) pairs: a Fraction hashes slowly
@@ -501,12 +503,6 @@ class SurfaceModel:
                 problems.append(
                     f"{self.name}: boundary coefficient {rat_str(b.coeff)} outside [0,1)")
         return problems
-
-    def validate_strict(self) -> "SurfaceModel":
-        problems = self.validate()
-        if problems:
-            raise ModelInvariantError("; ".join(problems))
-        return self
 
 
 def is_nef(m: SurfaceModel, d: DivClass) -> bool:
@@ -623,7 +619,7 @@ def _link_from(r: JsonValue) -> ModelLink | None:
 
 def model_from_dict(data: Any) -> SurfaceModel:
     """Load a model from its declarative form.  It is not validated: check it
-    with ``validate_strict`` (and its links with ``catalog.validate_links``)."""
+    with ``validate`` (and its links with ``catalog.validate_links``)."""
     r = JsonValue(data, "model").named()
     named = r.get("named_divisors", {})
     return SurfaceModel(

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import shlex
@@ -309,6 +310,32 @@ def test_usage_errors_exit_2():
     assert run(["frobnicate"])[1] == 2
     assert run(["wps-vol", "--weights", "2,4,6"])[1] == 2
     assert run(["nvol", "--sing", "1/4(2,1)"])[1] == 2
+
+
+def _without_command(argv):
+    """(exit code, the report rendered with its command line left out)."""
+    report, code = run(argv)
+    return code, report and dataclasses.replace(report, command=[]).render()
+
+
+@pytest.mark.parametrize("flags, argv, read, given, absent", [
+    (["--format", "json"], ["catalog", "list"], lambda r, c: r.render()[0], "{", "c"),
+    (["--decimal"], ["beta", "--surface", "P2", "--divisor-spec", "exceptional:pt"],
+     lambda r, c: "approx" in r.render(), True, False),
+    (["--seed", "7"], ["reproduce-paper", "--section", "5"],
+     lambda r, c: r.inputs["seed"], 7, 20250810),
+    (["--strict"], ["beta", "--surface", "F1", "--divisor-spec", "E1"],
+     lambda r, c: c, 1, 0),
+    (["--catalog", "{path}"], ["catalog", "show", "myquadric"], lambda r, c: c, 0, 2),
+], ids=["format", "decimal", "seed", "strict", "catalog"])
+def test_a_global_flag_reads_the_same_before_and_after_the_command(
+        tmp_path, flags, argv, read, given, absent):
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps({**model_to_dict(get_model("dP7")), "name": "myquadric"}))
+    flags = [f.format(path=path) for f in flags]
+    assert _without_command(flags + argv) == _without_command(argv + flags)
+    assert read(*run(flags + argv)) == given
+    assert read(*run(argv)) == absent
 
 
 def test_catalog_list_and_show_round_trip():
@@ -730,14 +757,6 @@ def test_named_divisor_spec_is_resolved_once(monkeypatch):
         assert code == 0 and calls == ["Ltilde"]
 
 
-def test_reproduce_paper_api_wrapper():
-    from delpezzo.cli import reproduce_paper
-    report = reproduce_paper(section=5)
-    payload = json.loads(report.to_json())
-    assert payload["results"]["summary"]["failed"] == 0
-    assert all(r["section"] == 5 for r in payload["results"]["rows"])
-
-
 def test_uncertifiable_catalog_model_exits_3(tmp_path, capsys, monkeypatch):
     # f1.g = -1, which two distinct irreducible curves never have: the model
     # is refused up front instead of stalling the Zariski machinery.
@@ -960,6 +979,18 @@ def test_pair_over_a_catalog_base_has_its_links_checked(tmp_path, capsys):
         "F2~P(1,1,2)+1/2Q: pullback changes the pairing of O1 and O1\n")
 
 
+def test_a_pair_over_an_invalid_catalog_base_is_an_invalid_catalog_model(tmp_path, capsys):
+    cone = {**model_to_dict(get_model("P(1,1,2)")), "name": "myP112", "gram": [["-1/2"]]}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(cone))
+    report, code = run(["--catalog", str(path), "beta", "--surface", "myP112+1/2Q",
+                        "--divisor-spec", "exceptional"])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid --catalog model: myP112+1/2Q: gram signature (0, 1, 0) is not "
+        "(1, 0, 0)\n")
+
+
 def _plane_copy(tmp_path, edit):
     plane = {**model_to_dict(get_model("dP9")), "name": "myP2"}
     edit(plane)
@@ -1034,6 +1065,37 @@ def test_a_target_pair_whose_boundary_is_not_the_models_is_refused(tmp_path, cap
         "error: invalid --catalog model: myPair: resolution link to F2~P(1,1,2)+1/2Q: "
         "the target's log canonical class is not the pullback of the model's plus a "
         "multiple of the exceptional class\n")
+
+
+def _copy_as(tmp_path, name, copy, edit):
+    model = {**model_to_dict(get_model(name)), "name": copy}
+    edit(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    return ["--catalog", str(path)]
+
+
+def _short_ltilde(model):
+    model["named_divisors"]["Ltilde"] = ["1", "-1"]
+
+
+@pytest.mark.parametrize("name, copy, edit, argv, problem", [
+    ("P(1,1,2)+1/2Q", "myPair", lambda m: m["boundary"][0].update(coeffs=["2", "0"]),
+     ["beta", "--surface", "myPair", "--divisor-spec", "exceptional"],
+     "myPair: boundary part Q has wrong length"),
+    ("dP7", "myDP7", _short_ltilde, ["beta", "--surface", "myDP7", "--divisor-spec", "Ltilde"],
+     "myDP7: named divisor Ltilde has wrong length"),
+    ("dP7", "myDP7", _short_ltilde, ["zariski", "--surface", "myDP7", "--div", "Ltilde"],
+     "myDP7: named divisor Ltilde has wrong length"),
+    ("dP7", "myDP7", _short_ltilde, ["catalog", "show", "myDP7"],
+     "myDP7: named divisor Ltilde has wrong length"),
+], ids=["boundary-beta", "named-beta", "named-zariski", "named-show"])
+def test_a_class_of_the_wrong_length_is_refused(tmp_path, capsys, name, copy, edit, argv,
+                                                problem):
+    # these used to fail inside the pairing with a zip() or rank message, or pass
+    report, code = run(_copy_as(tmp_path, name, copy, edit) + argv)
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: invalid --catalog model: {problem}\n"
 
 
 def test_the_boundary_multiplicity_the_target_gives_is_accepted(tmp_path):

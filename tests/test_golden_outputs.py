@@ -1,9 +1,10 @@
 """Pinned outputs: the exit code and the sha256 of stdout and of stderr of a
 fixed set of commands, each run in process through ``cli.main``.
 
-The set is the README's CLI examples, ``reproduce-paper`` at two seeds as a
-table and as JSON, ``catalog show`` of every built-in model, ``volfn`` and
-``beta`` of every built-in beta candidate, the GIT verdict table,
+The set is the README's CLI examples, ``--help`` of the program and of
+every subcommand, ``reproduce-paper`` at two seeds as a table and as JSON,
+``catalog show`` of every built-in model, ``volfn`` and ``beta`` of every
+built-in beta candidate, the GIT verdict table,
 ``zariski`` decompositions and refusals on each model family, and
 ``semistable`` on every built-in model and on P(1,1,2) with a quarter, a
 half and three quarters of Q, with ``delta-flag`` for every built-in flag
@@ -21,10 +22,12 @@ and name the change in CHANGES.md.
 import hashlib
 import io
 import json
+import os
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 from delpezzo.azflag import builtin_flags
 from delpezzo.catalog import catalog_names, get_model
@@ -46,12 +49,20 @@ ZARISKI = (
     ([f"F{n}~P(1,1,{n})" for n in range(2, 7)], ("e + f", "e + 3f"), "f - e"),
 )
 
+# every subcommand, each of whose --help is pinned
+SUBCOMMANDS = ("catalog", "intersect", "zariski", "volfn", "beta", "delta-flag",
+               "semistable", "discrep", "classify", "lct", "nvol", "budget",
+               "local-global", "markov", "wps-vol", "git-weight", "git-destab",
+               "reproduce-paper")
+
 # surfaces with a boundary, checked by the flag bounds beside the built-ins
 FLAG_SURFACES = ("P(1,1,2)+1/4Q", "P(1,1,2)+1/2Q", "P(1,1,2)+3/4Q")
 
 
 def commands() -> list[list[str]]:
     out = _readme_commands()
+    out.append(["--help"])
+    out += [[cmd, "--help"] for cmd in SUBCOMMANDS]
     for seed in SEEDS:
         for fmt in ("table", "json"):
             out.append(["reproduce-paper", "--seed", str(seed), "--format", fmt])
@@ -78,7 +89,9 @@ def commands() -> list[list[str]]:
 
 def digest(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    # argparse wraps help at the terminal's width: pin it
+    with redirect_stdout(out), redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(argv)
     return {"exit": code,
             "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),

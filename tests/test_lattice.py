@@ -18,9 +18,9 @@ import validate_oracle
 import delpezzo.catalog as cat
 from delpezzo.catalog import (UnknownSurfaceError, builtin_names, canonical_name,
                               catalog_names, get_model, validate_links)
-from delpezzo.lattice import (DivClass, JsonValue, ModelInvariantError, SurfaceModel,
-                              _pair_numerators, enumerate_neg_curves, is_nef, load_models,
-                              model_from_dict, model_to_dict)
+from delpezzo.lattice import (DivClass, JsonValue, SurfaceModel, _pair_numerators,
+                              enumerate_neg_curves, is_nef, load_models, model_from_dict,
+                              model_to_dict)
 
 # sha256 of the built-in models in their declarative form, sorted by name.
 BUILTIN_DIGEST = "74b827b94f9183bd0a0cb084aea14786b20634706ef253eb65c0e416ada28bca"
@@ -173,27 +173,28 @@ def test_pair_models_track_coefficient():
         get_model("P(1,1,2)+5/4Q")
 
 
-def _counted_validations(monkeypatch) -> list[str]:
-    """Names of the models validated from here on."""
+def _counted_builds(monkeypatch, constructor: str) -> list[str]:
+    """The names that ``catalog.<constructor>`` is called for from here on."""
     calls = []
-    original = SurfaceModel.validate
+    original = getattr(cat, constructor)
 
-    def counted(self):
-        calls.append(self.name)
-        return original(self)
+    def counted(*args):
+        m = original(*args)
+        calls.append(m.name)
+        return m
 
-    monkeypatch.setattr(SurfaceModel, "validate", counted)
+    monkeypatch.setattr(cat, constructor, counted)
     return calls
 
 
 def test_builtin_pairs_are_built_once(monkeypatch):
-    calls = _counted_validations(monkeypatch)
+    calls = _counted_builds(monkeypatch, "_pair")
     cat._builtin.cache_clear()
     first = get_model("P(1,1,2)+1/2Q")
     assert get_model("P(1,1,2)+Q/2") is first
     assert get_model("P(1,1,2)+2/4Q") is first
     assert calls == ["P(1,1,2)+1/2Q"]
-    # a pair over a --catalog base is built and validated on every lookup
+    # a pair over a --catalog base is built on every lookup
     base = model_from_dict(model_to_dict(get_model("P(1,1,2)")))
     extra = {"P(1,1,2)": base}
     calls.clear()
@@ -203,12 +204,27 @@ def test_builtin_pairs_are_built_once(monkeypatch):
 
 
 def test_weighted_planes_are_built_once(monkeypatch):
-    calls = _counted_validations(monkeypatch)
+    calls = _counted_builds(monkeypatch, "_wps_model")
     cat._builtin.cache_clear()
     first = get_model("P(1,2,3)")
     assert get_model("P(1, 2, 3)") is first
     assert calls == ["P(1,2,3)"]
     assert get_model("P2") is get_model("P(1,1,1)")
+
+
+_BUILT_ON_LOOKUP = ([f"{base}+{c}Q" for n in range(2, 7)
+                     for base in (f"P(1,1,{n})", f"F{n}~P(1,1,{n})")
+                     for c in ("0", "1/4", "1/2", "3/4")]
+                    + ["P(1,2,3)", "P(2,3,5)", "P(1,4,25)"])
+
+
+@pytest.mark.parametrize("name", _BUILT_ON_LOOKUP)
+def test_models_built_on_lookup_are_valid(name):
+    """A lookup validates no model: the pairs over the built-in bases and the
+    weighted planes it builds are checked here, as the fixed models are."""
+    m = get_model(name)
+    assert m.validate() == []
+    assert validate_links(m) == []
 
 
 def test_fixed_models_are_built_on_first_lookup(monkeypatch):
@@ -314,8 +330,6 @@ def test_incomplete_del_pezzo_model_is_invalid():
     data["neg_curves"] = [c for c in data["neg_curves"] if c["label"] != "E2"]
     m = model_from_dict(data)
     assert any("2 (-1)-curves" in p for p in m.validate())
-    with pytest.raises(ModelInvariantError):
-        model_from_dict(data).validate_strict()
 
 
 @pytest.mark.parametrize("degree", range(9, 0, -1))
@@ -334,7 +348,8 @@ def test_del_pezzo_model_without_a_generator_is_invalid(degree):
 def test_model_round_trip_through_dict():
     for name in ("dP7", "P(1,1,2)", "F2~P(1,1,2)"):
         m = get_model(name)
-        again = model_from_dict(model_to_dict(m)).validate_strict()
+        again = model_from_dict(model_to_dict(m))
+        assert again.validate() == []
         assert model_to_dict(again) == model_to_dict(m)
 
 
@@ -342,22 +357,19 @@ def test_load_models_external_file(tmp_path):
     m = get_model("dP7")
     path = tmp_path / "one.json"
     path.write_text(json.dumps(model_to_dict(m)))
-    loaded = [m.validate_strict() for m in load_models(path)]
+    loaded = load_models(path)
     assert len(loaded) == 1 and loaded[0].name == "dP7"
+    assert loaded[0].validate() == []
 
 
 def test_invalid_gram_rejected():
     data = model_to_dict(get_model("dP7"))
     data["gram"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]
-    with pytest.raises(ModelInvariantError):
-        model_from_dict(data).validate_strict()
     m = model_from_dict(data)
     assert any("signature" in p for p in m.validate())
     # Not symmetric, and with a zero pair pivot a[0][1] + a[1][0] that a
     # congruence elimination would divide by: reported, never raised.
     data["gram"] = [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "-1"]]
-    with pytest.raises(ModelInvariantError):
-        model_from_dict(data).validate_strict()
     problems = model_from_dict(data).validate()
     # one asymmetric pair, reported once
     assert [p for p in problems if "not symmetric" in p] == \
@@ -386,6 +398,18 @@ def _with_curve(label, coeffs):
     return corrupt
 
 
+def _with_boundary(label, coeffs):
+    def corrupt(data):
+        data["boundary"].append({"label": label, "coeffs": coeffs, "coeff": "1/2"})
+    return corrupt
+
+
+def _with_named(name, coeffs):
+    def corrupt(data):
+        data["named_divisors"][name] = coeffs
+    return corrupt
+
+
 def _without_curve(label):
     def corrupt(data):
         data["neg_curves"] = [c for c in data["neg_curves"] if c["label"] != label]
@@ -401,10 +425,13 @@ def _without_curve(label):
     (_without_curve("E2"),
      "dP7: 2 (-1)-curves listed, a del Pezzo surface of degree 7 has 3"),
     (_with_curve("S", ["1", "0"]), "dP7: curve S has wrong length"),
+    (_with_boundary("Q", ["1", "0"]), "dP7: boundary part Q has wrong length"),
+    (_with_named("Ltilde", ["1", "-1"]), "dP7: named divisor Ltilde has wrong length"),
     (_with_curve("E1", ["1", "-1", "0"]), "dP7: generator label E1 is listed twice"),
     (_with_curve("X", ["0", "1", "0"]), "dP7: generators E1 and X have the same class"),
 ], ids=["positive-square", "minus-K-degree", "negative-pair", "missing-line",
-        "wrong-length", "repeated-label", "repeated-class"])
+        "wrong-length", "boundary-length", "named-length", "repeated-label",
+        "repeated-class"])
 def test_validate_matches_the_fraction_oracle_on_corrupt_models(corrupt, problem):
     data = model_to_dict(get_model("dP7"))
     corrupt(data)

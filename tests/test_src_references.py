@@ -25,7 +25,6 @@ SRC = ROOT / "src" / "delpezzo"
 
 # (module, name) pairs kept without a reader in src/ or perfbench/.
 ALLOWED = {
-    ("cli", "reproduce_paper"),  # the library entry point to the corpus
     ("lp", "pivots"),  # the LP's exact work count, for the benchmark's counter gate
 }
 

@@ -61,6 +61,12 @@ def validate(m) -> list[str]:
             problems.append(f"{m.name}: gram signature {sig} is not (1, {n - 1}, 0)")
     if len(m.canonical) != n:
         problems.append(f"{m.name}: canonical class has wrong length")
+    for b in m.boundary:
+        if len(b.cls) != n:
+            problems.append(f"{m.name}: boundary part {b.label} has wrong length")
+    for name, d in m.named_divisors.items():
+        if len(d) != n:
+            problems.append(f"{m.name}: named divisor {name} has wrong length")
     if not m.neg_curves:
         problems.append(f"{m.name}: no effective-cone generators listed")
     for i, c in enumerate(m.neg_curves):

@@ -218,10 +218,8 @@ def builtin_flags(m: SurfaceModel) -> list[tuple[FlagSpec, tuple[str, ...]]]:
             m, "anticanonical-curve", name="anticanonical-curve",
             points=(FlagPoint("generic"),)), ("generic",)))
     elif name.startswith("P(1,1,2)"):
-        c = Fraction(0)
-        for part in m.boundary:
-            if part.label == "Q":
-                c = part.coeff
+        a = m.names.get("Q", (None, None))[1]
+        c = Fraction(0) if a is None else 1 - a
         ruling_points = [FlagPoint("generic")]
         covers = ["generic"]
         if m.boundary:

@@ -26,7 +26,7 @@ from itertools import islice
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .exactnum import Rat, combination_str, over_one_denominator, rat, rat_str
 from .linalg import Matrix, bareiss, symmetric_signature
@@ -41,6 +41,8 @@ _DEL_PEZZO_LINES = {9: 0, 8: None, 7: 3, 6: 6, 5: 10, 4: 16, 3: 27, 2: 56, 1: 24
 # The negatively pairing generator pairs a refusal names; it counts the rest,
 # so its length does not grow with the square of the generator count.
 _NAMED_PAIRS = 5
+
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared by the classes that basis labels denote
 
 
 def _pair_numerators(d: DivClass, q: int, vectors: Sequence[Sequence[int]],
@@ -228,6 +230,12 @@ class StrictTransform:
 # dense elimination, cubic in the vertex count (400 vertices take seconds).
 MAX_GRAPH_VERTICES = 100
 
+# The largest rank and number of effective-cone generators a model may have:
+# ``validate``'s signature is cubic in the rank and its pairings quadratic in
+# the generators.  The largest built-in, dP1, has rank 9 and 240 generators.
+MAX_RANK = 32
+MAX_GENERATORS = 1000
+
 
 @dataclass(frozen=True)
 class ResolutionGraph:
@@ -387,23 +395,35 @@ class SurfaceModel:
                 return c.cls
         raise KeyError(f"no curve {label!r} on {self.name}")
 
-    def named(self, name: str) -> DivClass | None:
-        if name in self.named_divisors:
-            return self.named_divisors[name]
-        if name in self.basis_labels:
-            i = self.basis_labels.index(name)
-            return DivClass(tuple(Fraction(int(j == i)) for j in range(self.rank)))
+    def _labelled(self) -> Iterator[tuple[str, str, DivClass, Rat | None]]:
+        """(kind, name, class, A) for each name the model gives a class, in
+        rising precedence: each basis label (A None, as a basis class need
+        not be a prime divisor), each named divisor and generator (A = 1)
+        and each boundary part (A = 1 - c)."""
+        for i, label in enumerate(self.basis_labels):
+            unit = DivClass(tuple((_ZERO, _ONE)[j == i] for j in range(self.rank)))
+            yield "basis label", label, unit, None
+        for name, d in self.named_divisors.items():
+            yield "named divisor", name, d, _ONE
         for c in self.neg_curves:
-            if c.label == name:
-                return c.cls
+            yield "curve", c.label, c.cls, _ONE
         for b in self.boundary:
-            if b.label == name:
-                return b.cls
-        if name == "K":
-            return self.canonical
-        if name == "-K":
-            return self.minus_k()
-        return None
+            yield "boundary part", b.label, b.cls, 1 - b.coeff
+
+    @cached_property
+    def names(self) -> dict[str, tuple[DivClass, Rat | None]]:
+        """name -> (class, A), A the log discrepancy (None for a bare basis
+        label): the one table of what a name denotes.  A later ``_labelled``
+        entry wins, and K and -K (A = 1) name what the model leaves unnamed;
+        ``validate`` refuses a model on which a name has two classes."""
+        table = {name: (d, a) for _, name, d, a in self._labelled()}
+        table.setdefault("K", (self.canonical, _ONE))
+        table.setdefault("-K", (self.minus_k(), _ONE))
+        return table
+
+    def named(self, name: str) -> DivClass | None:
+        """The class ``name`` denotes (``names``), or None for no name."""
+        return self.names.get(name, (None,))[0]
 
     def render(self, d: DivClass) -> str:
         return combination_str(zip(d.coeffs, self.basis_labels))
@@ -414,6 +434,15 @@ class SurfaceModel:
         n = self.rank
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             return [f"{self.name}: gram shape does not match rank {n}"]
+        if n > MAX_RANK:  # refused before any signature or pairing is computed
+            return [f"{self.name}: rank {n} is more than the bound of {MAX_RANK}"]
+        if len(self.neg_curves) > MAX_GENERATORS:
+            return [f"{self.name}: {len(self.neg_curves)} effective-cone generators are "
+                    f"more than the bound of {MAX_GENERATORS}"]
+        wrong = (["canonical class"] * (len(self.canonical) != n)
+                 + [f"{kind} {name}" for kind, name, d, _ in self._labelled() if len(d) != n])
+        if wrong:  # every check below reads full-length classes
+            return [f"{self.name}: {what} has wrong length" for what in wrong]
         for i in range(n):
             for j in range(i + 1, n):
                 if self.gram[i][j] != self.gram[j][i]:
@@ -423,40 +452,34 @@ class SurfaceModel:
             if sig != (1, n - 1, 0):
                 problems.append(
                     f"{self.name}: gram signature {sig} is not (1, {n - 1}, 0)")
-        held = ([("canonical class", self.canonical)]
-                + [(f"boundary part {b.label}", b.cls) for b in self.boundary]
-                + [(f"named divisor {k}", d) for k, d in self.named_divisors.items()])
-        problems += [f"{self.name}: {what} has wrong length" for what, d in held if len(d) != n]
+        first: dict[str, DivClass] = {}
+        clashes = dict.fromkeys(name for _, name, d, _ in self._labelled()
+                                if first.setdefault(name, d) != d)
+        problems += [f"{self.name}: {name} names two classes" for name in clashes]
+        labels = [b.label for b in self.boundary]
+        problems += [f"{self.name}: boundary part {label} is listed twice"
+                     for label in dict.fromkeys(labels) if labels.count(label) > 1]
         if not self.neg_curves:
             problems.append(f"{self.name}: no effective-cone generators listed")
         # a class is keyed by its (numerator, denominator) pairs: a Fraction hashes slowly
         keys = [tuple([(x.numerator, x.denominator) for x in c.cls.coeffs])
                 for c in self.neg_curves]
-        labels: set[str] = set()
         classes: dict[tuple, str] = {}
         for c, key in zip(self.neg_curves, keys):
-            if c.label in labels:
-                problems.append(f"{self.name}: generator label {c.label} is listed twice")
-            labels.add(c.label)
             if key in classes:
                 problems.append(f"{self.name}: generators {classes[key]} and "
                                 f"{c.label} have the same class")
             classes.setdefault(key, c.label)
-        short = [c.label for c in self.neg_curves if len(c.cls) != n]
-        problems += [f"{self.name}: curve {label} has wrong length" for label in short]
-        # The pairings need every class at full length.  They are read one row
-        # at a time, as integer numerators over the row's denominator and from
-        # the diagonal on, so no N x N table is held (dP1 has 240 generators);
-        # a Fraction is built only for a reported value.
-        curves = () if short else self.neg_curves
-        mk = (self.minus_k() if self.del_pezzo and len(self.canonical) == n and not short
-              else None)
-        q, vectors = (1, ()) if short else self._curve_vectors
+        # The pairings are read a row at a time, as integer numerators over the
+        # row's denominator and from the diagonal on, so no N x N table is held
+        # (dP1 has 240 generators); a Fraction is built only for a reported value.
+        mk = self.minus_k() if self.del_pezzo else None
+        q, vectors = self._curve_vectors
         if mk is not None:
             mk_den, mk_dot = _pair_numerators(mk, q, vectors)
         lines: set[tuple] = set()
         negative = 0
-        for i, c in enumerate(curves):
+        for i, c in enumerate(self.neg_curves):
             den, row = _pair_numerators(c.cls, q, vectors, i)
             sq = row[0]
             if sq > 0 and n > 1:
@@ -470,7 +493,7 @@ class SurfaceModel:
                 else:
                     lines.add(keys[i])
             # two distinct irreducible curves meet non-negatively
-            for other, v in zip(curves[i + 1:], row[1:]):
+            for other, v in zip(self.neg_curves[i + 1:], row[1:]):
                 if v < 0 and other.cls != c.cls:
                     if negative < _NAMED_PAIRS:
                         problems.append(

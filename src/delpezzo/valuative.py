@@ -292,12 +292,12 @@ def _raw(m: SurfaceModel, cls: DivClass) -> ResolvedDivisor:
 
 
 def resolve_divisor_spec(m: SurfaceModel, spec: "str | DivClass") -> ResolvedDivisor:
-    """Resolve a named spec ("exceptional:pt", "exceptional", a curve or
-    boundary label, "anticanonical-curve", ...) or a raw class on the surface.
+    """Resolve a link keyword ("exceptional:pt", "exceptional"), a name or
+    a raw class on the surface.  A name reads its class and A from the
+    model's table (``names``); a bare basis label is a raw class.
 
-    A keyword the surface cannot resolve reports why; any other string
-    that is not a label is read as a divisor expression ("3H - E1 - E2")
-    and resolved as its raw class."""
+    A keyword the surface cannot resolve reports why; any other string is
+    read as a divisor expression ("3H - E1 - E2"), resolved as a raw class."""
     if isinstance(spec, DivClass):
         return _raw(m, spec)
     name = spec.strip()
@@ -307,23 +307,17 @@ def resolve_divisor_spec(m: SurfaceModel, spec: "str | DivClass") -> ResolvedDiv
         return _linked(m, m.blowup, "blowup")
     if name in ("exceptional", "e") and m.resolution is not None:
         return _linked(m, m.resolution, "resolution")
-    cls = m.named(name)
-    if name in m.basis_labels and name not in m.named_divisors and all(
-            x.label != name for x in (*m.neg_curves, *m.boundary)):
-        return _raw(m, cls)  # a basis class need not be a prime divisor
-    if cls is None:
-        if name == "exceptional":
-            raise DivisorSpecError(f"{m.name} has no catalogued resolution")
-        from .parse import ParseError, div_from_expr  # the grammar only expressions need
-        try:
-            return _raw(m, div_from_expr(m, spec))
-        except ParseError as exc:
-            raise DivisorSpecError(str(exc)) from exc
-    a = Fraction(1)
-    for part in m.boundary:
-        if part.label == name:
-            a -= part.coeff
-    return ResolvedDivisor(m, m, m.polarization(), cls, name, a, "on-surface")
+    if name in m.names:
+        cls, a = m.names[name]
+        return (_raw(m, cls) if a is None  # a bare basis label
+                else ResolvedDivisor(m, m, m.polarization(), cls, name, a, "on-surface"))
+    if name == "exceptional":
+        raise DivisorSpecError(f"{m.name} has no catalogued resolution")
+    from .parse import ParseError, div_from_expr  # the grammar only expressions need
+    try:
+        return _raw(m, div_from_expr(m, spec))
+    except ParseError as exc:
+        raise DivisorSpecError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

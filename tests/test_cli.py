@@ -793,10 +793,9 @@ def _relabel_l12_as_e1(model):
 @pytest.mark.parametrize("edit, argvs, problems", [
     (_repeat_e1, [["beta", "--surface", "dP7dup", "--divisor-spec", "L12"],
                   ["zariski", "--surface", "dP7dup", "--div", "-K - 2L12"]],
-     "dP7dup: generator label E1 is listed twice; "
      "dP7dup: generators E1 and E1 have the same class"),
     (_relabel_l12_as_e1, [["zariski", "--surface", "dP7dup", "--div", "3H - 2E1 - 2E2"]],
-     "dP7dup: generator label E1 is listed twice"),
+     "dP7dup: E1 names two classes"),
 ], ids=["repeated-curve", "repeated-label"])
 def test_catalog_model_that_repeats_a_generator_is_refused(tmp_path, capsys, edit, argvs,
                                                            problems):
@@ -1093,6 +1092,45 @@ def _short_ltilde(model):
 def test_a_class_of_the_wrong_length_is_refused(tmp_path, capsys, name, copy, edit, argv,
                                                 problem):
     # these used to fail inside the pairing with a zip() or rank message, or pass
+    report, code = run(_copy_as(tmp_path, name, copy, edit) + argv)
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: invalid --catalog model: {problem}\n"
+
+
+def _q_as_the_ruling(model):
+    model["named_divisors"]["Q"] = ["1"]
+
+
+def _basis_h_e1_e1(model):
+    model["basis"] = ["H", "E1", "E1"]
+
+
+def _q_at_3_4_and_1_4(model):
+    q = model["boundary"][0]
+    model["boundary"] = [{**q, "coeff": "3/4"}, {**q, "coeff": "1/4"}]
+    model["resolution"] = None
+
+
+@pytest.mark.parametrize("name, copy, edit, argv, problem", [
+    # A(Q) came from the boundary part and Q's class from the named divisor:
+    # beta(Q) = -1/2, "K-unstable (certified)" and exit 1 (the pair's is 0).
+    ("P(1,1,2)+1/2Q", "myPair", _q_as_the_ruling,
+     ["beta", "--surface", "myPair", "--divisor-spec", "Q", "--strict"],
+     "myPair: Q names two classes"),
+    ("P(1,1,2)+1/2Q", "myPair", _q_as_the_ruling, ["semistable", "--surface", "myPair"],
+     "myPair: Q names two classes"),
+    # exit 0, printing d1 = H - E1 - E1 for H - E1 - E2
+    ("dP7", "myDP7", _basis_h_e1_e1,
+     ["intersect", "--surface", "myDP7", "--d1", "L12", "--d2", "H"],
+     "myDP7: E1 names two classes"),
+    # Q at 1 in all: A = 0, beta = -1/3, "K-unstable (certified)"
+    ("P(1,1,2)+1/2Q", "myPair", _q_at_3_4_and_1_4,
+     ["beta", "--surface", "myPair", "--divisor-spec", "Q"],
+     "myPair: boundary part Q is listed twice"),
+], ids=["named-and-boundary-beta", "named-and-boundary-semistable", "repeated-basis-label",
+        "repeated-boundary-label"])
+def test_a_name_the_model_lists_twice_is_refused(tmp_path, capsys, name, copy, edit, argv,
+                                                 problem):
     report, code = run(_copy_as(tmp_path, name, copy, edit) + argv)
     assert report is None and code == 2
     assert capsys.readouterr().err == f"error: invalid --catalog model: {problem}\n"

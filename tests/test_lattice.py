@@ -18,9 +18,9 @@ import validate_oracle
 import delpezzo.catalog as cat
 from delpezzo.catalog import (UnknownSurfaceError, builtin_names, canonical_name,
                               catalog_names, get_model, validate_links)
-from delpezzo.lattice import (DivClass, JsonValue, SurfaceModel, _pair_numerators,
-                              enumerate_neg_curves, is_nef, load_models, model_from_dict,
-                              model_to_dict)
+from delpezzo.lattice import (MAX_GENERATORS, MAX_RANK, DivClass, JsonValue, SurfaceModel,
+                              _pair_numerators, enumerate_neg_curves, is_nef, load_models,
+                              model_from_dict, model_to_dict)
 
 # sha256 of the built-in models in their declarative form, sorted by name.
 BUILTIN_DIGEST = "74b827b94f9183bd0a0cb084aea14786b20634706ef253eb65c0e416ada28bca"
@@ -410,6 +410,19 @@ def _with_named(name, coeffs):
     return corrupt
 
 
+def _with_basis(*labels):
+    def corrupt(data):
+        data["basis"] = list(labels)
+    return corrupt
+
+
+def _twice(corrupt):
+    def both(data):
+        corrupt(data)
+        corrupt(data)
+    return both
+
+
 def _without_curve(label):
     def corrupt(data):
         data["neg_curves"] = [c for c in data["neg_curves"] if c["label"] != label]
@@ -427,11 +440,15 @@ def _without_curve(label):
     (_with_curve("S", ["1", "0"]), "dP7: curve S has wrong length"),
     (_with_boundary("Q", ["1", "0"]), "dP7: boundary part Q has wrong length"),
     (_with_named("Ltilde", ["1", "-1"]), "dP7: named divisor Ltilde has wrong length"),
-    (_with_curve("E1", ["1", "-1", "0"]), "dP7: generator label E1 is listed twice"),
+    (_with_curve("E1", ["1", "-1", "0"]), "dP7: E1 names two classes"),
     (_with_curve("X", ["0", "1", "0"]), "dP7: generators E1 and X have the same class"),
+    (_with_basis("H", "E1", "E1"), "dP7: E1 names two classes"),
+    (_with_named("E2", ["1", "-1", "-1"]), "dP7: E2 names two classes"),
+    (_twice(_with_boundary("Q", ["1", "0", "0"])), "dP7: boundary part Q is listed twice"),
 ], ids=["positive-square", "minus-K-degree", "negative-pair", "missing-line",
         "wrong-length", "boundary-length", "named-length", "repeated-label",
-        "repeated-class"])
+        "repeated-class", "repeated-basis-label", "named-curve-label",
+        "repeated-boundary-label"])
 def test_validate_matches_the_fraction_oracle_on_corrupt_models(corrupt, problem):
     data = model_to_dict(get_model("dP7"))
     corrupt(data)
@@ -439,6 +456,43 @@ def test_validate_matches_the_fraction_oracle_on_corrupt_models(corrupt, problem
     problems = m.validate()
     assert problem in problems
     assert problems == validate_oracle.validate(m)
+
+
+def _diagonal_model(rank, generators=0):
+    """H, E1, ... with H^2 = 1 and Ei^2 = -1; the Ei are the generators, or
+    ``generators`` multiples -(k+1)E1 when that is given."""
+    unit = [[str(int(i == j)) for j in range(rank)] for i in range(rank)]
+    gram = [["0" if i != j else "1" if i == 0 else "-1" for j in range(rank)]
+            for i in range(rank)]
+    curves = [{"label": f"E{i}", "coeffs": unit[i]} for i in range(1, rank)]
+    if generators:
+        curves = [{"label": f"C{k}", "coeffs": ["0", str(-(k + 1))] + ["0"] * (rank - 2)}
+                  for k in range(generators)]
+    return model_from_dict({"name": "big", "basis": ["H"] + [f"E{i}" for i in range(1, rank)],
+                            "gram": gram, "canonical": ["0"] * rank, "neg_curves": curves})
+
+
+def test_a_model_of_the_largest_rank_validates():
+    assert _diagonal_model(MAX_RANK).validate() == []
+
+
+@pytest.mark.parametrize("model, problem", [
+    (lambda: _diagonal_model(MAX_RANK + 1),
+     f"big: rank {MAX_RANK + 1} is more than the bound of {MAX_RANK}"),
+    (lambda: _diagonal_model(2, MAX_GENERATORS + 1),
+     f"big: {MAX_GENERATORS + 1} effective-cone generators are more than the bound "
+     f"of {MAX_GENERATORS}"),
+], ids=["rank", "generators"])
+def test_a_model_above_a_bound_is_refused_before_any_pairing(monkeypatch, model, problem):
+    m = model()
+
+    def never(*args):
+        raise AssertionError("no signature or pairing is computed above a bound")
+
+    lattice = sys.modules[SurfaceModel.__module__]
+    monkeypatch.setattr(lattice, "symmetric_signature", never)
+    monkeypatch.setattr(lattice, "_pair_numerators", never)
+    assert m.validate() == [problem]
 
 
 def _dp8_without_e1(data):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from itertools import permutations
 from math import gcd
 
+import name_oracle
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
@@ -13,7 +14,7 @@ from delpezzo.lattice import DivClass, GraphVertex, LabeledCurve, StrictTransfor
 from delpezzo.valuative import (DivisorSpecError, PlaneCurveGerm, ResolutionGraph,
                                 beta_report, classify, degenerate_edge, diagonal_parameter,
                                 discrepancies, invariants, lct_n_lines, lct_newton,
-                                named_graph, unstable_certificate)
+                                named_graph, resolve_divisor_spec, unstable_certificate)
 
 
 def test_discrepancy_examples():
@@ -407,3 +408,31 @@ def test_diagonal_parameter_fuzz_against_weight_grid():
                 mult = min(w1 * i + w2 * j for i, j in support)
                 best = max(best, F(mult, w1 + w2))
         assert diagonal_parameter(germ) == best, sorted(support)
+
+
+_NAMED_MODELS = (builtin_names()
+                 + [f"{base}+{c}Q" for n in range(2, 7)
+                    for base in (f"P(1,1,{n})", f"F{n}~P(1,1,{n})")
+                    for c in ("0", "1/4", "1/2", "3/4")]
+                 + ["P(1,2,3)", "P(2,3,5)", "P(1,4,25)"])
+
+
+def _resolved(resolve, m, name):
+    try:
+        rd = resolve(m, name)
+    except DivisorSpecError as exc:
+        return str(exc)
+    return rd.label, rd.kind, rd.E, rd.A, rd.L
+
+
+@pytest.mark.parametrize("name", _NAMED_MODELS)
+def test_each_name_resolves_as_the_scans_of_the_model_did(name):
+    """The one table of names gives every name the class, kind and A that the
+    precedence chain and the boundary scan gave (``name_oracle``)."""
+    m = get_model(name)
+    names = [*m.basis_labels, *m.named_divisors, *m.curve_labels(),
+             *(b.label for b in m.boundary), "K", "-K", "no-such-name"]
+    for label in names:
+        assert m.named(label) == name_oracle.named(m, label), label
+        assert _resolved(resolve_divisor_spec, m, label) == \
+            _resolved(name_oracle.resolve, m, label), label

@@ -51,6 +51,13 @@ def validate(m) -> list[str]:
     n = m.rank
     if len(m.gram) != n or any(len(row) != n for row in m.gram):
         return [f"{m.name}: gram shape does not match rank {n}"]
+    # a class of the wrong length is refused before anything else is read
+    wrong = ["canonical class"] if len(m.canonical) != n else []
+    wrong += [f"named divisor {name}" for name, d in m.named_divisors.items() if len(d) != n]
+    wrong += [f"curve {c.label}" for c in m.neg_curves if len(c.cls) != n]
+    wrong += [f"boundary part {b.label}" for b in m.boundary if len(b.cls) != n]
+    if wrong:
+        return [f"{m.name}: {what} has wrong length" for what in wrong]
     for i in range(n):
         for j in range(i + 1, n):
             if m.gram[i][j] != m.gram[j][i]:
@@ -59,27 +66,30 @@ def validate(m) -> list[str]:
         sig = symmetric_signature(m.gram)
         if sig != (1, n - 1, 0):
             problems.append(f"{m.name}: gram signature {sig} is not (1, {n - 1}, 0)")
-    if len(m.canonical) != n:
-        problems.append(f"{m.name}: canonical class has wrong length")
-    for b in m.boundary:
-        if len(b.cls) != n:
-            problems.append(f"{m.name}: boundary part {b.label} has wrong length")
-    for name, d in m.named_divisors.items():
-        if len(d) != n:
-            problems.append(f"{m.name}: named divisor {name} has wrong length")
+    # each name has one class: a basis label its unit class, then the named
+    # divisors, the generators and the boundary parts
+    entries = [(label, DivClass(tuple(Fraction(int(j == i)) for j in range(n))))
+               for i, label in enumerate(m.basis_labels)]
+    entries += list(m.named_divisors.items())
+    entries += [(c.label, c.cls) for c in m.neg_curves]
+    entries += [(b.label, b.cls) for b in m.boundary]
+    clashes: list[str] = []
+    for i, (name, d) in enumerate(entries):
+        if name not in clashes and any(o == name and e != d for o, e in entries[:i]):
+            clashes.append(name)
+    problems += [f"{m.name}: {name} names two classes" for name in clashes]
+    labels = [b.label for b in m.boundary]
+    for i, label in enumerate(labels):
+        if label not in labels[:i] and label in labels[i + 1:]:
+            problems.append(f"{m.name}: boundary part {label} is listed twice")
     if not m.neg_curves:
         problems.append(f"{m.name}: no effective-cone generators listed")
     for i, c in enumerate(m.neg_curves):
-        if any(other.label == c.label for other in m.neg_curves[:i]):
-            problems.append(f"{m.name}: generator label {c.label} is listed twice")
         same = [other.label for other in m.neg_curves[:i] if other.cls == c.cls]
         if same:
             problems.append(f"{m.name}: generators {same[0]} and {c.label} have the same class")
-    short = [c.label for c in m.neg_curves if len(c.cls) != n]
-    problems += [f"{m.name}: curve {label} has wrong length" for label in short]
-    curves = () if short else m.neg_curves
-    mk = (m.minus_k() if m.del_pezzo and len(m.canonical) == n and not short
-          else None)
+    curves = m.neg_curves
+    mk = m.minus_k() if m.del_pezzo else None
     mk_dot = [m.intersect(mk, c.cls) for c in curves] if mk is not None else ()
     lines: set[DivClass] = set()
     for i, c in enumerate(curves):

@@ -22,10 +22,11 @@ reports say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Sequence
 
+from .catalog import UnknownSurfaceError, get_model
 from .exactnum import Poly, Rat
 from .lattice import JsonValue, SurfaceModel
 from .valuative import Invariants, invariants, unstable_certificate
@@ -193,7 +194,7 @@ def flag_from_dict(data: Any, m: SurfaceModel) -> tuple[FlagSpec, tuple[str, ...
                              under_n=p.get("under_n", False).of(bool),
                              n_orders=_polys(p.get("n_orders", None)),
                              deg_corrections=_polys(p.get("deg_corrections", None)))
-                   for p in r.get("points", [{"label": "generic"}]).items())
+                   for p in r.get("points", [{"label": "generic"}]).items(nonempty=True))
     covers = r.get("covers", ["generic"]).strs()
     flag = flag_from_divisor(m, spec, name=r.get("name", spec).of(str), points=points,
                              asserted_plt=r.get("asserted_plt", False).of(bool))
@@ -210,9 +211,18 @@ def flag_from_dict(data: Any, m: SurfaceModel) -> tuple[FlagSpec, tuple[str, ...
 
 def builtin_flags(m: SurfaceModel) -> list[tuple[FlagSpec, tuple[str, ...]]]:
     """Shipped flags: cubic anticanonical curves, P(1,1,2) rulings and
-    exceptional (with or without the boundary Q), F1 exceptional."""
+    exceptional (with or without the boundary Q), F1 exceptional.  Their plt
+    type is asserted for the catalog's own surfaces, so a model that is not
+    the built-in surface of its name (a ``--catalog`` overlay or copy) gets
+    none; the beta candidates tested on it may differ."""
     name = m.name
     flags: list[tuple[FlagSpec, tuple[str, ...]]] = []
+    try:
+        own = get_model(name)
+    except UnknownSurfaceError:
+        return flags
+    if replace(m, beta_candidates=own.beta_candidates) != own:
+        return flags
     if name == "dP3":
         flags.append((flag_from_divisor(
             m, "anticanonical-curve", name="anticanonical-curve",

@@ -108,11 +108,14 @@ class JsonValue:
             return self
         return JsonValue(self.value, f"{self.owner} {self.get('name').of(str)!r}")
 
-    def items(self, n: int | None = None) -> list["JsonValue"]:
-        """The entries (exactly n when given); top-level ones are "<owner> entry"."""
+    def items(self, n: int | None = None, nonempty: bool = False) -> list["JsonValue"]:
+        """The entries (exactly n when given, at least one when ``nonempty``);
+        top-level ones are "<owner> entry"."""
         arr = self.of(list)
         if n is not None and len(arr) != n:
             raise InputShapeError(f"{self} has {len(arr)} entries, not {n}")
+        if nonempty and not arr:
+            raise InputShapeError(f"{self} has no entries")
         if not self.path:
             return [JsonValue(v, f"{self.owner} entry") for v in arr]
         return [JsonValue(v, self.owner, f"{self.path}[{i}]") for i, v in enumerate(arr)]
@@ -277,7 +280,7 @@ class ResolutionGraph:
         return cls(
             vertices=tuple(GraphVertex(v.get("label").of(str), v.get("genus").of(int),
                                        v.get("self_int").of(int))
-                           for v in r.get("vertices").items()),
+                           for v in r.get("vertices").items(nonempty=True)),
             edges=_int_rows(r.get("edges", []), 3),
             strict_transforms=tuple(
                 StrictTransform(st.get("coeff").rat(), _int_rows(st.get("incidences"), 2))
@@ -521,6 +524,14 @@ class SurfaceModel:
                     problems.append(
                         f"{self.name}: {len(lines)} (-1)-curves listed, a del Pezzo "
                         f"surface of degree {degree}{kind} has {want}")
+            # a named divisor is read as prime (A = 1); by adjunction a prime
+            # divisor on a smooth surface has arithmetic genus (D^2 + K.D)/2 + 1 >= 0
+            for name, d in self.named_divisors.items():
+                v = self.intersect(d, d + self.canonical)
+                if v % 2 or v < -2 or any(x.denominator != 1 for x in d.coeffs):
+                    problems.append(
+                        f"{self.name}: named divisor {name} = {self.render(d)} is not "
+                        f"the class of a prime divisor (D^2 + K.D = {rat_str(v)})")
         for b in self.boundary:
             if not 0 <= b.coeff < 1:
                 problems.append(

@@ -16,6 +16,7 @@ from delpezzo import valuative
 from delpezzo.catalog import builtin_names, get_model
 from delpezzo.cli import main, run
 from delpezzo.lattice import MAX_GRAPH_VERTICES, model_to_dict
+from delpezzo.reproduce import build_rows, run_corpus
 
 
 def _json_run(argv):
@@ -378,6 +379,15 @@ def test_reproduce_sections_only_contain_requested_rows():
     assert code == 0
 
 
+def test_reproduce_rows_have_unique_ids_and_each_section_runs_as_in_the_full_table():
+    rows = build_rows(20250810)
+    assert len({row.ident for row in rows}) == len(rows) == 64
+    full = run_corpus(20250810)["rows"]
+    for section in range(1, 7):
+        assert run_corpus(20250810, section=section)["rows"] == \
+            [r for r in full if r["section"] == section]
+
+
 def test_incomplete_catalog_model_is_refused(tmp_path):
     model = model_to_dict(get_model("dP7"))
     model["name"] = "dP7-no-E2"
@@ -516,6 +526,12 @@ def _graph_file(tmp_path, vertex, edges=()):
     return path
 
 
+def _empty_graph_file(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": [], "edges": []}))
+    return path
+
+
 def _catalog_leaf(argv, edit, read):
     def make(tmp_path):
         path = _model_file(tmp_path, edit)
@@ -583,7 +599,19 @@ def test_json_input_with_a_wrong_typed_value_names_file_and_object(tmp_path, cap
     (lambda tmp: ["semistable", "--surface", "dP3", "--flag-file",
                   str(_flag_file(tmp, divisor_spec="nosuch"))],
      "unknown divisor label 'nosuch' on dP3 (column 1)"),
-], ids=["graph-self-int", "graph-edge", "flag-divisor-spec"])
+    # an empty list used to exit 4 (IndexError), 2 with a min() message, or 0
+    # with an empty table
+    (lambda tmp: ["delta-flag", "--surface", "dP3", "--flag", "u", "--flag-file",
+                  str(_flag_file(tmp, points=[]))], "flag 'u': points has no entries"),
+    (lambda tmp: ["semistable", "--surface", "dP3", "--flag-file",
+                  str(_flag_file(tmp, points=[]))], "flag 'u': points has no entries"),
+    (lambda tmp: ["discrep", "--graph", str(_empty_graph_file(tmp))],
+     "resolution graph: vertices has no entries"),
+    (lambda tmp: ["classify", "--graph", str(_empty_graph_file(tmp))],
+     "resolution graph: vertices has no entries"),
+], ids=["graph-self-int", "graph-edge", "flag-divisor-spec", "flag-no-points-delta-flag",
+        "flag-no-points-semistable", "graph-no-vertices-discrep",
+        "graph-no-vertices-classify"])
 def test_refused_json_input_names_its_file(tmp_path, capsys, make, message):
     argv = make(tmp_path)
     report, code = run(argv)
@@ -1134,6 +1162,47 @@ def test_a_name_the_model_lists_twice_is_refused(tmp_path, capsys, name, copy, e
     report, code = run(_copy_as(tmp_path, name, copy, edit) + argv)
     assert report is None and code == 2
     assert capsys.readouterr().err == f"error: invalid --catalog model: {problem}\n"
+
+
+def test_a_named_divisor_that_no_prime_divisor_has_is_refused(tmp_path, capsys):
+    # X = (f1 + f2)/2 used to be read as prime (A = 1): beta = -1/3,
+    # "K-unstable (certified)" and exit 0 on a K-polystable surface
+    copy = _copy_as(tmp_path, "P1xP1", "myQ",
+                    lambda m: m.update(named_divisors={"X": ["1/2", "1/2"]}))
+    report, code = run(copy + ["beta", "--surface", "myQ", "--divisor-spec", "X"])
+    assert report is None and code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid --catalog model: myQ: named divisor X = 1/2*f1 + 1/2*f2 is not "
+        "the class of a prime divisor (D^2 + K.D = -3/2)\n")
+
+
+def _named_dp3_with_e1_as_anticanonical(model):
+    model["named_divisors"]["anticanonical-curve"] = ["1", "-1", "-1", "0", "0", "0", "0"]
+
+
+# Each used to borrow a built-in's flags by its name alone, asserted plt:
+# "K-semistable (certified by flags)" with no note on the caller's assertion.
+@pytest.mark.parametrize("name, copy, edit, surface", [
+    ("P(1,1,2)", "P(1,1,2)x", lambda m: None, "P(1,1,2)x+1/2Q"),
+    ("P(1,1,3)", "P(1,1,2)", lambda m: None, "P(1,1,2)+2/3Q"),
+    ("dP3", "dP3", _named_dp3_with_e1_as_anticanonical, "dP3"),
+], ids=["name-prefix", "copy-under-a-built-in-name", "overlay-of-a-built-in"])
+def test_a_catalog_model_gets_no_built_in_flags(tmp_path, capsys, name, copy, edit, surface):
+    report, code = run(_copy_as(tmp_path, name, copy, edit)
+                       + ["semistable", "--surface", surface])
+    assert report is None and code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: point classes not covered by any flag on {surface}: ")
+
+
+def test_a_catalog_copy_of_a_built_in_surface_keeps_its_flags(tmp_path):
+    # the same surface, whatever it tests: a pair rebuilt on each lookup under
+    # --catalog, and a dP3 copy that lists no beta candidate
+    copy = _copy_as(tmp_path, "dP3", "dP3", lambda m: m.update(beta_candidates=[]))
+    for surface in ("dP3", "P(1,1,2)+1/2Q"):
+        payload, code = _json_run(copy + ["semistable", "--surface", surface])
+        assert code == 0
+        assert payload["results"]["verdict"] == "K-semistable (certified by flags)"
 
 
 def test_the_boundary_multiplicity_the_target_gives_is_accepted(tmp_path):

@@ -445,10 +445,14 @@ def _without_curve(label):
     (_with_basis("H", "E1", "E1"), "dP7: E1 names two classes"),
     (_with_named("E2", ["1", "-1", "-1"]), "dP7: E2 names two classes"),
     (_twice(_with_boundary("Q", ["1", "0", "0"])), "dP7: boundary part Q is listed twice"),
+    (_with_named("X", ["1/2", "0", "0"]), "dP7: named divisor X = 1/2*H is not the class "
+     "of a prime divisor (D^2 + K.D = -5/4)"),
+    (_with_named("X", ["0", "2", "0"]), "dP7: named divisor X = 2*E1 is not the class "
+     "of a prime divisor (D^2 + K.D = -6)"),
 ], ids=["positive-square", "minus-K-degree", "negative-pair", "missing-line",
         "wrong-length", "boundary-length", "named-length", "repeated-label",
         "repeated-class", "repeated-basis-label", "named-curve-label",
-        "repeated-boundary-label"])
+        "repeated-boundary-label", "named-not-integral", "named-genus-below-0"])
 def test_validate_matches_the_fraction_oracle_on_corrupt_models(corrupt, problem):
     data = model_to_dict(get_model("dP7"))
     corrupt(data)

@@ -128,6 +128,15 @@ def validate(m) -> list[str]:
                 problems.append(
                     f"{m.name}: {len(lines)} (-1)-curves listed, a del Pezzo "
                     f"surface of degree {degree}{kind} has {want}")
+        # adjunction: a prime divisor has an integral class and arithmetic
+        # genus (D^2 + K.D)/2 + 1, a nonnegative integer
+        for name, d in m.named_divisors.items():
+            v = m.intersect(d, d) + m.intersect(m.canonical, d)
+            integral = all(x.denominator == 1 for x in d.coeffs)
+            if not (integral and v.denominator == 1 and v % 2 == 0 and v >= -2):
+                problems.append(
+                    f"{m.name}: named divisor {name} = {m.render(d)} is not "
+                    f"the class of a prime divisor (D^2 + K.D = {rat_str(v)})")
     for b in m.boundary:
         if not 0 <= b.coeff < 1:
             problems.append(
